@@ -26,6 +26,6 @@ from .spectrum import (ModeOperator, RadialEigenmode, SLDiscretization,
                        mode_spectrum, odd_condition_value,
                        poincare_constant_estimate, radial_eigenfunction,
                        radial_eigenvalue, rayleigh_quotient, richardson,
-                       spherical_mean_project, subdomain_bound_check)
+                       subdomain_bound_check)
 
 __version__ = "0.1.0"

@@ -19,14 +19,14 @@ from .geometry import (GeodesicState, ProfileParams, geodesic_trace,
                        horizontal_normal, mean_curvature_check,
                        omega_bar_normal_deriv_check,
                        profile_geodesic_residual)
-from .numerics import profile_rule
+from .numerics import _MAX_DENSE_DIM, profile_rule
 from .operators import verify_identities
-from .spectrum import (PolarTrial, build_spectrum_report,
+from .spectrum import (SpectrumReport, build_spectrum_report,
                        default_green_polar_trials,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
-                       mode_spectrum, poincare_constant_estimate,
-                       radial_eigenfunction, radial_eigenvalue, richardson)
+                       mode_spectrum, parity_spectrum_entries,
+                       poincare_constant_estimate, radial_eigenfunction)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -70,6 +70,23 @@ class RunConfig:
             raise ValueError("unknown verify suite")
         if self.steps < 1 or self.grid < 50 or self.k_max < 1:
             raise ValueError("size parameters out of range")
+        if self.command in ("spectrum", "eig"):
+            # count: eigenvalues per parity; the odd family is the larger
+            count = self.count if self.command == "eig" else (self.k_max + 1) // 2
+            for grid in (self.grid, self.grid2 or 2 * self.grid):
+                if grid < 50 or not 1 <= count <= grid // 4:
+                    raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
+        if self.command == "modes" and (
+                self.grid > _MAX_DENSE_DIM or self.count < 1
+                or min(self.k_range) < 0
+                or (0 in self.k_range and self.count > self.grid // 4)):
+            raise ValueError(f"need grid <= {_MAX_DENSE_DIM}, k >= 0, count >= 1"
+                             " and, with k = 0, count <= grid/4")
+
+
+def _gate(name: str, value: float, threshold: float) -> dict:
+    return {"name": name, "value": value, "threshold": threshold,
+            "pass": bool(value <= threshold)}
 
 
 def _fmt(x: float) -> str:
@@ -112,60 +129,32 @@ def _gnuplot_script(cfg: RunConfig, csv_name: str) -> str:
 
 
 def _emit_report(cfg: RunConfig, report, gates: list[dict]) -> None:
-    if cfg.fmt == "csv":
+    if cfg.fmt == "csv" or cfg.plot:
         _write_csv(_out_path(cfg, "csv"), report.CSV_HEADER, report.csv_rows())
-    else:
+    if cfg.fmt == "json":
         _write_json(_out_path(cfg, "json"), _config_dict(cfg),
                     report.json_obj(), gates)
     if cfg.plot:
-        if cfg.fmt != "csv":
-            _write_csv(_out_path(cfg, "csv"), report.CSV_HEADER, report.csv_rows())
         _write_text(_out_path(cfg, "gp"),
                     _gnuplot_script(cfg, os.path.basename(_out_path(cfg, "csv"))))
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
     params = ProfileParams(cfg.n)
-    grid2 = cfg.grid2 or 2 * cfg.grid
-    report = build_spectrum_report(params, cfg.k_max, cfg.grid, grid2,
-                                   with_poincare=False)
+    report = build_spectrum_report(params, cfg.k_max, cfg.grid,
+                                   cfg.grid2 or 2 * cfg.grid)
     _emit_report(cfg, report, [])
     return 0
 
 
 def _run_eig(cfg: RunConfig) -> int:
     params = ProfileParams(cfg.n)
-    grid2 = cfg.grid2 or 2 * cfg.grid
-    bc = "natural" if cfg.parity == "even" else "dirichlet"
-    l1 = discrete_radial_spectrum(params, bc, cfg.grid, cfg.count)
-    l2 = discrete_radial_spectrum(params, bc, grid2, cfg.count)
-    ex = richardson(l1, l2)
+    report = SpectrumReport(parity_spectrum_entries(
+        params, cfg.parity, cfg.count, cfg.grid, cfg.grid2 or 2 * cfg.grid))
     tol = cfg.tol if cfg.tol is not None else 0.01
-    gates = []
-    rows = []
-    ok = True
-    for i in range(cfg.count):
-        k = 2 * (i + 1) if cfg.parity == "even" else 2 * i + 1
-        lam = radial_eigenvalue(k, params)
-        rel = abs(ex[i] - lam) / lam
-        ok = ok and rel <= tol
-        gates.append({"name": f"eig_k{k}", "value": rel, "threshold": tol,
-                      "pass": bool(rel <= tol)})
-        rows.append(",".join([str(cfg.n), str(k), cfg.parity, _fmt(lam),
-                              _fmt(l1[i]), _fmt(l2[i]), _fmt(ex[i]), _fmt(rel)]))
-    header = ("n,k,parity_or_mode,lambda_closed,lambda_grid1,"
-              "lambda_grid2,lambda_extrap,rel_err")
-    if cfg.fmt == "csv":
-        _write_csv(_out_path(cfg, "csv"), header, rows)
-    else:
-        results = [dict(zip(header.split(","), r.split(","))) for r in rows]
-        _write_json(_out_path(cfg, "json"), _config_dict(cfg), results, gates)
-    if cfg.plot:
-        if cfg.fmt != "csv":
-            _write_csv(_out_path(cfg, "csv"), header, rows)
-        _write_text(_out_path(cfg, "gp"),
-                    _gnuplot_script(cfg, os.path.basename(_out_path(cfg, "csv"))))
-    return 0 if ok else 1
+    gates = [_gate(f"eig_k{e.k}", e.rel_err, tol) for e in report.entries]
+    _emit_report(cfg, report, gates)
+    return 0 if all(g["pass"] for g in gates) else 1
 
 
 def _run_modes(cfg: RunConfig) -> int:
@@ -173,16 +162,13 @@ def _run_modes(cfg: RunConfig) -> int:
     header = "n,k,matching,index,lambda_re,lambda_im"
     rows = []
     gates = []
-    ok = True
     for k in cfg.k_range:
         vals = mode_spectrum(k, cfg.grid, cfg.count, cfg.matching)
         if k == 0:
             bc = "natural" if cfg.matching == "continuity" else "dirichlet"
             radial = discrete_radial_spectrum(params, bc, cfg.grid, cfg.count)
             dev = float(np.max(np.abs(vals.real - radial)))
-            gates.append({"name": "mode0_matches_radial", "value": dev,
-                          "threshold": 1e-10, "pass": bool(dev <= 1e-10)})
-            ok = ok and dev <= 1e-10
+            gates.append(_gate("mode0_matches_radial", dev, 1e-10))
         for i, lam in enumerate(vals):
             rows.append(",".join([str(cfg.n), str(k), cfg.matching, str(i),
                                   _fmt(lam.real), _fmt(lam.imag)]))
@@ -191,7 +177,7 @@ def _run_modes(cfg: RunConfig) -> int:
     else:
         results = [dict(zip(header.split(","), r.split(","))) for r in rows]
         _write_json(_out_path(cfg, "json"), _config_dict(cfg), results, gates)
-    return 0 if ok else 1
+    return 0 if all(g["pass"] for g in gates) else 1
 
 
 def _geometry_gates(params: ProfileParams, tol_fd: float) -> list[dict]:
@@ -205,21 +191,15 @@ def _geometry_gates(params: ProfileParams, tol_fd: float) -> list[dict]:
         worst_norm = max(worst_norm, abs(float(nu @ nu) - 1.0))
         worst_supp = max(worst_supp, abs(float(z @ nu) - float(z @ z)))
     gates = [
-        {"name": "unit_normal", "value": worst_norm, "threshold": 1e-14,
-         "pass": bool(worst_norm <= 1e-14)},
-        {"name": "support_function", "value": worst_supp, "threshold": 1e-14,
-         "pass": bool(worst_supp <= 1e-14)},
+        _gate("unit_normal", worst_norm, 1e-14),
+        _gate("support_function", worst_supp, 1e-14),
+        _gate("mean_curvature", mean_curvature_check(params, 100), tol_fd),
+        _gate("omega_normal_derivative",
+              omega_bar_normal_deriv_check(params, 100), tol_fd),
     ]
-    dev = mean_curvature_check(params, 100)
-    gates.append({"name": "mean_curvature", "value": dev, "threshold": tol_fd,
-                  "pass": bool(dev <= tol_fd)})
-    dev = omega_bar_normal_deriv_check(params, 100)
-    gates.append({"name": "omega_normal_derivative", "value": dev,
-                  "threshold": tol_fd, "pass": bool(dev <= tol_fd)})
     if params.n == 1:
-        dev = profile_geodesic_residual(params, 10_000)
-        gates.append({"name": "geodesic_meridian", "value": dev,
-                      "threshold": tol_fd, "pass": bool(dev <= tol_fd)})
+        gates.append(_gate("geodesic_meridian",
+                           profile_geodesic_residual(params, 10_000), tol_fd))
     return gates
 
 
@@ -229,41 +209,32 @@ def _run_verify(cfg: RunConfig) -> int:
     results = []
     if cfg.suite == "identities":
         tol = cfg.tol if cfg.tol is not None else 1e-5
-        report = verify_identities(params, sample_count=100)
-        results = report
-        for item in report:
-            gates.append({"name": item["lemma"], "value": item["max_deviation"],
-                          "threshold": tol,
-                          "pass": bool(item["max_deviation"] <= tol)})
+        results = verify_identities(params, sample_count=100)
+        gates = [_gate(item["lemma"], item["max_deviation"], tol)
+                 for item in results]
     elif cfg.suite == "green":
         tol = cfg.tol if cfg.tol is not None else 1e-6
         for i, tr in enumerate(default_green_radial_trials()):
-            res = green_check(tr, params)
-            gates.append({"name": f"green_radial_{i}", "value": res,
-                          "threshold": tol, "pass": bool(res <= tol)})
+            gates.append(_gate(f"green_radial_{i}", green_check(tr, params), tol))
         if params.n == 1:
             for i, tr in enumerate(default_green_polar_trials()):
-                res = green_check(tr, params)
-                gates.append({"name": f"green_polar_{i}", "value": res,
-                              "threshold": tol, "pass": bool(res <= tol)})
+                gates.append(_gate(f"green_polar_{i}", green_check(tr, params),
+                                   tol))
         trs = default_green_radial_trials()
-        res = green_symmetry_residual(trs[0], trs[2], params)
-        gates.append({"name": "green_symmetry", "value": res,
-                      "threshold": tol, "pass": bool(res <= tol)})
+        gates.append(_gate("green_symmetry",
+                           green_symmetry_residual(trs[0], trs[2], params), tol))
     elif cfg.suite == "orthogonality":
         tol = cfg.tol if cfg.tol is not None else 1e-8
         rule = profile_rule(params, 64)
         modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
         G = gram_matrix(modes, rule)
         off = float(np.max(np.abs(G - np.eye(len(modes)))))
-        gates.append({"name": "gram_identity", "value": off,
-                      "threshold": tol, "pass": bool(off <= tol)})
+        gates.append(_gate("gram_identity", off, tol))
     elif cfg.suite == "geometry":
         tol = cfg.tol if cfg.tol is not None else 1e-6
         gates = _geometry_gates(params, tol)
-    ok = all(g["pass"] for g in gates)
     _write_json(_out_path(cfg, "json"), _config_dict(cfg), results, gates)
-    return 0 if ok else 1
+    return 0 if all(g["pass"] for g in gates) else 1
 
 
 def _run_poincare(cfg: RunConfig) -> int:

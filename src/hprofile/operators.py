@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ProfileParams, horizontal_normal, kappa, perp
+from .geometry import (ProfileParams, _omega_field, _random_interior_points,
+                       horizontal_normal, perp)
 
 __all__ = [
     "RadialJet",
@@ -252,18 +253,6 @@ def default_ambient_trials(n: int) -> list[AmbientTrial]:
     return trials
 
 
-def _sample_points(n: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(count, 2 * n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts * rng.uniform(0.15, 0.85, size=(count, 1))
-
-
-def _omega_field(z: np.ndarray) -> float:
-    r = float(np.linalg.norm(z))
-    return 2.0 * math.sqrt(1.0 - r * r) / r
-
-
 def _grad_hs(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Tangential-horizontal part of a horizontal gradient."""
     return grad - float(grad @ nu) * nu
@@ -281,7 +270,7 @@ def verify_identities(params: ProfileParams,
     """
     if trials is None:
         trials = default_ambient_trials(params.n)
-    pts = _sample_points(params.n, sample_count, seed)
+    pts = _random_interior_points(params.n, sample_count, seed)
     H = -2.0 * params.n
     report = []
 

@@ -11,16 +11,16 @@ separate so they can cross-check each other:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import ProfileParams
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
-                       hessenberg_qr_eigenvalues, profile_rule,
-                       sym_tridiag_eigen)
-from .operators import PolarJet, apply_polar_h1
+                       hessenberg_qr_eigenvalues, integrate_profile_radial,
+                       profile_rule, sym_tridiag_eigen)
+from .operators import PolarJet, RadialJet, apply_polar_h1, apply_radial
 from .specfun import (Hyp2F1Params, gauss_value_at_one, gamma_fn, hyp2f1_auto,
                       recip_gamma)
 
@@ -41,7 +41,6 @@ __all__ = [
     "richardson",
     "build_mode_operator",
     "mode_spectrum",
-    "spherical_mean_project",
     "rayleigh_quotient",
     "poincare_constant_estimate",
     "subdomain_bound_check",
@@ -50,6 +49,7 @@ __all__ = [
     "PolarTrial",
     "green_check",
     "green_symmetry_residual",
+    "parity_spectrum_entries",
     "build_spectrum_report",
 ]
 
@@ -94,34 +94,36 @@ class RadialEigenmode:
     def hemisphere_sign(self) -> int:
         return 1 if self.parity == "even" else -1
 
-    def value(self, rho):
+    def _combine(self, rho, terms):
+        """normalization * sum of scale(r) * coef * F(p; r^2) over the
+        (coef, p, scale) terms.  A term with coef == 0 is skipped unevaluated:
+        F(p; 1) may diverge where the term vanishes identically."""
         rho = np.asarray(rho, dtype=float)
         flat = np.atleast_1d(rho)
-        out = np.array([hyp2f1_auto(self.hyp, r * r) for r in flat])
+        out = np.full(flat.shape, -0.0)   # the exact identity, sign of 0 kept
+        for coef, p, scale in terms:
+            if coef != 0.0:
+                out += np.array([scale(r) * coef * hyp2f1_auto(p, r * r)
+                                 for r in flat])
         out *= self.normalization
         return float(out[0]) if rho.ndim == 0 else out
+
+    def value(self, rho):
+        return self._combine(rho, [(1.0, self.hyp, lambda r: 1.0)])
 
     def deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        flat = np.atleast_1d(rho)
-        p1 = self.hyp.shifted(1)
-        fac = self.hyp.a * self.hyp.b / self.hyp.c
-        out = np.array([2.0 * r * fac * hyp2f1_auto(p1, r * r) for r in flat])
-        out *= self.normalization
-        return float(out[0]) if rho.ndim == 0 else out
+        """d/drho; raises ValueError at rho = 1 for odd modes (unbounded)."""
+        h = self.hyp
+        f1 = h.a * h.b / h.c
+        return self._combine(rho, [(f1, h.shifted(1), lambda r: 2.0 * r)])
 
     def second_deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        flat = np.atleast_1d(rho)
-        p1 = self.hyp.shifted(1)
-        p2 = self.hyp.shifted(2)
-        f1 = self.hyp.a * self.hyp.b / self.hyp.c
-        f2 = f1 * (self.hyp.a + 1) * (self.hyp.b + 1) / (self.hyp.c + 1)
-        out = np.array([2.0 * f1 * hyp2f1_auto(p1, r * r)
-                        + 4.0 * r * r * f2 * hyp2f1_auto(p2, r * r)
-                        for r in flat])
-        out *= self.normalization
-        return float(out[0]) if rho.ndim == 0 else out
+        """d2/drho2; raises ValueError at rho = 1 for odd modes (unbounded)."""
+        h = self.hyp
+        f1 = h.a * h.b / h.c
+        f2 = f1 * (h.a + 1) * (h.b + 1) / (h.c + 1)
+        return self._combine(rho, [(f1, h.shifted(1), lambda r: 2.0),
+                                   (f2, h.shifted(2), lambda r: 4.0 * r * r)])
 
     def value_on(self, rho, hemisphere: int):
         if hemisphere not in (1, -1):
@@ -142,16 +144,10 @@ def radial_eigenfunction(k: int, params: ProfileParams,
     raw = RadialEigenmode(k=k, parity=parity,
                           lam=radial_eigenvalue(k, params),
                           hyp=hyp, normalization=1.0)
-    sq = _weighted_integral(lambda r: raw.value(r) ** 2, rule)
+    sq = integrate_profile_radial(lambda r: raw.value(r) ** 2, rule, params)
     norm = 1.0 / math.sqrt(params.sphere_area * sq)
     return RadialEigenmode(k=k, parity=parity, lam=raw.lam, hyp=hyp,
                            normalization=norm)
-
-
-def _weighted_integral(f, rule: QuadratureRule) -> float:
-    """int_0^1 f(rho) rho^{2n}(1-rho^2)^{-1/2} drho with the s = rho^2 rule."""
-    rho = np.sqrt(rule.nodes)
-    return 0.5 * float(np.dot(rule.weights, f(rho)))
 
 
 # --- Gamma-condition root finders -------------------------------------------
@@ -429,18 +425,6 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     return vals
 
 
-def spherical_mean_project(samples: np.ndarray, k: int,
-                           n_theta: int = 360) -> np.ndarray:
-    """Angular average of f(rho) e^{i k theta} by the periodic trapezoid rule.
-
-    Returns the radial samples untouched for k = 0 and (numerically) zero
-    otherwise.
-    """
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    factor = np.mean(np.exp(1j * k * theta))
-    return np.asarray(samples) * factor
-
-
 # --- quadratic-form estimates ---------------------------------------------
 
 def rayleigh_quotient(f: Callable, df: Callable, rule: QuadratureRule,
@@ -451,8 +435,9 @@ def rayleigh_quotient(f: Callable, df: Callable, rule: QuadratureRule,
     the quotient is int (1-rho^2) f'^2 w / int f^2 w; it is >= the first
     eigenvalue on each symmetry class and equals it exactly on eigenmodes.
     """
-    num = _weighted_integral(lambda r: (1.0 - r * r) * df(r) ** 2, rule)
-    den = _weighted_integral(lambda r: f(r) ** 2, rule)
+    num = integrate_profile_radial(lambda r: (1.0 - r * r) * df(r) ** 2,
+                                   rule, params)
+    den = integrate_profile_radial(lambda r: f(r) ** 2, rule, params)
     if den <= 0.0 or not math.isfinite(den):
         raise ValueError("trial function has zero (or invalid) norm")
     return num / den
@@ -506,8 +491,9 @@ def gram_matrix(modes: Sequence[RadialEigenmode],
             sj = modes[j].hemisphere_sign
             pair = 1.0 + si * sj
             if pair != 0.0:
-                val = _weighted_integral(
-                    lambda r: modes[i].value(r) * modes[j].value(r), rule)
+                val = integrate_profile_radial(
+                    lambda r: modes[i].value(r) * modes[j].value(r), rule,
+                    params)
                 G[i, j] = G[j, i] = 0.5 * area * pair * val
     return G
 
@@ -526,6 +512,11 @@ class RadialTrial:
     f: Callable
     df: Callable
     d2f: Callable
+
+    def applied(self, r, params: ProfileParams):
+        """The radial operator applied to the trial at r."""
+        return apply_radial(RadialJet(self.f(r), self.df(r), self.d2f(r), r),
+                            params)
 
 
 @dataclass(frozen=True)
@@ -550,13 +541,8 @@ def green_check(trial, params: ProfileParams,
     if isinstance(trial, RadialTrial):
         if rule is None:
             rule = profile_rule(params, 64)
-        from .operators import RadialJet, apply_radial
-
-        def integrand(r):
-            jet = RadialJet(trial.f(r), trial.df(r), trial.d2f(r), r)
-            return apply_radial(jet, params)
-
-        return abs(params.sphere_area * _weighted_integral(integrand, rule))
+        return abs(params.sphere_area * integrate_profile_radial(
+            lambda r: trial.applied(r, params), rule, params))
     if isinstance(trial, PolarTrial):
         if params.n != 1:
             raise ValueError("2-D trials are only supported on H^1")
@@ -601,7 +587,6 @@ def default_green_radial_trials() -> list[RadialTrial]:
 
 def default_green_polar_trials() -> list[PolarTrial]:
     one = lambda x: np.ones_like(x)
-    zero = lambda x: np.zeros_like(x)
     return [
         make_polar_trial(lambda r: 3 - 4 * r ** 2, lambda r: -8 * r,
                          lambda r: -8 * one(r),
@@ -625,14 +610,12 @@ def green_symmetry_residual(t1: RadialTrial, t2: RadialTrial,
     """|integral of (psi L phi - phi L psi)| over the surface, radial pair."""
     if rule is None:
         rule = profile_rule(params, 64)
-    from .operators import RadialJet, apply_radial
 
     def integrand(r):
-        l1 = apply_radial(RadialJet(t1.f(r), t1.df(r), t1.d2f(r), r), params)
-        l2 = apply_radial(RadialJet(t2.f(r), t2.df(r), t2.d2f(r), r), params)
-        return t1.f(r) * l2 - t2.f(r) * l1
+        return t1.f(r) * t2.applied(r, params) - t2.f(r) * t1.applied(r, params)
 
-    return abs(params.sphere_area * _weighted_integral(integrand, rule))
+    return abs(params.sphere_area
+               * integrate_profile_radial(integrand, rule, params))
 
 
 # --- report ----------------------------------------------------------------
@@ -652,63 +635,48 @@ class SpectrumEntry:
 @dataclass
 class SpectrumReport:
     entries: list[SpectrumEntry] = field(default_factory=list)
-    poincare_mu: float | None = None
-    poincare_constant: float | None = None
 
-    CSV_HEADER = ("n,k,parity_or_mode,lambda_closed,lambda_grid1,"
-                  "lambda_grid2,lambda_extrap,rel_err")
+    CSV_HEADER = ",".join(f.name for f in fields(SpectrumEntry))
 
     def sorted_entries(self) -> list[SpectrumEntry]:
         return sorted(self.entries, key=lambda e: e.lambda_closed)
 
     def csv_rows(self) -> list[str]:
-        rows = []
-        for e in self.sorted_entries():
-            rows.append(",".join([
-                str(e.n), str(e.k), e.parity_or_mode,
-                f"{e.lambda_closed:.17g}", f"{e.lambda_grid1:.17g}",
-                f"{e.lambda_grid2:.17g}", f"{e.lambda_extrap:.17g}",
-                f"{e.rel_err:.17g}",
-            ]))
-        return rows
+        return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                         for v in astuple(e)) for e in self.sorted_entries()]
 
     def json_obj(self) -> list[dict]:
-        return [{
-            "n": e.n, "k": e.k, "parity_or_mode": e.parity_or_mode,
-            "lambda_closed": e.lambda_closed, "lambda_grid1": e.lambda_grid1,
-            "lambda_grid2": e.lambda_grid2, "lambda_extrap": e.lambda_extrap,
-            "rel_err": e.rel_err,
-        } for e in self.sorted_entries()]
+        return [asdict(e) for e in self.sorted_entries()]
+
+
+def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,
+                            grid1: int, grid2: int) -> list[SpectrumEntry]:
+    """Closed-form vs two-grid rows for the lowest `count` modes of a parity:
+    even k = 2, 4, ... from the natural pencil, odd k = 1, 3, ... from the
+    Dirichlet one."""
+    if count < 1:
+        return []
+    bc = "natural" if parity == "even" else "dirichlet"
+    l1 = discrete_radial_spectrum(params, bc, grid1, count)
+    l2 = discrete_radial_spectrum(params, bc, grid2, count)
+    entries = []
+    for i in range(count):
+        k = 2 * i + 2 if parity == "even" else 2 * i + 1
+        lam = radial_eigenvalue(k, params)
+        ex = float(richardson(l1[i], l2[i]))
+        entries.append(SpectrumEntry(
+            n=params.n, k=k, parity_or_mode=parity, lambda_closed=lam,
+            lambda_grid1=float(l1[i]), lambda_grid2=float(l2[i]),
+            lambda_extrap=ex, rel_err=abs(ex - lam) / lam))
+    return entries
 
 
 def build_spectrum_report(params: ProfileParams, k_max: int,
-                          grid1: int = 1000, grid2: int = 2000,
-                          with_poincare: bool = False) -> SpectrumReport:
+                          grid1: int = 1000,
+                          grid2: int = 2000) -> SpectrumReport:
     """Closed-form vs two-grid discrete spectrum for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n_even = k_max // 2
-    n_odd = (k_max + 1) // 2
-    report = SpectrumReport()
-    ev1 = discrete_radial_spectrum(params, "natural", grid1, n_even) if n_even else []
-    ev2 = discrete_radial_spectrum(params, "natural", grid2, n_even) if n_even else []
-    od1 = discrete_radial_spectrum(params, "dirichlet", grid1, n_odd) if n_odd else []
-    od2 = discrete_radial_spectrum(params, "dirichlet", grid2, n_odd) if n_odd else []
-    for k in range(1, k_max + 1):
-        lam = radial_eigenvalue(k, params)
-        if k % 2 == 0:
-            l1, l2 = ev1[k // 2 - 1], ev2[k // 2 - 1]
-            parity = "even"
-        else:
-            l1, l2 = od1[k // 2], od2[k // 2]
-            parity = "odd"
-        ex = float(richardson(l1, l2))
-        report.entries.append(SpectrumEntry(
-            n=params.n, k=k, parity_or_mode=parity, lambda_closed=lam,
-            lambda_grid1=float(l1), lambda_grid2=float(l2),
-            lambda_extrap=ex, rel_err=abs(ex - lam) / lam))
-    if with_poincare:
-        mu, cp = poincare_constant_estimate(params, grid1)
-        report.poincare_mu = mu
-        report.poincare_constant = cp
-    return report
+    odd = parity_spectrum_entries(params, "odd", (k_max + 1) // 2, grid1, grid2)
+    even = parity_spectrum_entries(params, "even", k_max // 2, grid1, grid2)
+    return SpectrumReport(sorted(odd + even, key=lambda e: e.k))

@@ -22,9 +22,9 @@ from hprofile.spectrum import (default_green_polar_trials,
                                eigencondition_even_roots,
                                eigencondition_odd_roots, gram_matrix,
                                green_check, green_symmetry_residual,
-                               mode_spectrum, radial_eigenfunction,
-                               radial_eigenvalue, richardson,
-                               spherical_mean_project)
+                               build_mode_operator, mode_spectrum,
+                               radial_eigenfunction, radial_eigenvalue,
+                               richardson)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -204,20 +204,35 @@ def test_criterion_11_subdomain_bounds():
     _report(11, ok, "; ".join(details) + " (all >= 0)")
 
 
+def _mode_backward_error(k: int, shift: float = 0.0) -> float:
+    """Worst ||(A - lam) v|| / (||A||_2 ||v||) over the two lowest mode-k
+    eigenpairs on the 200-point grid, with each lam moved by `shift`."""
+    op = build_mode_operator(k, 200)
+    vals, vecs, _ = mode_spectrum(k, 200, 2, "continuity", return_vectors=True)
+    norm_a = float(np.linalg.norm(op.matrix, 2))
+    worst = 0.0
+    for i in range(2):
+        v = vecs[:, i] * np.sqrt(op.mass)   # undo the 1/sqrt(mass) scaling
+        r = op.matrix @ v - (vals[i] + shift) * v
+        worst = max(worst, float(np.linalg.norm(r))
+                    / (norm_a * float(np.linalg.norm(v))))
+    return worst
+
+
 def test_criterion_12_mode_consistency():
     radial = discrete_radial_spectrum(ProfileParams(1), "natural", 200, 4)
     modes = mode_spectrum(0, 200, 4, "continuity")
     dev = float(np.max(np.abs(modes.real - radial)))
     dev = max(dev, float(np.max(np.abs(modes.imag))))
-    worst_mean = 0.0
-    for k in (1, 2, 3):
-        _, vecs, _ = mode_spectrum(k, 200, 2, "continuity", return_vectors=True)
-        for i in range(2):
-            mean = spherical_mean_project(vecs[:, i], k)
-            worst_mean = max(worst_mean, float(np.max(np.abs(mean))))
-    ok = dev <= 1e-10 and worst_mean <= 1e-10
+    worst_res = max(_mode_backward_error(k) for k in (1, 2, 3))
+    ok = dev <= 1e-10 and worst_res <= 1e-13
     _report(12, ok, f"k=0 agreement {dev:.2e} (tol 1e-10), "
-                    f"spherical means {worst_mean:.2e} (tol 1e-10)")
+                    f"mode eigen-residuals {worst_res:.2e} (tol 1e-13)")
+
+
+def test_criterion_12_residual_detects_a_shifted_eigenvalue():
+    # the check above must fail when an eigenvalue is off by 1e-6
+    assert max(_mode_backward_error(k, 1e-6) for k in (1, 2, 3)) > 1e-13
 
 
 def test_criterion_13_cli_determinism(tmp_path):

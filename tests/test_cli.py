@@ -66,6 +66,18 @@ def test_eig_json_gates_pass(tmp_path):
     assert all(g["pass"] for g in doc["gates"])
 
 
+def test_eig_json_shares_the_spectrum_rows(tmp_path):
+    assert main(["eig", "--parity", "odd", "--count", "3", "--grid", "400",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    eig = json.loads(_read(tmp_path / "eig_1.json"))["results"]
+    assert all(isinstance(row[key], (int, float)) for row in eig
+               for key in row if key != "parity_or_mode")
+    assert main(["spectrum", "--k-max", "6", "--grid", "400",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    spec = json.loads(_read(tmp_path / "spectrum_1.json"))["results"]
+    assert eig == [row for row in spec if row["parity_or_mode"] == "odd"]
+
+
 def test_eig_gate_failure_gives_exit_1(tmp_path):
     cfg = RunConfig(command="eig", n=1, parity="even", grid=200, count=2,
                     out_dir=str(tmp_path), tol=1e-12)
@@ -150,6 +162,24 @@ def test_invalid_config_never_computes():
     assert run(RunConfig(command="eig", parity="sideways")) == 2
     assert run(RunConfig(command="spectrum", n=0)) == 2
     assert run(RunConfig(command="spectrum", fmt="xml")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--count", "400", "--grid", "1000"],
+    ["eig", "--grid2", "30"],
+    ["eig", "--count", "0"],
+    ["spectrum", "--grid2", "10"],
+    ["spectrum", "--k-max", "500", "--grid", "200"],
+    ["modes", "--grid", "1200"],
+    ["modes", "--count", "0"],
+    ["modes", "--k=-1,0"],
+    ["modes", "--k", "0", "--count", "60", "--grid", "200"],
+])
+def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
 
 
 def test_main_parses_and_runs(tmp_path, capsys):

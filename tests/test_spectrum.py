@@ -25,7 +25,7 @@ from hprofile.spectrum import (RadialTrial, build_mode_operator,
                                odd_condition_value, poincare_constant_estimate,
                                radial_eigenfunction, radial_eigenvalue,
                                rayleigh_quotient, richardson,
-                               spherical_mean_project, subdomain_bound_check)
+                               subdomain_bound_check)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -62,6 +62,27 @@ def test_second_eigenfunction_polynomial(n):
     scaled = mode.value(r) / mode.value(0.0)
     target = ((Q - 1.0) - Q * r * r) / (Q - 1.0)
     assert np.max(np.abs(scaled - target)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_second_mode_curvature_is_constant_up_to_equator(n):
+    # k = 2 is a quadratic, so f'' = -2Q/(Q-1) f(0) everywhere, rho = 1 included
+    Q = ProfileParams(n).Q
+    mode = radial_eigenfunction(2, ProfileParams(n))
+    expected = -2.0 * Q / (Q - 1.0) * mode.value(0.0)
+    got = mode.second_deriv(np.array([0.0, 0.5, 1.0]))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * abs(expected)
+    assert mode.second_deriv(1.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_odd_mode_derivatives_refuse_the_equator(k):
+    # odd modes behave like sqrt(1 - rho^2): unbounded slope at rho = 1
+    mode = radial_eigenfunction(k, ProfileParams(1))
+    with pytest.raises(ValueError):
+        mode.deriv(1.0)
+    with pytest.raises(ValueError):
+        mode.second_deriv(1.0)
 
 
 def test_mode_parameter_relations():
@@ -299,24 +320,6 @@ def test_mode_spectrum_validation():
         mode_spectrum(1, 30, 2)
     with pytest.raises(ValueError):
         mode_spectrum(1, 200, 2, "periodic")
-
-
-def test_nonzero_mode_eigenfunctions_have_zero_spherical_mean():
-    vals, vecs, nodes = mode_spectrum(2, 200, 3, "continuity",
-                                      return_vectors=True)
-    for i in range(3):
-        mean = spherical_mean_project(vecs[:, i], 2)
-        assert np.max(np.abs(mean)) <= 1e-10
-
-
-def test_spherical_mean_identity_and_linearity():
-    samples = np.linspace(1.0, 2.0, 17)
-    assert np.allclose(spherical_mean_project(samples, 0), samples)
-    proj = spherical_mean_project(samples, 3)
-    assert np.max(np.abs(proj)) <= 1e-10
-    # linearity: mean of (k=0 part + k=1 part) keeps only the k=0 part
-    combined = spherical_mean_project(samples, 0) + spherical_mean_project(samples, 1)
-    assert np.allclose(combined, samples, atol=1e-10)
 
 
 # --- Rayleigh quotient and Poincare -------------------------------------------
