@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import ProfileParams
+# hessenberg_qr_eigenvalues is unused here but stays importable:
+# perfbench/tracing.py wraps it under this module's name.
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        hessenberg_qr_eigenvalues, integrate_profile_radial,
                        profile_rule, sym_tridiag_eigen)
@@ -28,6 +30,8 @@ __all__ = [
     "RadialEigenmode",
     "SLDiscretization",
     "ModeOperator",
+    "ModeEntry",
+    "ModeReport",
     "SpectrumEntry",
     "SpectrumReport",
     "radial_eigenvalue",
@@ -335,35 +339,45 @@ def richardson(coarse, fine, order: float = RICHARDSON_ORDER):
 
 # --- Fourier-mode operators (H^1) ----------------------------------------
 
+MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
+                    # operator has its constant mode
+_MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
+                    # nearest to the shift need not be the lowest by real part
+
+
 @dataclass(frozen=True)
 class ModeOperator:
-    """Dense discretization of the angular-mode reduction on H^1.
+    """Sparse discretization of the angular-mode reduction on H^1.
 
     Substituting phi = f(rho) e^{i k theta} into the polar operator yields
 
       L_k f = (1-r^2) f'' + [(2-3r^2)/r - 2ik sqrt(1-r^2)] f'
               - [k^2 + 3ik sqrt(1-r^2)/r] f.
 
-    The matrix is stored in mass-symmetrized similarity form so that k = 0
-    reproduces the symmetric tridiagonal radial pencil entrywise.
+    The matrix (complex CSC) is stored in mass-symmetrized similarity form so
+    that k = 0 reproduces the symmetric tridiagonal radial pencil entrywise.
+    For k != 0 it is tridiagonal plus the two corner entries of the
+    one-sided end rows of the first-derivative stencil (nnz = 3 N).
     """
 
     k: int
     matching: str
     nodes: np.ndarray
-    matrix: np.ndarray
+    matrix: "scipy.sparse.csc_matrix"
     mass: np.ndarray
 
 
-def _first_derivative_matrix(nodes: np.ndarray, h: float) -> np.ndarray:
-    m = nodes.size
-    D = np.zeros((m, m))
-    for j in range(1, m - 1):
-        D[j, j - 1] = -0.5 / h
-        D[j, j + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D
+def _first_derivative_stencil(m: int, h: float):
+    """(rows, cols, values) of the second-order d/drho on m uniform nodes:
+    central rows inside, one-sided three-point rows at both ends."""
+    i = np.arange(m)
+    upper = np.full(m - 1, 0.5 / h)
+    lower = np.full(m - 1, -0.5 / h)
+    upper[0], lower[-1] = 2.0 / h, -2.0 / h
+    rows = np.r_[0, m - 1, i[:-1], i[1:], 0, m - 1]
+    cols = np.r_[0, m - 1, i[1:], i[:-1], 2, m - 3]
+    vals = np.r_[-1.5 / h, 1.5 / h, upper, lower, -0.5 / h, 0.5 / h]
+    return rows, cols, vals
 
 
 def build_mode_operator(k: int, n_points: int,
@@ -371,23 +385,28 @@ def build_mode_operator(k: int, n_points: int,
     """Assemble the H^1 mode-k operator for -L_k f = lambda f."""
     if matching not in ("continuity", "antisymmetry"):
         raise ValueError("matching must be 'continuity' or 'antisymmetry'")
+    # loaded here: the radial paths never build a mode operator
+    import scipy.sparse
     params = ProfileParams(1)
     bc = "natural" if matching == "continuity" else "dirichlet"
     disc = build_radial_discretization(params, n_points, bc_right=bc)
     d, e = disc.symmetrized()
-    m = disc.n_points
-    T = np.zeros((m, m), dtype=complex)
-    T[np.arange(m), np.arange(m)] = d
-    T[np.arange(m - 1), np.arange(1, m)] = e
-    T[np.arange(1, m), np.arange(m - 1)] = e
+    i = np.arange(disc.n_points)
+    rows, cols, vals = [i, i[:-1], i[1:]], [i, i[1:], i[:-1]], [d, e, e]
     if k != 0:
         rho = disc.nodes
         root = np.sqrt(1.0 - rho * rho)
         s = np.sqrt(disc.mass)
-        D = _first_derivative_matrix(rho, disc.h)
-        D_sym = (s[:, None] * D) / s[None, :]
-        T = T + 2.0j * k * (root[:, None] * D_sym)
-        T[np.arange(m), np.arange(m)] += k * k + 3.0j * k * root / rho
+        r, c, dv = _first_derivative_stencil(disc.n_points, disc.h)
+        rows += [r, i]
+        cols += [c, i]
+        vals += [2.0j * k * (root[r] * ((s[r] * dv) / s[c])),
+                 k * k + 3.0j * k * root / rho]
+    # repeated (row, col) pairs are summed in list order
+    T = scipy.sparse.csc_matrix(
+        (np.concatenate(vals).astype(complex),
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(disc.n_points, disc.n_points))
     return ModeOperator(k=k, matching=matching, nodes=disc.nodes,
                         matrix=T, mass=disc.mass)
 
@@ -397,31 +416,32 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
                   return_vectors: bool = False):
     """Lowest `count` eigenvalues of the mode-k problem (complex, by real part).
 
-    For k = 0 the spectrum coincides with the radial pencil; the constant
-    mode of the continuity class is dropped there, as in the radial case.
+    Shift-invert Arnoldi (ARPACK) about MODE_SHIFT from a fixed start
+    vector, so repeated solves of one matrix agree bit for bit.  For k = 0
+    the spectrum coincides with the radial pencil; the constant mode of the
+    continuity class is dropped there, as in the radial case.
     """
     if k < 0:
         raise ValueError("Fourier index must be >= 0")
     if n_points < 50:
         raise ValueError("n_points must be >= 50")
+    if not 1 <= count <= n_points // 4:
+        raise ValueError("count must be in 1..n_points/4")
     op = build_mode_operator(k, n_points, matching)
+    # loaded here: only the mode study needs ARPACK (+2 MB, ~35 ms to import)
+    from scipy.sparse.linalg import eigs
+    drop = 1 if k == 0 and matching == "continuity" else 0
+    out = eigs(op.matrix, k=count + drop + _MODE_EXTRA, sigma=MODE_SHIFT,
+               v0=np.ones(n_points), return_eigenvectors=return_vectors)
+    vals, vecs = out if return_vectors else (out, None)
+    order = np.lexsort((vals.imag, vals.real))
+    vals = vals[order]
+    if drop and abs(vals[0]) > 1e-6:
+        raise RuntimeError(f"mode pencil lost its constant mode: {vals[0]}")
+    vals = vals[drop:drop + count]
     if return_vectors:
-        vals, vecs = np.linalg.eig(op.matrix)
-        order = np.lexsort((vals.imag, vals.real))
-        vals, vecs = vals[order], vecs[:, order]
-        vecs = vecs / np.sqrt(op.mass)[:, None]
-    else:
-        vals = hessenberg_qr_eigenvalues(op.matrix)
-        vecs = None
-    if k == 0 and matching == "continuity":
-        if abs(vals[0]) > 1e-6:
-            raise RuntimeError(f"mode pencil lost its constant mode: {vals[0]}")
-        vals = vals[1:]
-        if vecs is not None:
-            vecs = vecs[:, 1:]
-    vals = vals[:count]
-    if return_vectors:
-        return vals, vecs[:, :count], op.nodes
+        vecs = vecs[:, order[drop:drop + count]] / np.sqrt(op.mass)[:, None]
+        return vals, vecs, op.nodes
     return vals
 
 
@@ -632,21 +652,50 @@ class SpectrumEntry:
     rel_err: float
 
 
+class _EntryTable:
+    """CSV rows and JSON objects of dataclass entries, one column per field."""
+
+    entries: list
+
+    def ordered(self) -> list:
+        """The entries in output order."""
+        return self.entries
+
+    def csv_rows(self) -> list[str]:
+        return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                         for v in astuple(e)) for e in self.ordered()]
+
+    def json_obj(self) -> list[dict]:
+        return [asdict(e) for e in self.ordered()]
+
+
 @dataclass
-class SpectrumReport:
+class SpectrumReport(_EntryTable):
     entries: list[SpectrumEntry] = field(default_factory=list)
 
     CSV_HEADER = ",".join(f.name for f in fields(SpectrumEntry))
 
-    def sorted_entries(self) -> list[SpectrumEntry]:
+    def ordered(self) -> list[SpectrumEntry]:
         return sorted(self.entries, key=lambda e: e.lambda_closed)
 
-    def csv_rows(self) -> list[str]:
-        return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                         for v in astuple(e)) for e in self.sorted_entries()]
 
-    def json_obj(self) -> list[dict]:
-        return [asdict(e) for e in self.sorted_entries()]
+@dataclass(frozen=True)
+class ModeEntry:
+    n: int
+    k: int
+    matching: str
+    index: int
+    lambda_re: float
+    lambda_im: float
+
+
+@dataclass
+class ModeReport(_EntryTable):
+    """Mode eigenvalues in the order they were added."""
+
+    entries: list[ModeEntry] = field(default_factory=list)
+
+    CSV_HEADER = ",".join(f.name for f in fields(ModeEntry))
 
 
 def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,

@@ -209,7 +209,7 @@ def _mode_backward_error(k: int, shift: float = 0.0) -> float:
     eigenpairs on the 200-point grid, with each lam moved by `shift`."""
     op = build_mode_operator(k, 200)
     vals, vecs, _ = mode_spectrum(k, 200, 2, "continuity", return_vectors=True)
-    norm_a = float(np.linalg.norm(op.matrix, 2))
+    norm_a = float(np.linalg.norm(op.matrix.toarray(), 2))
     worst = 0.0
     for i in range(2):
         v = vecs[:, i] * np.sqrt(op.mass)   # undo the 1/sqrt(mass) scaling

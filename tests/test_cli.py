@@ -66,6 +66,21 @@ def test_eig_json_gates_pass(tmp_path):
     assert all(g["pass"] for g in doc["gates"])
 
 
+def test_spectrum_gate_failure_gives_exit_1(tmp_path):
+    assert main(["spectrum", "--tol", "1e-15", "--grid", "200", "--k-max", "3",
+                 "--format", "json", "--out", str(tmp_path)]) == 1
+    doc = json.loads(_read(tmp_path / "spectrum_1.json"))
+    assert [g["name"] for g in doc["gates"]] == [
+        "spectrum_k1", "spectrum_k2", "spectrum_k3"]
+    assert not any(g["pass"] for g in doc["gates"])
+
+
+def test_spectrum_wrong_large_n_is_not_ok(tmp_path):
+    # the cell-centred pencil is far off at n = 12; the gate must say so
+    assert main(["spectrum", "--n", "12", "--grid", "1000", "--k-max", "4",
+                 "--out", str(tmp_path)]) == 1
+
+
 def test_eig_json_shares_the_spectrum_rows(tmp_path):
     assert main(["eig", "--parity", "odd", "--count", "3", "--grid", "400",
                  "--format", "json", "--out", str(tmp_path)]) == 0
@@ -94,6 +109,26 @@ def test_modes_k0_matches_radial_gate(tmp_path):
     gate = doc["gates"][0]
     assert gate["name"] == "mode0_matches_radial"
     assert gate["pass"] and gate["value"] <= 1e-10
+
+
+def test_modes_json_results_are_numbers(tmp_path):
+    for fmt in ("csv", "json"):
+        assert main(["modes", "--k", "0,1", "--grid", "100", "--count", "2",
+                     "--format", fmt, "--out", str(tmp_path)]) == 0
+    lines = _read(tmp_path / "modes_1.csv").decode().splitlines()
+    rows = json.loads(_read(tmp_path / "modes_1.json"))["results"]
+    assert lines[0] == "n,k,matching,index,lambda_re,lambda_im"
+    assert [list(r) for r in rows] == [lines[0].split(",")] * 4
+    assert [(r["k"], r["index"]) for r in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for line, row in zip(lines[1:], rows):
+        re_, im = (float(x) for x in line.split(",")[4:])
+        assert row["lambda_re"] == re_ and row["lambda_im"] == im
+
+
+def test_modes_beyond_the_old_dense_cap(tmp_path):
+    assert main(["modes", "--k", "1,2", "--grid", "2000", "--count", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert len(_read(tmp_path / "modes_1.csv").decode().splitlines()) == 9
 
 
 def test_modes_rejects_higher_n():
@@ -170,10 +205,14 @@ def test_invalid_config_never_computes():
     ["eig", "--count", "0"],
     ["spectrum", "--grid2", "10"],
     ["spectrum", "--k-max", "500", "--grid", "200"],
-    ["modes", "--grid", "1200"],
+    ["modes", "--k", "1", "--count", "60", "--grid", "200"],
     ["modes", "--count", "0"],
     ["modes", "--k=-1,0"],
     ["modes", "--k", "0", "--count", "60", "--grid", "200"],
+    ["modes", "--plot", "--k", "0,1", "--grid", "100", "--count", "2"],
+    ["verify", "--plot"],
+    ["poincare", "--plot"],
+    ["geodesic", "--plot"],
 ])
 def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
