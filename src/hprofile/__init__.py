@@ -16,7 +16,7 @@ from .operators import (FullJet, PolarJet, RadialJet, SLCoefficients,
                         verify_identities)
 from .specfun import (Hyp2F1ConvergenceError, Hyp2F1Params, gauss_value_at_one,
                       hyp2f1, hyp2f1_auto, hyp2f1_dz, hyp2f1_near_one,
-                      ln_gamma, pochhammer, recip_gamma)
+                      ln_gamma, recip_gamma)
 from .spectrum import (ModeOperator, RadialEigenmode, SLDiscretization,
                        SpectrumEntry, SpectrumReport, build_mode_operator,
                        build_radial_discretization, build_spectrum_report,

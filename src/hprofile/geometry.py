@@ -83,7 +83,7 @@ def kappa(rho):
     return np.sqrt(1.0 - rho * rho) / rho
 
 
-def profile_height(rho, params: ProfileParams | None = None):
+def profile_height(rho):
     """Meridian height u0(rho) = pi/8 + (rho/4) sqrt(1-rho^2) - (1/4) arcsin rho.
 
     Monotone decreasing from pi/8 at the pole to 0 at the equator.

@@ -99,18 +99,10 @@ def profile_rule(params: ProfileParams, N: int = 64) -> QuadratureRule:
 
 def integrate_profile_radial(f: Callable[[np.ndarray], np.ndarray],
                              rule: QuadratureRule,
-                             params: ProfileParams,
-                             per_hemisphere: bool = False) -> float:
-    """int_0^1 f(rho) rho^{2n} (1-rho^2)^{-1/2} drho.
-
-    With per_hemisphere=True the result is multiplied by sphere_area/2, the
-    measure of one hemisphere's angular factor.
-    """
+                             params: ProfileParams) -> float:
+    """int_0^1 f(rho) rho^{2n} (1-rho^2)^{-1/2} drho."""
     rho = np.sqrt(rule.nodes)
-    val = 0.5 * float(np.dot(rule.weights, f(rho)))
-    if per_hemisphere:
-        val *= params.sphere_area / 2.0
-    return val
+    return 0.5 * float(np.dot(rule.weights, f(rho)))
 
 
 def sym_tridiag_eigen(diagonal: Sequence[float], offdiag: Sequence[float],

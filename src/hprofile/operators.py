@@ -34,9 +34,9 @@ __all__ = [
     "apply_full",
     "apply_full_grouped",
     "radial_surface_laplacian",
+    "RadialTrial",
+    "default_green_radial_trials",
     "AmbientTrial",
-    "make_radial_trial",
-    "default_radial_trials",
     "default_ambient_trials",
     "verify_identities",
     "purely_angular_probe",
@@ -177,6 +177,37 @@ def radial_surface_laplacian(jet: RadialJet, params: ProfileParams):
             + (jet.d2f * rho - jet.df) / rho ** 3 * (rho * rho - g * g))
 
 
+# --- radial trial functions ----------------------------------------------
+
+@dataclass(frozen=True)
+class RadialTrial:
+    """Radial trial function with analytic derivatives."""
+
+    f: Callable
+    df: Callable
+    d2f: Callable
+
+    def jet(self, r) -> RadialJet:
+        return RadialJet(self.f(r), self.df(r), self.d2f(r), r)
+
+    def applied(self, r, params: ProfileParams):
+        """The radial operator applied to the trial at r."""
+        return apply_radial(self.jet(r), params)
+
+
+def default_green_radial_trials() -> list[RadialTrial]:
+    """Smooth radial trials of the Green checks; the first three also drive
+    the identity suite."""
+    return [
+        RadialTrial(lambda r: r * r, lambda r: 2 * r, lambda r: 2.0 * np.ones_like(r)),
+        RadialTrial(lambda r: r ** 4, lambda r: 4 * r ** 3, lambda r: 12 * r ** 2),
+        RadialTrial(lambda r: 1 - r * r, lambda r: -2 * r, lambda r: -2.0 * np.ones_like(r)),
+        RadialTrial(lambda r: r ** 2 * (1 - r ** 2), lambda r: 2 * r - 4 * r ** 3,
+                    lambda r: 2 - 12 * r ** 2),
+        RadialTrial(lambda r: r ** 6, lambda r: 6 * r ** 5, lambda r: 30 * r ** 4),
+    ]
+
+
 # --- finite-difference oracles -------------------------------------------
 
 _H_GRAD = 1e-6
@@ -220,36 +251,21 @@ def _fd_dir(f: Callable[[np.ndarray], float], z: np.ndarray, u: np.ndarray,
 
 @dataclass(frozen=True)
 class AmbientTrial:
-    """A t-independent polynomial trial function on R^{2n}."""
+    """A t-independent polynomial trial function on R^{2n}, with its radial
+    profile when it is radial."""
 
-    label: str
     value: Callable[[np.ndarray], float]
-    radial_jets: Callable[[float], tuple] | None = None  # rho -> (f, df, d2f)
+    radial: RadialTrial | None = None
 
 
-def make_radial_trial(label: str, f, df, d2f) -> AmbientTrial:
-    return AmbientTrial(
-        label=label,
-        value=lambda z, _f=f: _f(float(np.linalg.norm(z))),
-        radial_jets=lambda rho: (f(rho), df(rho), d2f(rho)),
-    )
-
-
-def default_radial_trials() -> list[AmbientTrial]:
-    return [
-        make_radial_trial("rho2", lambda r: r * r, lambda r: 2 * r, lambda r: 2.0),
-        make_radial_trial("rho4", lambda r: r ** 4, lambda r: 4 * r ** 3,
-                          lambda r: 12 * r * r),
-        make_radial_trial("one_minus_rho2", lambda r: 1 - r * r, lambda r: -2 * r,
-                          lambda r: -2.0),
-    ]
-
-
-def default_ambient_trials(n: int) -> list[AmbientTrial]:
-    trials = list(default_radial_trials())
-    trials.append(AmbientTrial("x1_sq", lambda z: z[0] * z[0]))
-    trials.append(AmbientTrial("x1_y1", lambda z: z[0] * z[1]))
-    trials.append(AmbientTrial("x1_rho2", lambda z: z[0] * float(z @ z)))
+def default_ambient_trials() -> list[AmbientTrial]:
+    """The first three radial trials as functions of |z|, then three
+    non-radial polynomials."""
+    trials = [AmbientTrial(lambda z, f=tr.f: f(float(np.linalg.norm(z))), tr)
+              for tr in default_green_radial_trials()[:3]]
+    trials.append(AmbientTrial(lambda z: z[0] * z[0]))
+    trials.append(AmbientTrial(lambda z: z[0] * z[1]))
+    trials.append(AmbientTrial(lambda z: z[0] * float(z @ z)))
     return trials
 
 
@@ -269,7 +285,7 @@ def verify_identities(params: ProfileParams,
     derivatives coincide with Euclidean ones.
     """
     if trials is None:
-        trials = default_ambient_trials(params.n)
+        trials = default_ambient_trials()
     pts = _random_interior_points(params.n, sample_count, seed)
     H = -2.0 * params.n
     report = []
@@ -277,13 +293,11 @@ def verify_identities(params: ProfileParams,
     # tangential Laplacian split: Lap_HS = Lap_H + H d/dnu - <Hess nu, nu>
     dev = 0.0
     for tr in trials:
-        if tr.radial_jets is None:
+        if tr.radial is None:
             continue
         for z in pts:
             rho = float(np.linalg.norm(z))
-            f, df, d2f = tr.radial_jets(rho)
-            jet = RadialJet(f, df, d2f, rho)
-            lhs = radial_surface_laplacian(jet, params)
+            lhs = radial_surface_laplacian(tr.radial.jet(rho), params)
             nu = horizontal_normal(z, +1)
             rhs = (_fd_laplacian(tr.value, z)
                    + H * float(_fd_grad(tr.value, z) @ nu)
@@ -328,12 +342,12 @@ def verify_identities(params: ProfileParams,
     # radial reduction of the normal-normal Hessian: rho^2 f'' + ((1-rho^2)/rho) f'
     dev = 0.0
     for tr in trials:
-        if tr.radial_jets is None:
+        if tr.radial is None:
             continue
         for z in pts:
             rho = float(np.linalg.norm(z))
-            _, df, d2f = tr.radial_jets(rho)
-            lhs = rho * rho * d2f + (1.0 - rho * rho) / rho * df
+            jet = tr.radial.jet(rho)
+            lhs = rho * rho * jet.d2f + (1.0 - rho * rho) / rho * jet.df
             nu = horizontal_normal(z, +1)
             rhs = _fd_hess_quadform(tr.value, z, nu, nu)
             dev = max(dev, abs(lhs - rhs))

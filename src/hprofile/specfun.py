@@ -15,7 +15,6 @@ __all__ = [
     "ln_gamma",
     "gamma_fn",
     "recip_gamma",
-    "pochhammer",
     "hyp2f1",
     "hyp2f1_near_one",
     "hyp2f1_auto",
@@ -90,16 +89,6 @@ def recip_gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     return _sin_pi(x) * math.exp(ln_gamma(1.0 - x)) / math.pi
-
-
-def pochhammer(d: float, k: int) -> float:
-    """Rising factorial d (d+1) ... (d+k-1); empty product is 1."""
-    if k < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    out = 1.0
-    for i in range(k):
-        out *= d + i
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ from .geometry import ProfileParams
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        hessenberg_qr_eigenvalues, integrate_profile_radial,
                        profile_rule, sym_tridiag_eigen)
-from .operators import PolarJet, RadialJet, apply_polar_h1, apply_radial
+# RadialTrial and default_green_radial_trials stay importable from here.
+from .operators import (PolarJet, RadialTrial, apply_polar_h1,
+                        default_green_radial_trials)
 from .specfun import (Hyp2F1Params, gauss_value_at_one, gamma_fn, hyp2f1_auto,
                       recip_gamma)
 
@@ -32,6 +34,8 @@ __all__ = [
     "ModeOperator",
     "ModeEntry",
     "ModeReport",
+    "PoincareEntry",
+    "PoincareReport",
     "SpectrumEntry",
     "SpectrumReport",
     "radial_eigenvalue",
@@ -526,20 +530,6 @@ def _infer_n(mode: RadialEigenmode) -> int:
 # --- Green-formula checks -------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialTrial:
-    """Radial trial function with analytic derivatives."""
-
-    f: Callable
-    df: Callable
-    d2f: Callable
-
-    def applied(self, r, params: ProfileParams):
-        """The radial operator applied to the trial at r."""
-        return apply_radial(RadialJet(self.f(r), self.df(r), self.d2f(r), r),
-                            params)
-
-
-@dataclass(frozen=True)
 class PolarTrial:
     """2-D trial on H^1: jets(rho, theta) -> (f, f_r, f_t, f_rr, f_tr, f_tt)."""
 
@@ -594,17 +584,6 @@ def make_polar_trial(g, dg, d2g, t, dt, d2t) -> PolarTrial:
     return PolarTrial(jets=jets)
 
 
-def default_green_radial_trials() -> list[RadialTrial]:
-    return [
-        RadialTrial(lambda r: r ** 2, lambda r: 2 * r, lambda r: 2.0 * np.ones_like(r)),
-        RadialTrial(lambda r: r ** 4, lambda r: 4 * r ** 3, lambda r: 12 * r ** 2),
-        RadialTrial(lambda r: 1 - r ** 2, lambda r: -2 * r, lambda r: -2.0 * np.ones_like(r)),
-        RadialTrial(lambda r: r ** 2 * (1 - r ** 2), lambda r: 2 * r - 4 * r ** 3,
-                    lambda r: 2 - 12 * r ** 2),
-        RadialTrial(lambda r: r ** 6, lambda r: 6 * r ** 5, lambda r: 30 * r ** 4),
-    ]
-
-
 def default_green_polar_trials() -> list[PolarTrial]:
     one = lambda x: np.ones_like(x)
     return [
@@ -652,6 +631,12 @@ class SpectrumEntry:
     rel_err: float
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
 class _EntryTable:
     """CSV rows and JSON objects of dataclass entries, one column per field."""
 
@@ -662,8 +647,8 @@ class _EntryTable:
         return self.entries
 
     def csv_rows(self) -> list[str]:
-        return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                         for v in astuple(e)) for e in self.ordered()]
+        return [",".join(_csv_cell(v) for v in astuple(e))
+                for e in self.ordered()]
 
     def json_obj(self) -> list[dict]:
         return [asdict(e) for e in self.ordered()]
@@ -696,6 +681,21 @@ class ModeReport(_EntryTable):
     entries: list[ModeEntry] = field(default_factory=list)
 
     CSV_HEADER = ",".join(f.name for f in fields(ModeEntry))
+
+
+@dataclass(frozen=True)
+class PoincareEntry:
+    n: int
+    mu: float
+    poincare_constant: float
+    radial_only: bool
+
+
+@dataclass
+class PoincareReport(_EntryTable):
+    entries: list[PoincareEntry] = field(default_factory=list)
+
+    CSV_HEADER = ",".join(f.name for f in fields(PoincareEntry))
 
 
 def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hprofile.cli import RunConfig, main, run
+from hprofile.cli import COMMANDS, RunConfig, _build_parser, main, run
 
 
 def _read(path):
@@ -131,6 +131,20 @@ def test_modes_beyond_the_old_dense_cap(tmp_path):
     assert len(_read(tmp_path / "modes_1.csv").decode().splitlines()) == 9
 
 
+def test_modes_k0_gate_scales_with_the_grid(tmp_path):
+    # roundoff of the k = 0 comparison exceeds 1e-10 at grid 800
+    assert main(["modes", "--k", "0", "--grid", "800", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
+    assert gate["threshold"] == pytest.approx(4e-10, rel=1e-15)
+    assert 1e-10 < gate["value"] <= gate["threshold"]
+
+
+def test_modes_tol_overrides_the_k0_gate(tmp_path):
+    assert main(["modes", "--k", "0", "--grid", "200", "--count", "2",
+                 "--tol", "1e-14", "--out", str(tmp_path)]) == 1
+
+
 def test_modes_rejects_higher_n():
     cfg = RunConfig(command="modes", n=2)
     assert run(cfg) == 2
@@ -163,6 +177,21 @@ def test_poincare_radial_csv(tmp_path):
     _, mu, cp, flag = lines[1].split(",")
     assert abs(float(mu) - 3.0) <= 0.05
     assert abs(float(cp) - 1.0 / 3.0) <= 0.01
+    assert flag == "true"
+
+
+def test_poincare_json_results_are_the_table_fields(tmp_path):
+    for fmt in ("csv", "json"):
+        assert main(["poincare", "--grid", "400", "--format", fmt,
+                     "--out", str(tmp_path)]) == 0
+    header, row = _read(tmp_path / "poincare_1.csv").decode().splitlines()
+    doc = json.loads(_read(tmp_path / "poincare_1.json"))
+    assert doc["gates"] == []
+    [result] = doc["results"]
+    assert list(result) == header.split(",")
+    n, mu, cp, flag = row.split(",")
+    assert result == {"n": int(n), "mu": float(mu),
+                      "poincare_constant": float(cp), "radial_only": True}
     assert flag == "true"
 
 
@@ -199,26 +228,93 @@ def test_invalid_config_never_computes():
     assert run(RunConfig(command="spectrum", fmt="xml")) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["eig", "--count", "400", "--grid", "1000"],
-    ["eig", "--grid2", "30"],
-    ["eig", "--count", "0"],
-    ["spectrum", "--grid2", "10"],
-    ["spectrum", "--k-max", "500", "--grid", "200"],
-    ["modes", "--k", "1", "--count", "60", "--grid", "200"],
-    ["modes", "--count", "0"],
-    ["modes", "--k=-1,0"],
-    ["modes", "--k", "0", "--count", "60", "--grid", "200"],
-    ["modes", "--plot", "--k", "0,1", "--grid", "100", "--count", "2"],
-    ["verify", "--plot"],
-    ["poincare", "--plot"],
-    ["geodesic", "--plot"],
-])
-def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+# (argv, stderr): refused by RunConfig.validate, or by argparse, because a
+# subcommand takes no flag that it does not read
+_REFUSED = [
+    (["eig", "--count", "400", "--grid", "1000"], "configuration error"),
+    (["eig", "--grid2", "30"], "configuration error"),
+    (["eig", "--count", "0"], "configuration error"),
+    (["spectrum", "--grid2", "10"], "configuration error"),
+    (["spectrum", "--k-max", "500", "--grid", "200"], "configuration error"),
+    (["modes", "--k", "1", "--count", "60", "--grid", "200"],
+     "configuration error"),
+    (["modes", "--count", "0"], "configuration error"),
+    (["modes", "--k=-1,0"], "configuration error"),
+    (["modes", "--k", "0", "--count", "60", "--grid", "200"],
+     "configuration error"),
+    (["modes", "--plot", "--k", "0,1", "--grid", "100", "--count", "2"],
+     "unrecognized arguments: --plot"),
+    (["verify", "--plot"], "unrecognized arguments: --plot"),
+    (["poincare", "--plot"], "unrecognized arguments: --plot"),
+    (["geodesic", "--plot"], "unrecognized arguments: --plot"),
+    (["verify", "--grid", "49"], "unrecognized arguments: --grid 49"),
+    (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["poincare", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+    (["geodesic", "--grid", "5"], "unrecognized arguments: --grid 5"),
+    (["geodesic", "--format", "json"], "unrecognized arguments: --format json"),
+    (["geodesic", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(argv, message, id=f"argv{i}")
+    for i, (argv, message) in enumerate(_REFUSED)])
+def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv, message):
+    argv = argv + ["--out", str(tmp_path)]
+    if message == "configuration error":
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"command": "modes", "plot": True},
+    {"command": "verify", "grid": 500},
+    {"command": "verify", "fmt": "json"},
+    {"command": "poincare", "tol": 1e-3},
+    {"command": "geodesic", "grid": 1000},
+    {"command": "geodesic", "fmt": "json"},
+    {"command": "spectrum", "count": 4},
+])
+def test_api_refuses_fields_the_command_does_not_read(tmp_path, capsys,
+                                                      kwargs):
+    assert run(RunConfig(**kwargs, out_dir=str(tmp_path))) == 2
+    assert "does not take" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {name: {opt for a in p._actions for opt in a.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in sub.items()}
+    shared = {"--n", "--out"}
+    assert flags == {
+        "spectrum": shared | {"--grid", "--grid2", "--k-max", "--format",
+                              "--plot", "--tol"},
+        "eig": shared | {"--grid", "--grid2", "--parity", "--count",
+                         "--format", "--plot", "--tol"},
+        "modes": shared | {"--grid", "--k", "--matching", "--count",
+                           "--format", "--tol"},
+        "verify": shared | {"--suite", "--tol"},
+        "poincare": shared | {"--grid", "--full", "--format"},
+        "geodesic": shared | {"--plast", "--steps", "--smax"},
+    }
+    assert sum(len(f) for f in flags.values()) == 39
+
+
+def test_api_defaults_are_the_cli_defaults():
+    cfg = RunConfig(command="modes")
+    assert (cfg.grid, cfg.count) == (400, 6)
+    parser = _build_parser()
+    for name in COMMANDS:
+        assert RunConfig(**vars(parser.parse_args([name]))) == RunConfig(name)
 
 
 def test_main_parses_and_runs(tmp_path, capsys):

@@ -104,15 +104,6 @@ def test_second_mode_zero_mean():
     assert abs(val) <= 1e-12
 
 
-def test_per_hemisphere_factor():
-    params = ProfileParams(1)
-    rule = profile_rule(params, 8)
-    plain = integrate_profile_radial(lambda r: np.ones_like(r), rule, params)
-    hemi = integrate_profile_radial(lambda r: np.ones_like(r), rule, params,
-                                    per_hemisphere=True)
-    assert hemi == pytest.approx(plain * math.pi, rel=1e-14)
-
-
 # --- symmetric tridiagonal eigensolver -----------------------------------------
 
 def test_two_by_two():

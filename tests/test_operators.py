@@ -12,7 +12,9 @@ from hprofile.operators import (FullJet, PolarJet, RadialJet, apply_full,
                                 apply_full_grouped, apply_polar_h1,
                                 apply_radial, purely_angular_probe,
                                 sl_coefficients, verify_identities)
-from hprofile.spectrum import radial_eigenfunction
+from hprofile.operators import default_ambient_trials
+from hprofile.spectrum import (RadialTrial, default_green_radial_trials,
+                               radial_eigenfunction)
 
 
 def _radial_jet(mode, rho):
@@ -217,6 +219,17 @@ def test_identity_suites_pass(n):
     assert len(report) == 4
     for item in report:
         assert item["max_deviation"] <= 1e-5, item
+
+
+def test_ambient_radial_trials_are_the_green_family():
+    import hprofile.operators as O
+    assert RadialTrial is O.RadialTrial
+    trials = default_ambient_trials()
+    z = np.array([0.3, 0.4])          # |z| = 0.5
+    for amb, green in zip(trials[:3], default_green_radial_trials()):
+        assert amb.value(z) == green.f(0.5)
+        assert amb.radial.jet(0.5) == green.jet(0.5)
+    assert [t.radial for t in trials[3:]] == [None] * 3
 
 
 # --- purely angular probe ----------------------------------------------------

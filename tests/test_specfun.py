@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hprofile.specfun import (Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
                               gauss_value_at_one, hyp2f1, hyp2f1_auto,
-                              hyp2f1_dz, hyp2f1_near_one, ln_gamma, pochhammer,
+                              hyp2f1_dz, hyp2f1_near_one, ln_gamma,
                               recip_gamma)
 
 mpmath.mp.dps = 50
@@ -79,29 +79,6 @@ def test_recip_gamma_smooth_through_zeros():
     right = recip_gamma(-3.0 + eps)
     assert left * right < 0.0
     assert abs(left + right) < 1e-3 * abs(left - right)
-
-
-# --- pochhammer -------------------------------------------------------------
-
-@given(st.floats(min_value=-10, max_value=10))
-@settings(max_examples=40, deadline=None)
-def test_pochhammer_empty_product(d):
-    assert pochhammer(d, 0) == 1.0
-
-
-def test_pochhammer_hits_zero():
-    assert pochhammer(-1.0, 2) == 0.0
-
-
-def test_pochhammer_half_integer():
-    assert pochhammer(0.5, 3) == pytest.approx(1.875, abs=0.0)
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=30))
-@settings(max_examples=60, deadline=None)
-def test_pochhammer_matches_gamma_ratio(d, k):
-    exact = float(mpmath.rf(d, k))
-    assert pochhammer(float(d), k) == pytest.approx(exact, rel=1e-13)
 
 
 # --- parameter validation ---------------------------------------------------
