@@ -82,7 +82,7 @@ class RunConfig:
     steps: int | None = _flag("--steps", low=1, type=int)
     smax: float | None = _flag("--smax", type=float)
     tol: float | None = _flag("--tol", type=float)
-    # A command with one format does not read fmt; JSON artifacts record it.
+    # A command with one format does not read fmt.
     fmt: str = _flag("--format", default="csv")
     out_dir: str | None = _flag("--out")
     plot: bool | None = _flag("--plot", action="store_true")
@@ -147,7 +147,7 @@ def _emit_report(cfg: RunConfig, fmt: str, report, gates: list[dict]) -> None:
         lines = [report.CSV_HEADER] + report.csv_rows()
         files["csv"] = "\r\n".join(lines) + "\r\n"
     if fmt == "json":
-        config = {"command": cfg.command, "n": cfg.n, "format": cfg.fmt}
+        config = {"command": cfg.command, "n": cfg.n, "format": fmt}
         obj = {"config": config, "results": report.json_obj(), "gates": gates}
         files["json"] = json.dumps(obj, indent=2, sort_keys=False) + "\n"
     if cfg.plot:

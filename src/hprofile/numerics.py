@@ -37,15 +37,16 @@ class QuadratureRule:
     weights: np.ndarray   # strictly positive
     alpha: float          # exponent at x = 1
     beta: float           # exponent at x = 0
-    order: int
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray],
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_lo^hi f(x) (hi-x)^alpha (x-lo)^beta dx for each interval.
 
-    @property
-    def total_mass(self) -> float:
-        """Beta(beta+1, alpha+1), the integral of the bare weight."""
-        return math.exp(ln_beta(self.beta + 1.0, self.alpha + 1.0))
+        f gets the nodes of all intervals at once, one row per interval.
+        """
+        width = hi - lo
+        x = lo[:, None] + width[:, None] * self.nodes
+        return width ** (1.0 + self.alpha + self.beta) * (f(x) @ self.weights)
 
 
 def ln_beta(p: float, q: float) -> float:
@@ -89,7 +90,7 @@ def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
     w01 = w * 0.5 ** (alpha + beta + 1.0)
     order = np.argsort(x)
     return QuadratureRule(nodes=x[order], weights=w01[order],
-                          alpha=alpha, beta=beta, order=N)
+                          alpha=alpha, beta=beta)
 
 
 def profile_rule(params: ProfileParams, N: int = 64) -> QuadratureRule:
@@ -98,27 +99,23 @@ def profile_rule(params: ProfileParams, N: int = 64) -> QuadratureRule:
 
 
 def integrate_profile_radial(f: Callable[[np.ndarray], np.ndarray],
-                             rule: QuadratureRule,
-                             params: ProfileParams) -> float:
+                             rule: QuadratureRule) -> float:
     """int_0^1 f(rho) rho^{2n} (1-rho^2)^{-1/2} drho."""
     rho = np.sqrt(rule.nodes)
     return 0.5 * float(np.dot(rule.weights, f(rho)))
 
 
 def sym_tridiag_eigen(diagonal: Sequence[float], offdiag: Sequence[float],
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenpairs of a symmetric tridiagonal matrix.
-
-    Returns (values ascending, vectors as columns).
-    """
+                      count: int) -> np.ndarray:
+    """Lowest `count` eigenvalues of a symmetric tridiagonal matrix, ascending."""
     d = np.asarray(diagonal, dtype=float)
     e = np.asarray(offdiag, dtype=float)
     if e.shape[0] != d.shape[0] - 1:
         raise ValueError("offdiag must have length len(diagonal) - 1")
     if not 1 <= count <= d.shape[0]:
         raise ValueError("count out of range")
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    return vals, vecs
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                            select_range=(0, count - 1))
 
 
 def hessenberg_qr_eigenvalues(A: np.ndarray) -> np.ndarray:

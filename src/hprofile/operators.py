@@ -96,10 +96,10 @@ def sl_coefficients(params: ProfileParams) -> SLCoefficients:
     two_n = 2 * params.n
 
     def p(rho):
-        return rho ** two_n * np.sqrt(1.0 - rho * rho)
+        return rho ** two_n * np.sqrt((1.0 - rho) * (1.0 + rho))
 
     def w(rho):
-        return rho ** two_n / np.sqrt(1.0 - rho * rho)
+        return rho ** two_n / np.sqrt((1.0 - rho) * (1.0 + rho))
 
     return SLCoefficients(p=p, w=w)
 

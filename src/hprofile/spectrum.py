@@ -24,7 +24,7 @@ from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        profile_rule, sym_tridiag_eigen)
 # RadialTrial and default_green_radial_trials stay importable from here.
 from .operators import (PolarJet, RadialTrial, apply_polar_h1,
-                        default_green_radial_trials)
+                        default_green_radial_trials, sl_coefficients)
 from .specfun import (Hyp2F1Params, gauss_value_at_one, gamma_fn, hyp2f1_auto,
                       recip_gamma)
 
@@ -152,7 +152,7 @@ def radial_eigenfunction(k: int, params: ProfileParams,
     raw = RadialEigenmode(k=k, parity=parity,
                           lam=radial_eigenvalue(k, params),
                           hyp=hyp, normalization=1.0)
-    sq = integrate_profile_radial(lambda r: raw.value(r) ** 2, rule, params)
+    sq = integrate_profile_radial(lambda r: raw.value(r) ** 2, rule)
     norm = 1.0 / math.sqrt(params.sphere_area * sq)
     return RadialEigenmode(k=k, parity=parity, lam=raw.lam, hyp=hyp,
                            normalization=norm)
@@ -217,15 +217,15 @@ _SEG_SMOOTH = gauss_jacobi_rule(12, 0.0, 0.0)
 _SEG_SQRT = gauss_jacobi_rule(16, -0.5, 0.0)
 
 
-def _seg_smooth(f, a: float, b: float) -> float:
-    x = a + (b - a) * _SEG_SMOOTH.nodes
-    return (b - a) * float(np.dot(_SEG_SMOOTH.weights, f(x)))
-
-
-def _seg_sqrt_right(g, a: float, b: float) -> float:
-    """int_a^b g(r) (b - r)^{-1/2} dr for smooth g."""
-    x = a + (b - a) * _SEG_SQRT.nodes
-    return math.sqrt(b - a) * float(np.dot(_SEG_SQRT.weights, g(x)))
+def _interval_integrals(f, lo: np.ndarray, hi: np.ndarray,
+                        to_equator: bool) -> np.ndarray:
+    """int f over each [lo_j, hi_j].  With to_equator the last interval ends
+    at rho = 1, where f has a (1 - rho)^{-1/2} singularity; it takes the
+    sqrt-weighted rule on the regular part f(rho) sqrt(1 - rho)."""
+    m = len(lo) - to_equator
+    return np.r_[_SEG_SMOOTH.integrate(f, lo[:m], hi[:m]),
+                 _SEG_SQRT.integrate(lambda r: f(r) * np.sqrt(1.0 - r),
+                                     lo[m:], hi[m:])]
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,6 @@ class SLDiscretization:
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
     mass: np.ndarray
-    bc: str
 
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
         s = 1.0 / np.sqrt(self.mass)
@@ -252,8 +251,7 @@ class SLDiscretization:
 
     def lowest(self, count: int) -> np.ndarray:
         d, e = self.symmetrized()
-        vals, _ = sym_tridiag_eigen(d, e, count)
-        return vals
+        return sym_tridiag_eigen(d, e, count)
 
 
 def build_radial_discretization(params: ProfileParams, n_points: int,
@@ -268,48 +266,31 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
         raise ValueError("the pole end rho = 0 only supports the natural condition")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    two_n = 2 * params.n
-
-    def inv_p(r):
-        return r ** (-two_n) / np.sqrt(1.0 - r * r)
-
-    def inv_p_reg(r):   # 1/p with the (1-r)^{-1/2} factor taken out
-        return r ** (-two_n) / np.sqrt(1.0 + r)
-
-    def w(r):
-        return r ** two_n / np.sqrt(1.0 - r * r)
-
-    def w_reg(r):
-        return r ** two_n / np.sqrt(1.0 + r)
-
+    sl = sl_coefficients(params)
     h = (b - a) / n_points
     nodes = a + (np.arange(n_points) + 0.5) * h
-    edges = a + np.arange(n_points + 1) * h
+    edges = np.linspace(a, b, n_points + 1)   # ends on b; a + n_points * h
+                                              # can round below it
+    to_equator = b == 1.0
 
-    cond = np.array([1.0 / _seg_smooth(inv_p, nodes[j], nodes[j + 1])
-                     for j in range(n_points - 1)])
+    # resistances between neighbours, then the Dirichlet walls, the right last
+    left, right = bc_left == "dirichlet", bc_right == "dirichlet"
+    lo = np.r_[nodes[:-1], [a] * left, [nodes[-1]] * right]
+    hi = np.r_[nodes[1:], [nodes[0]] * left, [b] * right]
+    res = _interval_integrals(lambda r: 1.0 / sl.p(r), lo, hi,
+                              right and to_equator)
+    cond = 1.0 / res[:n_points - 1]
     diag = np.zeros(n_points)
     diag[:-1] += cond
     diag[1:] += cond
-    if bc_left == "dirichlet":
-        diag[0] += 1.0 / _seg_smooth(inv_p, a, nodes[0])
-    if bc_right == "dirichlet":
-        if b == 1.0:
-            diag[-1] += 1.0 / _seg_sqrt_right(inv_p_reg, nodes[-1], 1.0)
-        else:
-            diag[-1] += 1.0 / _seg_smooth(inv_p, nodes[-1], b)
+    if left:
+        diag[0] += 1.0 / res[n_points - 1]
+    if right:
+        diag[-1] += 1.0 / res[-1]
 
-    mass = np.empty(n_points)
-    for j in range(n_points):
-        hi = edges[j + 1]
-        if hi == 1.0:
-            mass[j] = _seg_sqrt_right(w_reg, edges[j], 1.0)
-        else:
-            mass[j] = _seg_smooth(w, edges[j], hi)
-
+    mass = _interval_integrals(sl.w, edges[:-1], edges[1:], to_equator)
     return SLDiscretization(n_points=n_points, h=h, nodes=nodes,
-                            stiff_diag=diag, stiff_off=-cond, mass=mass,
-                            bc=bc_right)
+                            stiff_diag=diag, stiff_off=-cond, mass=mass)
 
 
 def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
@@ -451,17 +432,15 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
 
 # --- quadratic-form estimates ---------------------------------------------
 
-def rayleigh_quotient(f: Callable, df: Callable, rule: QuadratureRule,
-                      params: ProfileParams) -> float:
+def rayleigh_quotient(f: Callable, df: Callable, rule: QuadratureRule) -> float:
     """Energy quotient of a radial trial function.
 
     For radial f the tangential-gradient square is (1 - rho^2) f'(rho)^2, so
     the quotient is int (1-rho^2) f'^2 w / int f^2 w; it is >= the first
     eigenvalue on each symmetry class and equals it exactly on eigenmodes.
     """
-    num = integrate_profile_radial(lambda r: (1.0 - r * r) * df(r) ** 2,
-                                   rule, params)
-    den = integrate_profile_radial(lambda r: f(r) ** 2, rule, params)
+    num = integrate_profile_radial(lambda r: (1.0 - r * r) * df(r) ** 2, rule)
+    den = integrate_profile_radial(lambda r: f(r) ** 2, rule)
     if den <= 0.0 or not math.isfinite(den):
         raise ValueError("trial function has zero (or invalid) norm")
     return num / den
@@ -516,8 +495,7 @@ def gram_matrix(modes: Sequence[RadialEigenmode],
             pair = 1.0 + si * sj
             if pair != 0.0:
                 val = integrate_profile_radial(
-                    lambda r: modes[i].value(r) * modes[j].value(r), rule,
-                    params)
+                    lambda r: modes[i].value(r) * modes[j].value(r), rule)
                 G[i, j] = G[j, i] = 0.5 * area * pair * val
     return G
 
@@ -552,7 +530,7 @@ def green_check(trial, params: ProfileParams,
         if rule is None:
             rule = profile_rule(params, 64)
         return abs(params.sphere_area * integrate_profile_radial(
-            lambda r: trial.applied(r, params), rule, params))
+            lambda r: trial.applied(r, params), rule))
     if isinstance(trial, PolarTrial):
         if params.n != 1:
             raise ValueError("2-D trials are only supported on H^1")
@@ -614,7 +592,7 @@ def green_symmetry_residual(t1: RadialTrial, t2: RadialTrial,
         return t1.f(r) * t2.applied(r, params) - t2.f(r) * t1.applied(r, params)
 
     return abs(params.sphere_area
-               * integrate_profile_radial(integrand, rule, params))
+               * integrate_profile_radial(integrand, rule))
 
 
 # --- report ----------------------------------------------------------------

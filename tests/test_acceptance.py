@@ -120,7 +120,7 @@ def test_criterion_06_mean_and_boundary_conditions():
         for m in range(1, 5):
             mode = radial_eigenfunction(2 * m, params, rule)
             worst_mean = max(worst_mean, abs(
-                integrate_profile_radial(mode.value, rule, params)))
+                integrate_profile_radial(mode.value, rule)))
         for m in range(5):
             mode = radial_eigenfunction(2 * m + 1, params, rule)
             worst_bdry = max(worst_bdry, abs(mode.value(1.0)))

@@ -161,6 +161,14 @@ def test_verify_suites_pass(tmp_path, suite):
     assert doc["gates"] and all(g["pass"] for g in doc["gates"])
 
 
+def test_verify_json_records_the_format_it_writes(tmp_path):
+    cfg = RunConfig(command="verify", n=1, suite="geometry",
+                    out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    doc = json.loads(_read(tmp_path / "verify_1.json"))
+    assert doc["config"]["format"] == "json"
+
+
 def test_verify_gate_failure_exit_code(tmp_path):
     cfg = RunConfig(command="verify", n=1, suite="identities",
                     out_dir=str(tmp_path), tol=1e-18)

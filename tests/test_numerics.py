@@ -82,7 +82,7 @@ def test_rule_rejects_bad_exponents():
 def test_constant_integral_n1():
     params = ProfileParams(1)
     rule = profile_rule(params, 8)
-    assert integrate_profile_radial(lambda r: np.ones_like(r), rule, params) \
+    assert integrate_profile_radial(lambda r: np.ones_like(r), rule) \
         == pytest.approx(math.pi / 4.0, rel=1e-13)
 
 
@@ -100,25 +100,25 @@ def test_second_mode_zero_mean():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
     mode = radial_eigenfunction(2, params, rule)
-    val = integrate_profile_radial(mode.value, rule, params)
+    val = integrate_profile_radial(mode.value, rule)
     assert abs(val) <= 1e-12
 
 
 # --- symmetric tridiagonal eigensolver -----------------------------------------
 
 def test_two_by_two():
-    vals, _ = sym_tridiag_eigen([2.0, 2.0], [1.0], 2)
+    vals = sym_tridiag_eigen([2.0, 2.0], [1.0], 2)
     assert np.allclose(vals, [1.0, 3.0], atol=1e-13)
 
 
 def test_diagonal_matrix():
-    vals, _ = sym_tridiag_eigen([3.0, -1.0, 2.0], [0.0, 0.0], 3)
+    vals = sym_tridiag_eigen([3.0, -1.0, 2.0], [0.0, 0.0], 3)
     assert np.allclose(vals, [-1.0, 2.0, 3.0], atol=1e-13)
 
 
 def test_discrete_laplacian_closed_form():
     M = 40
-    vals, _ = sym_tridiag_eigen(2.0 * np.ones(M), -np.ones(M - 1), M)
+    vals = sym_tridiag_eigen(2.0 * np.ones(M), -np.ones(M - 1), M)
     j = np.arange(1, M + 1)
     exact = 2.0 - 2.0 * np.cos(j * math.pi / (M + 1))
     assert np.allclose(vals, exact, atol=1e-12)
@@ -128,20 +128,19 @@ def test_eigenpair_residual():
     rng = np.random.default_rng(3)
     d = rng.normal(size=60)
     e = rng.normal(size=59)
-    vals, vecs = sym_tridiag_eigen(d, e, 5)
+    vals = sym_tridiag_eigen(d, e, 5)
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     scale = np.linalg.norm(T)
-    for i in range(5):
-        res = np.linalg.norm(T @ vecs[:, i] - vals[i] * vecs[:, i])
-        assert res <= 1e-10 * scale
+    dense = np.linalg.eigvalsh(T)[:5]
+    assert np.max(np.abs(vals - dense)) <= 1e-10 * scale
 
 
 def test_reversal_invariance():
     rng = np.random.default_rng(5)
     d = rng.normal(size=30)
     e = rng.normal(size=29)
-    vals, _ = sym_tridiag_eigen(d, e, 30)
-    rvals, _ = sym_tridiag_eigen(d[::-1].copy(), e[::-1].copy(), 30)
+    vals = sym_tridiag_eigen(d, e, 30)
+    rvals = sym_tridiag_eigen(d[::-1].copy(), e[::-1].copy(), 30)
     assert np.allclose(vals, rvals, atol=1e-11)
 
 
@@ -193,7 +192,7 @@ def test_symmetric_dense_matches_tridiagonal():
     e = rng.normal(size=49)
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     dense = np.sort(hessenberg_qr_eigenvalues(T).real)
-    tri, _ = sym_tridiag_eigen(d, e, 50)
+    tri = sym_tridiag_eigen(d, e, 50)
     assert np.max(np.abs(dense - tri)) <= 1e-10 * np.linalg.norm(T)
 
 

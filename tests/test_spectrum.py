@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hprofile.geometry import ProfileParams
-from hprofile.numerics import profile_rule, sym_tridiag_eigen
+from hprofile.numerics import gauss_jacobi_rule, profile_rule, sym_tridiag_eigen
 from hprofile.spectrum import (RadialTrial, build_mode_operator,
                                build_radial_discretization,
                                default_green_polar_trials,
@@ -119,7 +119,7 @@ def test_even_modes_have_zero_weighted_mean():
         rule = profile_rule(params, 64)
         for m in range(1, 5):
             mode = radial_eigenfunction(2 * m, params, rule)
-            val = integrate_profile_radial(mode.value, rule, params)
+            val = integrate_profile_radial(mode.value, rule)
             assert abs(val) <= 1e-10
 
 
@@ -214,6 +214,80 @@ def test_pencil_nonnegative_for_all_grids():
                                                       400, 4)) >= -1e-10)
 
 
+def _per_cell_pencil(n, m, bc_right, interval, bc_left):
+    """(stiff_diag, stiff_off, mass) integrated cell by cell: Gauss-Legendre
+    on each cell, the sqrt-weighted rule on a piece that ends at rho = 1."""
+    leg = gauss_jacobi_rule(12, 0.0, 0.0)
+    jac = gauss_jacobi_rule(16, -0.5, 0.0)
+
+    def seg(f, lo, hi):
+        if hi == 1.0:
+            x = lo + (hi - lo) * jac.nodes
+            return math.sqrt(hi - lo) * float(np.dot(jac.weights,
+                                                     f(x) * np.sqrt(1.0 - x)))
+        x = lo + (hi - lo) * leg.nodes
+        return (hi - lo) * float(np.dot(leg.weights, f(x)))
+
+    inv_p = lambda r: r ** (-2 * n) / np.sqrt(1.0 - r * r)
+    w = lambda r: r ** (2 * n) / np.sqrt(1.0 - r * r)
+    a, b = interval
+    h = (b - a) / m
+    nodes = a + (np.arange(m) + 0.5) * h
+    edges = [a + j * h for j in range(m)] + [b]
+    cond = np.array([1.0 / seg(inv_p, nodes[j], nodes[j + 1])
+                     for j in range(m - 1)])
+    diag = np.zeros(m)
+    diag[:-1] += cond
+    diag[1:] += cond
+    if bc_left == "dirichlet":
+        diag[0] += 1.0 / seg(inv_p, a, nodes[0])
+    if bc_right == "dirichlet":
+        diag[-1] += 1.0 / seg(inv_p, nodes[-1], b)
+    mass = np.array([seg(w, edges[j], edges[j + 1]) for j in range(m)])
+    return diag, -cond, mass
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("bc_right", ["natural", "dirichlet"])
+@pytest.mark.parametrize("interval,bc_left", [((0.0, 1.0), "natural"),
+                                              ((0.3, 1.0), "dirichlet"),
+                                              ((0.2, 0.9), "dirichlet")])
+def test_pencil_matches_per_cell_assembly(n, bc_right, interval, bc_left):
+    # the batched rules see the same nodes; 1 - r^2 loses up to m ulps near
+    # the equator, where the assembly takes (1 - r)(1 + r)
+    m = 1000
+    disc = build_radial_discretization(ProfileParams(n), m, bc_right,
+                                       interval, bc_left)
+    want = _per_cell_pencil(n, m, bc_right, interval, bc_left)
+    got = (disc.stiff_diag, disc.stiff_off, disc.mass)
+    for g, r in zip(got, want):
+        assert np.max(np.abs(g - r) / np.abs(r)) <= 8 * m * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_points", [49, 50, 1000, 8000])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pencil_mass_is_the_weight_integral(n, n_points):
+    # the cells tile [0, 1], the last one up to the equator singularity:
+    # int_0^1 w = sqrt(pi) Gamma(n + 1/2) / (2 Gamma(n + 1)).  At 49 cells
+    # 49 * (1/49) rounds below 1, so the last edge must be set to 1 itself.
+    disc = build_radial_discretization(ProfileParams(n), n_points)
+    exact = math.sqrt(math.pi) * math.gamma(n + 0.5) / (2.0 * math.gamma(n + 1))
+    assert disc.mass.sum() == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_points", [50, 1000, 8000])
+def test_pencil_resistances_reach_the_equator_wall(n_points):
+    # n = 1: int_a^1 1/p = int_a^1 r^-2 (1 - r^2)^{-1/2} dr = sqrt(1 - a^2) / a
+    # from the first node a; the Dirichlet wall is the singular last piece
+    disc = build_radial_discretization(ProfileParams(1), n_points,
+                                       bc_right="dirichlet")
+    cond = -disc.stiff_off
+    wall = disc.stiff_diag[-1] - cond[-1]
+    a = disc.nodes[0]
+    total = float(np.sum(1.0 / cond) + 1.0 / wall)
+    assert total == pytest.approx(math.sqrt(1.0 - a * a) / a, rel=1e-11, abs=0.0)
+
+
 def test_richardson_improves_grid_pair():
     params = ProfileParams(1)
     l1 = discrete_radial_spectrum(params, "dirichlet", 500, 3)
@@ -251,7 +325,7 @@ def test_odd_family_against_substitution_oracle():
         diag[1:] += cond
         mass = np.array([seg(wt, edges[j], edges[j + 1]) for j in range(M)])
         s = 1.0 / np.sqrt(mass)
-        vals, _ = sym_tridiag_eigen(diag * s * s, -cond * s[:-1] * s[1:], 4)
+        vals = sym_tridiag_eigen(diag * s * s, -cond * s[:-1] * s[1:], 4)
         assert abs(vals[0]) < 1e-6          # constant psi <-> phi_1
         shifted = vals[1:] + (two_n + 1)
         direct = discrete_radial_spectrum(ProfileParams(n), "dirichlet", 600, 4)
@@ -386,9 +460,9 @@ def test_rayleigh_equality_on_eigenmodes():
     rule = profile_rule(params, 64)
     m1 = radial_eigenfunction(1, params, rule)
     m2 = radial_eigenfunction(2, params, rule)
-    assert rayleigh_quotient(m1.value, m1.deriv, rule, params) == pytest.approx(
+    assert rayleigh_quotient(m1.value, m1.deriv, rule) == pytest.approx(
         3.0, abs=1e-8)
-    assert rayleigh_quotient(m2.value, m2.deriv, rule, params) == pytest.approx(
+    assert rayleigh_quotient(m2.value, m2.deriv, rule) == pytest.approx(
         8.0, abs=1e-8)
 
 
@@ -399,7 +473,7 @@ def test_rayleigh_inequality_for_perturbed_mode():
     m3 = radial_eigenfunction(3, params, rule)
     f = lambda r: m1.value(r) + 0.1 * m3.value(r)
     df = lambda r: m1.deriv(r) + 0.1 * m3.deriv(r)
-    q = rayleigh_quotient(f, df, rule, params)
+    q = rayleigh_quotient(f, df, rule)
     lam3 = radial_eigenvalue(3, params)
     assert 3.0 < q < lam3
     # exact mixture value (3 + 0.01 * 15) / 1.01 by orthogonality
@@ -410,7 +484,7 @@ def test_rayleigh_rejects_zero_trial():
     params = ProfileParams(1)
     rule = profile_rule(params, 16)
     with pytest.raises(ValueError):
-        rayleigh_quotient(lambda r: 0.0 * r, lambda r: 0.0 * r, rule, params)
+        rayleigh_quotient(lambda r: 0.0 * r, lambda r: 0.0 * r, rule)
 
 
 def test_min_max_lower_bound():
@@ -420,10 +494,10 @@ def test_min_max_lower_bound():
     rule = profile_rule(params, 64)
     lowest = discrete_radial_spectrum(params, "dirichlet", 1000, 1)[0]
     m1 = radial_eigenfunction(1, params, rule)
-    q_eig = rayleigh_quotient(m1.value, m1.deriv, rule, params)
+    q_eig = rayleigh_quotient(m1.value, m1.deriv, rule)
     trial = RadialTrial(lambda r: 1.0 - r * r, lambda r: -2.0 * r,
                         lambda r: -2.0 * np.ones_like(r))
-    q_trial = rayleigh_quotient(trial.f, trial.df, rule, params)
+    q_trial = rayleigh_quotient(trial.f, trial.df, rule)
     assert q_eig <= q_trial
     assert abs(lowest - q_eig) <= 0.01 * q_eig
 
