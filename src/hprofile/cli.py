@@ -33,7 +33,8 @@ from .spectrum import (ModeEntry, ModeReport, PoincareEntry, PoincareReport,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
                        mode_spectrum, parity_spectrum_entries,
-                       poincare_constant_estimate, radial_eigenfunction)
+                       poincare_constant_estimate, pole_mass,
+                       radial_eigenfunction)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -111,13 +112,21 @@ class RunConfig:
                 raise ValueError(f"{flag} must be >= {f.metadata['low']}")
         if self.command == "modes" and self.n != 1:
             raise ValueError("mode studies are only defined on H^1 (n = 1)")
+        # grid2 defaults to 2 * grid; modes and poincare read none
+        grids = ((self.grid, self.grid2 or 2 * self.grid)
+                 if self.command in ("spectrum", "eig") else (self.grid,))
         if self.command in ("spectrum", "eig", "modes"):
-            # count: eigenvalues per solve, for spectrum the larger odd
-            # family; grid2 defaults to 2 * grid, and modes reads none
+            # count: eigenvalues per solve, for spectrum the larger odd family
             count = self.count or (self.k_max + 1) // 2
-            grids = (self.grid, self.grid2 or 2 * self.grid)
             if any(g < 50 or not 1 <= count <= g // 4 for g in grids):
                 raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
+        if self.command in ("spectrum", "eig", "poincare"):
+            for g in grids:
+                if pole_mass(ProfileParams(self.n), g) == 0.0:
+                    raise ValueError(f"n = {self.n} is too large for grid {g}:"
+                                     " the pole vertex's mass underflows")
+        if not os.path.isdir(self.out_dir):
+            raise ValueError(f"--out {self.out_dir} is not a directory")
         if self.k_range is not None and min(self.k_range) < 0:
             raise ValueError("need Fourier indices k >= 0")
 
@@ -192,7 +201,7 @@ def _run_eig(cfg: RunConfig):
 
 def _run_modes(cfg: RunConfig):
     params = ProfileParams(1)
-    # The roundoff of the k = 0 comparison grows like ||A||_2, about 4 grid^2.
+    # The roundoff of the k = 0 comparison grows like ||A||_2, about 1.9 grid^2.
     tol = (cfg.tol if cfg.tol is not None
            else 1e-10 * max(1, (cfg.grid / 400) ** 2))
     report, gates = ModeReport(), []

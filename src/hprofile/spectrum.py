@@ -6,7 +6,7 @@ separate so they can cross-check each other:
 
   1. the closed form k (k + 2n),
   2. zeros of the Gamma-function eigenvalue conditions,
-  3. generalized eigenvalues of a finite-volume Sturm-Liouville pencil.
+  3. eigenvalues of a lumped P1 finite-element pencil in arc length.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ __all__ = [
     "eigencondition_even_roots",
     "eigencondition_odd_roots",
     "build_radial_discretization",
+    "pole_mass",
     "discrete_radial_spectrum",
     "richardson",
     "build_mode_operator",
@@ -63,7 +64,7 @@ __all__ = [
 
 ROOT_SCAN_STEP = 0.5
 ROOT_TOL = 1e-10
-RICHARDSON_ORDER = 1.5  # measured convergence order of the degenerate pencil
+RICHARDSON_ORDER = 2.0  # convergence order of the lumped P1 pencil
 
 
 # --- closed-form eigenpairs -------------------------------------------------
@@ -211,39 +212,50 @@ def eigencondition_odd_roots(lambda_max: float, params: ProfileParams) -> list[f
     return _scan_roots(lambda lam: odd_condition_value(lam, params), lambda_max)
 
 
-# --- finite-volume discretization ---------------------------------------
+# --- P1 finite elements in arc length ------------------------------------
 
 _SEG_SMOOTH = gauss_jacobi_rule(12, 0.0, 0.0)
-_SEG_SQRT = gauss_jacobi_rule(16, -0.5, 0.0)
 
 
-def _interval_integrals(f, lo: np.ndarray, hi: np.ndarray,
-                        to_equator: bool) -> np.ndarray:
-    """int f over each [lo_j, hi_j].  With to_equator the last interval ends
-    at rho = 1, where f has a (1 - rho)^{-1/2} singularity; it takes the
-    sqrt-weighted rule on the regular part f(rho) sqrt(1 - rho)."""
-    m = len(lo) - to_equator
-    return np.r_[_SEG_SMOOTH.integrate(f, lo[:m], hi[:m]),
-                 _SEG_SQRT.integrate(lambda r: f(r) * np.sqrt(1.0 - r),
-                                     lo[m:], hi[m:])]
+def _half_masses(n: int, edges: np.ndarray) -> np.ndarray:
+    """(2, elements): int W (1 - t) and int W t over each element, W =
+    sin^{2n} sigma and t the element's local coordinate."""
+    t = _SEG_SMOOTH.nodes
+    hats = np.stack([1.0 - t, t])[:, None]
+    # W overwrites the nodes array, which the rule builds for this call only
+    return _SEG_SMOOTH.integrate(
+        lambda s: np.power(np.sin(s, out=s), 2 * n, out=s) * hats,
+        edges[:-1], edges[1:])
+
+
+def pole_mass(params: ProfileParams, n_points: int) -> float:
+    """Lumped mass of the pole vertex on the whole-hemisphere mesh of
+    `n_points` elements, about h^{2n+1} / ((2n+1)(2n+2)); it underflows to 0
+    once n is too large for the grid.  Integrated on the first element as
+    build_radial_discretization does."""
+    edges = np.array([0.0, (math.pi / 2) / n_points])
+    return float(_half_masses(params.n, edges)[0, 0])
 
 
 @dataclass(frozen=True)
 class SLDiscretization:
-    """Finite-volume pencil K v = lambda M v for the radial problem.
+    """Lumped P1 pencil K v = lambda M v for the radial problem.
 
-    Cell-centered nodes; inter-node couplings are exact resistance integrals
-    of 1/p, cell masses exact integrals of w, so the degenerate endpoints
-    (p -> 0) encode the natural conditions with no ad-hoc rows.  A Dirichlet
-    end adds the finite wall resistance of the last half cell.
+    In the arc length sigma (rho = sin sigma) the problem is
+    (W phi')' + lambda W phi = 0 with W = sin^{2n} sigma, the zonal
+    Laplacian on S^{2n+1}: the equator is a regular point, and only the
+    pole degenerates (W -> 0), where the natural condition needs no row.
+    Piecewise-linear elements on uniform vertices; each element gives its
+    two half masses `half` to its two vertices and couples them with the
+    conductance (half sum) / h^2.  A Dirichlet end drops its vertex.
     """
 
-    n_points: int
     h: float
-    nodes: np.ndarray
+    nodes: np.ndarray          # rho = sin(sigma) at the kept vertices
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
     mass: np.ndarray
+    half: np.ndarray           # (2, elements), from _half_masses
 
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
         s = 1.0 / np.sqrt(self.mass)
@@ -258,7 +270,8 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
                                 bc_right: str = "natural",
                                 interval: tuple[float, float] = (0.0, 1.0),
                                 bc_left: str = "natural") -> SLDiscretization:
-    """Assemble the FV pencil on `interval` (default the whole radius range)."""
+    """Assemble the P1 pencil on `n_points` elements of `interval` (in rho,
+    default the whole radius range), uniform in sigma = asin(rho)."""
     a, b = interval
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
@@ -266,31 +279,17 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
         raise ValueError("the pole end rho = 0 only supports the natural condition")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    sl = sl_coefficients(params)
-    h = (b - a) / n_points
-    nodes = a + (np.arange(n_points) + 0.5) * h
-    edges = np.linspace(a, b, n_points + 1)   # ends on b; a + n_points * h
-                                              # can round below it
-    to_equator = b == 1.0
-
-    # resistances between neighbours, then the Dirichlet walls, the right last
-    left, right = bc_left == "dirichlet", bc_right == "dirichlet"
-    lo = np.r_[nodes[:-1], [a] * left, [nodes[-1]] * right]
-    hi = np.r_[nodes[1:], [nodes[0]] * left, [b] * right]
-    res = _interval_integrals(lambda r: 1.0 / sl.p(r), lo, hi,
-                              right and to_equator)
-    cond = 1.0 / res[:n_points - 1]
-    diag = np.zeros(n_points)
-    diag[:-1] += cond
-    diag[1:] += cond
-    if left:
-        diag[0] += 1.0 / res[n_points - 1]
-    if right:
-        diag[-1] += 1.0 / res[-1]
-
-    mass = _interval_integrals(sl.w, edges[:-1], edges[1:], to_equator)
-    return SLDiscretization(n_points=n_points, h=h, nodes=nodes,
-                            stiff_diag=diag, stiff_off=-cond, mass=mass)
+    edges = np.linspace(math.asin(a), math.asin(b), n_points + 1)
+    h = (edges[-1] - edges[0]) / n_points
+    half = _half_masses(params.n, edges)
+    cond = half.sum(axis=0) / (h * h)
+    mass = np.r_[half[0], 0.0] + np.r_[0.0, half[1]]
+    diag = np.r_[cond, 0.0] + np.r_[0.0, cond]
+    first, last = bc_left == "dirichlet", n_points - (bc_right == "dirichlet")
+    return SLDiscretization(h=h, nodes=np.sin(edges[first:last + 1]),
+                            stiff_diag=diag[first:last + 1],
+                            stiff_off=-cond[first:last],
+                            mass=mass[first:last + 1], half=half)
 
 
 def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
@@ -334,15 +333,15 @@ _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
 class ModeOperator:
     """Sparse discretization of the angular-mode reduction on H^1.
 
-    Substituting phi = f(rho) e^{i k theta} into the polar operator yields
+    Substituting phi = f e^{i k theta} into the polar operator yields, in
+    the arc length sigma (rho = sin sigma, W = sin^2 sigma),
 
-      L_k f = (1-r^2) f'' + [(2-3r^2)/r - 2ik sqrt(1-r^2)] f'
-              - [k^2 + 3ik sqrt(1-r^2)/r] f.
+      -L_k f = -(W f')' / W + 2ik f' + 3ik cot(sigma) f + k^2 f.
 
-    The matrix (complex CSC) is stored in mass-symmetrized similarity form so
-    that k = 0 reproduces the symmetric tridiagonal radial pencil entrywise.
-    For k != 0 it is tridiagonal plus the two corner entries of the
-    one-sided end rows of the first-derivative stencil (nnz = 3 N).
+    On the radial P1 mesh this is K + 2ik C + 3ik D + k^2 M with
+    C_ij = int W phi_i phi_j' and the lumped D_i = int W cot(sigma) phi_i,
+    stored (complex CSC, tridiagonal) in the similarity form M^{-1/2} ...
+    M^{-1/2}, so that k = 0 is the symmetrized radial pencil entrywise.
     """
 
     k: int
@@ -352,19 +351,6 @@ class ModeOperator:
     mass: np.ndarray
 
 
-def _first_derivative_stencil(m: int, h: float):
-    """(rows, cols, values) of the second-order d/drho on m uniform nodes:
-    central rows inside, one-sided three-point rows at both ends."""
-    i = np.arange(m)
-    upper = np.full(m - 1, 0.5 / h)
-    lower = np.full(m - 1, -0.5 / h)
-    upper[0], lower[-1] = 2.0 / h, -2.0 / h
-    rows = np.r_[0, m - 1, i[:-1], i[1:], 0, m - 1]
-    cols = np.r_[0, m - 1, i[1:], i[:-1], 2, m - 3]
-    vals = np.r_[-1.5 / h, 1.5 / h, upper, lower, -0.5 / h, 0.5 / h]
-    return rows, cols, vals
-
-
 def build_mode_operator(k: int, n_points: int,
                         matching: str = "continuity") -> ModeOperator:
     """Assemble the H^1 mode-k operator for -L_k f = lambda f."""
@@ -372,26 +358,27 @@ def build_mode_operator(k: int, n_points: int,
         raise ValueError("matching must be 'continuity' or 'antisymmetry'")
     # loaded here: the radial paths never build a mode operator
     import scipy.sparse
-    params = ProfileParams(1)
     bc = "natural" if matching == "continuity" else "dirichlet"
-    disc = build_radial_discretization(params, n_points, bc_right=bc)
+    disc = build_radial_discretization(ProfileParams(1), n_points, bc_right=bc)
     d, e = disc.symmetrized()
-    i = np.arange(disc.n_points)
-    rows, cols, vals = [i, i[:-1], i[1:]], [i, i[1:], i[:-1]], [d, e, e]
+    lower = upper = e
     if k != 0:
-        rho = disc.nodes
-        root = np.sqrt(1.0 - rho * rho)
-        s = np.sqrt(disc.mass)
-        r, c, dv = _first_derivative_stencil(disc.n_points, disc.h)
-        rows += [r, i]
-        cols += [c, i]
-        vals += [2.0j * k * (root[r] * ((s[r] * dv) / s[c])),
-                 k * k + 3.0j * k * root / rho]
-    # repeated (row, col) pairs are summed in list order
-    T = scipy.sparse.csc_matrix(
-        (np.concatenate(vals).astype(complex),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(disc.n_points, disc.n_points))
+        m, h = len(d), disc.h
+        left, right = disc.half
+        s = 1.0 / np.sqrt(disc.mass)
+        # C_ij is +-(half mass) / h.  D_i = int W' phi_i / 2 (W' = 2 W cot
+        # for n = 1) is by parts h/2 times the right minus the left
+        # stiffness, plus W phi_i / 2 = 1/2 at a kept equator vertex.
+        c_diag = (np.r_[0.0, right] - np.r_[left, 0.0])[:m] / h
+        whole = left + right
+        dd = (np.r_[whole, 0.0] - np.r_[0.0, whole])[:m] / (2.0 * h)
+        dd[-1] += 0.5 * (bc == "natural")
+        d = d + k * k + 1j * k * (2.0 * c_diag + 3.0 * dd) * s * s
+        ss = s[:-1] * s[1:]
+        upper = e + 2j * k * (left[:m - 1] / h) * ss
+        lower = e - 2j * k * (right[:m - 1] / h) * ss
+    T = scipy.sparse.diags([lower, d, upper], [-1, 0, 1], format="csc",
+                           dtype=complex)
     return ModeOperator(k=k, matching=matching, nodes=disc.nodes,
                         matrix=T, mass=disc.mass)
 
@@ -417,7 +404,8 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     from scipy.sparse.linalg import eigs
     drop = 1 if k == 0 and matching == "continuity" else 0
     out = eigs(op.matrix, k=count + drop + _MODE_EXTRA, sigma=MODE_SHIFT,
-               v0=np.ones(n_points), return_eigenvectors=return_vectors)
+               v0=np.ones(op.matrix.shape[0]),
+               return_eigenvectors=return_vectors)
     vals, vecs = out if return_vectors else (out, None)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
@@ -538,14 +526,15 @@ def green_check(trial, params: ProfileParams,
         wts = _GREEN_RHO_RULE.weights
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         f, fr, ft, frr, ftr, ftt = trial.jets(rho, theta[None, :])
+        # density w / 2 = (1-rho)^{-1/2} * reg(rho), reg on the rule's weight
+        r = rho[:, 0]
+        reg = sl_coefficients(params).w(r) * np.sqrt(1.0 - r) / 2.0
         total = 0.0
         for hemi in (+1, -1):
             jet = PolarJet(rho=rho, f_rho=fr, f_theta=ft,
                            f_rhorho=frr, f_thetarho=ftr, f_thetatheta=ftt)
             lphi = np.broadcast_to(apply_polar_h1(jet, hemi),
                                    (rho.size, n_theta))
-            # density rho^2 / (2 sqrt(1-rho^2)) = (1-rho)^{-1/2} * reg(rho)
-            reg = rho[:, 0] ** 2 / (2.0 * np.sqrt(1.0 + rho[:, 0]))
             radial = lphi.mean(axis=1) * 2.0 * math.pi
             total += float(np.dot(wts, reg * radial))
         return abs(total)

@@ -75,10 +75,13 @@ def test_spectrum_gate_failure_gives_exit_1(tmp_path):
     assert not any(g["pass"] for g in doc["gates"])
 
 
-def test_spectrum_wrong_large_n_is_not_ok(tmp_path):
-    # the cell-centred pencil is far off at n = 12; the gate must say so
-    assert main(["spectrum", "--n", "12", "--grid", "1000", "--k-max", "4",
-                 "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("n", [12, 40, 50])
+def test_spectrum_large_n_is_right(tmp_path, n):
+    # the cell-centred pencil was 21-24% off at n = 12, with a spurious value
+    assert main(["spectrum", "--n", str(n), "--grid", "1000", "--k-max", "8",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    rows = json.loads(_read(tmp_path / f"spectrum_{n}.json"))["results"]
+    assert len(rows) == 8 and max(r["rel_err"] for r in rows) <= 1e-8
 
 
 def test_eig_json_shares_the_spectrum_rows(tmp_path):
@@ -132,11 +135,11 @@ def test_modes_beyond_the_old_dense_cap(tmp_path):
 
 
 def test_modes_k0_gate_scales_with_the_grid(tmp_path):
-    # roundoff of the k = 0 comparison exceeds 1e-10 at grid 800
-    assert main(["modes", "--k", "0", "--grid", "800", "--format", "json",
+    # roundoff of the k = 0 comparison exceeds 1e-10 at grid 1600
+    assert main(["modes", "--k", "0", "--grid", "1600", "--format", "json",
                  "--out", str(tmp_path)]) == 0
     gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
-    assert gate["threshold"] == pytest.approx(4e-10, rel=1e-15)
+    assert gate["threshold"] == pytest.approx(1.6e-9, rel=1e-15)
     assert 1e-10 < gate["value"] <= gate["threshold"]
 
 
@@ -261,6 +264,11 @@ _REFUSED = [
     (["geodesic", "--grid", "5"], "unrecognized arguments: --grid 5"),
     (["geodesic", "--format", "json"], "unrecognized arguments: --format json"),
     (["geodesic", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+    # the pole vertex's lumped mass underflows on the grid
+    (["spectrum", "--n", "60", "--grid", "1000"], "too large for grid 1000"),
+    (["eig", "--n", "60", "--grid", "1000"], "too large for grid 1000"),
+    (["poincare", "--n", "60", "--grid", "1000"], "too large for grid 1000"),
+    (["spectrum", "--n", "51", "--grid", "1000"], "too large for grid 2000"),
 ]
 
 
@@ -269,7 +277,7 @@ _REFUSED = [
     for i, (argv, message) in enumerate(_REFUSED)])
 def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv, message):
     argv = argv + ["--out", str(tmp_path)]
-    if message == "configuration error":
+    if "unrecognized" not in message:
         assert main(argv) == 2
     else:
         with pytest.raises(SystemExit) as exc:
@@ -347,9 +355,19 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 
 def test_io_error_exit_3(tmp_path):
+    # a directory where the table should go: the write itself fails
+    (tmp_path / "spectrum_1.csv").mkdir()
     cfg = RunConfig(command="spectrum", n=1, k_max=2, grid=200,
-                    out_dir=str(tmp_path / "missing" / "nested"))
+                    out_dir=str(tmp_path))
     assert run(cfg) == 3
+
+
+def test_missing_out_dir_is_refused_before_computing(tmp_path, capsys):
+    missing = tmp_path / "missing" / "nested"
+    assert main(["spectrum", "--n", "2", "--grid", "1000", "--k-max", "4",
+                 "--out", str(missing)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_mode_k_range_parsing():

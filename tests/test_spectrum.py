@@ -24,7 +24,7 @@ from hprofile.spectrum import (RadialTrial, build_mode_operator,
                                green_symmetry_residual, mode_spectrum,
                                odd_condition_value, poincare_constant_estimate,
                                radial_eigenfunction, radial_eigenvalue,
-                               rayleigh_quotient, richardson,
+                               pole_mass, rayleigh_quotient, richardson,
                                subdomain_bound_check)
 
 
@@ -214,37 +214,28 @@ def test_pencil_nonnegative_for_all_grids():
                                                       400, 4)) >= -1e-10)
 
 
-def _per_cell_pencil(n, m, bc_right, interval, bc_left):
-    """(stiff_diag, stiff_off, mass) integrated cell by cell: Gauss-Legendre
-    on each cell, the sqrt-weighted rule on a piece that ends at rho = 1."""
+def _per_element_pencil(n, m, bc_right, interval, bc_left):
+    """(stiff_diag, stiff_off, mass) of the lumped P1 pencil assembled
+    element by element: Gauss-Legendre on each element of the uniform mesh
+    in sigma = asin(rho), W = sin^{2n} sigma against the two hats."""
     leg = gauss_jacobi_rule(12, 0.0, 0.0)
-    jac = gauss_jacobi_rule(16, -0.5, 0.0)
-
-    def seg(f, lo, hi):
-        if hi == 1.0:
-            x = lo + (hi - lo) * jac.nodes
-            return math.sqrt(hi - lo) * float(np.dot(jac.weights,
-                                                     f(x) * np.sqrt(1.0 - x)))
-        x = lo + (hi - lo) * leg.nodes
-        return (hi - lo) * float(np.dot(leg.weights, f(x)))
-
-    inv_p = lambda r: r ** (-2 * n) / np.sqrt(1.0 - r * r)
-    w = lambda r: r ** (2 * n) / np.sqrt(1.0 - r * r)
-    a, b = interval
-    h = (b - a) / m
-    nodes = a + (np.arange(m) + 0.5) * h
-    edges = [a + j * h for j in range(m)] + [b]
-    cond = np.array([1.0 / seg(inv_p, nodes[j], nodes[j + 1])
-                     for j in range(m - 1)])
-    diag = np.zeros(m)
-    diag[:-1] += cond
-    diag[1:] += cond
-    if bc_left == "dirichlet":
-        diag[0] += 1.0 / seg(inv_p, a, nodes[0])
-    if bc_right == "dirichlet":
-        diag[-1] += 1.0 / seg(inv_p, nodes[-1], b)
-    mass = np.array([seg(w, edges[j], edges[j + 1]) for j in range(m)])
-    return diag, -cond, mass
+    lo, hi = math.asin(interval[0]), math.asin(interval[1])
+    h = (hi - lo) / m
+    edges = [lo + j * h for j in range(m)] + [hi]
+    diag, off, mass = np.zeros(m + 1), np.zeros(m), np.zeros(m + 1)
+    for j in range(m):
+        width = edges[j + 1] - edges[j]
+        wx = np.sin(edges[j] + width * leg.nodes) ** (2 * n)
+        left = width * float(np.dot(wx * (1.0 - leg.nodes), leg.weights))
+        right = width * float(np.dot(wx * leg.nodes, leg.weights))
+        cond = (left + right) / (h * h)
+        mass[j] += left
+        mass[j + 1] += right
+        diag[j] += cond
+        diag[j + 1] += cond
+        off[j] = -cond
+    first, last = bc_left == "dirichlet", m - (bc_right == "dirichlet")
+    return diag[first:last + 1], off[first:last], mass[first:last + 1]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -253,39 +244,70 @@ def _per_cell_pencil(n, m, bc_right, interval, bc_left):
                                               ((0.3, 1.0), "dirichlet"),
                                               ((0.2, 0.9), "dirichlet")])
 def test_pencil_matches_per_cell_assembly(n, bc_right, interval, bc_left):
-    # the batched rules see the same nodes; 1 - r^2 loses up to m ulps near
-    # the equator, where the assembly takes (1 - r)(1 + r)
+    # the batched rule sees the same nodes; only summation order differs
     m = 1000
     disc = build_radial_discretization(ProfileParams(n), m, bc_right,
                                        interval, bc_left)
-    want = _per_cell_pencil(n, m, bc_right, interval, bc_left)
+    want = _per_element_pencil(n, m, bc_right, interval, bc_left)
     got = (disc.stiff_diag, disc.stiff_off, disc.mass)
     for g, r in zip(got, want):
+        assert g.shape == r.shape
         assert np.max(np.abs(g - r) / np.abs(r)) <= 8 * m * np.finfo(float).eps
+    kept = m + 1 - (bc_left == "dirichlet") - (bc_right == "dirichlet")
+    sigma = np.arcsin(disc.nodes)
+    assert len(disc.nodes) == kept
+    assert np.max(np.abs(np.diff(sigma) - disc.h)) <= 1e-12
+
+
+def _weight_integral(n):
+    # int_0^{pi/2} sin^{2n} = int_0^1 rho^{2n} / sqrt(1 - rho^2)
+    return math.sqrt(math.pi) * math.gamma(n + 0.5) / (2.0 * math.gamma(n + 1))
 
 
 @pytest.mark.parametrize("n_points", [49, 50, 1000, 8000])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pencil_mass_is_the_weight_integral(n, n_points):
-    # the cells tile [0, 1], the last one up to the equator singularity:
-    # int_0^1 w = sqrt(pi) Gamma(n + 1/2) / (2 Gamma(n + 1)).  At 49 cells
-    # 49 * (1/49) rounds below 1, so the last edge must be set to 1 itself.
+    # the elements tile [0, pi/2]; at 49 elements 49 * (h) rounds below
+    # pi/2, so the last vertex must be set to pi/2 itself
     disc = build_radial_discretization(ProfileParams(n), n_points)
-    exact = math.sqrt(math.pi) * math.gamma(n + 0.5) / (2.0 * math.gamma(n + 1))
-    assert disc.mass.sum() == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert disc.mass.sum() == pytest.approx(_weight_integral(n), rel=1e-14,
+                                            abs=0.0)
 
 
 @pytest.mark.parametrize("n_points", [50, 1000, 8000])
-def test_pencil_resistances_reach_the_equator_wall(n_points):
-    # n = 1: int_a^1 1/p = int_a^1 r^-2 (1 - r^2)^{-1/2} dr = sqrt(1 - a^2) / a
-    # from the first node a; the Dirichlet wall is the singular last piece
-    disc = build_radial_discretization(ProfileParams(1), n_points,
-                                       bc_right="dirichlet")
-    cond = -disc.stiff_off
-    wall = disc.stiff_diag[-1] - cond[-1]
-    a = disc.nodes[0]
-    total = float(np.sum(1.0 / cond) + 1.0 / wall)
-    assert total == pytest.approx(math.sqrt(1.0 - a * a) / a, rel=1e-11, abs=0.0)
+def test_pencil_conductances_carry_the_weight_integral(n_points):
+    # each element's conductance times h^2 is its integral of W, so the
+    # stiffness and the lumped mass account for the same total
+    for n in (1, 2, 3):
+        disc = build_radial_discretization(ProfileParams(n), n_points)
+        total = float(-disc.stiff_off.sum()) * disc.h ** 2
+        assert total == pytest.approx(_weight_integral(n), rel=1e-13, abs=0.0)
+        assert total == pytest.approx(float(disc.mass.sum()), rel=1e-13,
+                                      abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40, 60])
+@pytest.mark.parametrize("n_points", [50, 1000, 2000])
+def test_pole_mass_is_the_assembled_one(n, n_points):
+    # n = 60 underflows from grid 1000 on: then both are 0
+    disc = build_radial_discretization(ProfileParams(n), n_points)
+    got = pole_mass(ProfileParams(n), n_points)
+    assert got == pytest.approx(float(disc.mass[0]), rel=1e-14, abs=0.0)
+    assert (got == 0.0) == (n == 60 and n_points >= 1000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 40])
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_lumped_values_lie_below_the_closed_form(n, bc):
+    # measured, not proven: lumping moves every value below lambda_k on
+    # these grids; the spurious 68.556 of the old pencil at n = 12 broke it
+    params = ProfileParams(n)
+    first = 2 if bc == "natural" else 1
+    exact = np.array([radial_eigenvalue(k, params)
+                      for k in range(first, first + 24, 2)])
+    for grid in (50, 1000, 2000):
+        vals = discrete_radial_spectrum(params, bc, grid, 12)
+        assert np.all(vals <= exact)
 
 
 def test_richardson_improves_grid_pair():
@@ -405,33 +427,51 @@ def test_mode_spectrum_matches_dense_eigvals(grid, matching):
 
 
 def _dense_mode_matrix(k, m, matching):
-    """The mode matrix built entry by entry as a dense array: central
-    differences inside, one-sided three-point rows at both ends."""
-    bc = "natural" if matching == "continuity" else "dirichlet"
-    disc = build_radial_discretization(ProfileParams(1), m, bc_right=bc)
-    d, e = disc.symmetrized()
-    T = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).astype(complex)
-    h = disc.h
-    D = np.zeros((m, m))
-    for j in range(1, m - 1):
-        D[j, j - 1], D[j, j + 1] = -0.5 / h, 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    rho = disc.nodes
-    root = np.sqrt(1.0 - rho * rho)
-    s = np.sqrt(disc.mass)
-    T = T + 2.0j * k * (root[:, None] * ((s[:, None] * D) / s[None, :]))
-    T[np.arange(m), np.arange(m)] += k * k + 3.0j * k * root / rho
-    return T
+    """The P1 mode matrix built element by element as a dense array:
+    K + 2ik C + 3ik D + k^2 M on the radial mesh of m elements, with D
+    integrated directly, symmetrized by M^{-1/2}."""
+    leg = gauss_jacobi_rule(12, 0.0, 0.0)
+    h = (math.pi / 2) / m
+    K, C, M = (np.zeros((m + 1, m + 1)) for _ in range(3))
+    D = np.zeros(m + 1)
+    for j in range(m):
+        t = leg.nodes
+        x = j * h + h * t
+        w = h * leg.weights * np.sin(x) ** 2
+        hats = {j: 1.0 - t, j + 1: t}
+        slopes = {j: -1.0 / h, j + 1: 1.0 / h}
+        for a, ha in hats.items():
+            M[a, a] += float(np.dot(w, ha))
+            D[a] += float(np.dot(w / np.tan(x), ha))
+            for b, hb in hats.items():
+                K[a, b] += float(np.sum(w)) * slopes[a] * slopes[b]
+                C[a, b] += float(np.dot(w, ha)) * slopes[b]
+    A = K + 2j * k * C + 3j * k * np.diag(D) + k * k * M
+    keep = m + 1 if matching == "continuity" else m
+    s = 1.0 / np.sqrt(np.diag(M)[:keep])
+    return A[:keep, :keep] * s[:, None] * s[None, :]
 
 
 @pytest.mark.parametrize("matching", ["continuity", "antisymmetry"])
 def test_mode_operator_matches_dense_assembly(matching):
-    for k in (1, 2, 4):
-        op = build_mode_operator(k, 80, matching)
-        assert op.matrix.nnz == 3 * 80
-        assert np.array_equal(op.matrix.toarray(),
-                              _dense_mode_matrix(k, 80, matching))
+    m = 80
+    size = m + 1 if matching == "continuity" else m
+    for k in (0, 1, 2, 4):
+        op = build_mode_operator(k, m, matching)
+        assert op.matrix.shape == (size, size)
+        assert op.matrix.nnz == 3 * size - 2
+        want = _dense_mode_matrix(k, m, matching)
+        got = op.matrix.toarray()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("matching", ["continuity", "antisymmetry"])
+def test_mode_spectrum_converges(matching):
+    # the P1 mode eigenvalues at grid 400 sit within 1e-3 of grid 3200
+    for k in range(1, 5):
+        coarse = mode_spectrum(k, 400, 4, matching)
+        fine = mode_spectrum(k, 3200, 4, matching)
+        assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-3
 
 
 def test_mode_spectrum_is_bit_reproducible():
