@@ -3,10 +3,11 @@ isoperimetric profiles: closed-form hypergeometric eigenpairs, Gamma-condition
 root finders, degenerate Sturm-Liouville discretizations and Fourier-mode
 studies, with a verification-oriented CLI."""
 
-from .geometry import (GeodesicState, ProfileParams, geodesic_trace,
-                       horizontal_normal, mean_curvature_check, omega_bar,
-                       area_density, profile_geodesic_residual,
-                       profile_height, profile_height_deriv)
+from .geometry import (GeodesicPath, GeodesicState, ProfileParams,
+                       geodesic_trace, horizontal_normal,
+                       mean_curvature_check, omega_bar, area_density,
+                       profile_geodesic_residual, profile_height,
+                       profile_height_deriv)
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        hessenberg_qr_eigenvalues, integrate_profile_radial,
                        profile_rule, sym_tridiag_eigen)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "ProfileParams",
     "GeodesicState",
+    "GeodesicPath",
     "perp",
     "kappa",
     "profile_height",
@@ -201,40 +202,69 @@ def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
     return worst
 
 
-def _geodesic_rhs(z: np.ndarray, p: np.ndarray, p_last: float):
-    dz = p
-    dt = 0.5 * float(np.dot(perp(z), p))
-    dp = p_last * perp(p)
-    return dz, dt, dp
+@dataclass(frozen=True)
+class GeodesicPath:
+    """Samples s_i = i h of one traced CC-geodesic, as arrays: z and p_h
+    are (steps + 1, 2n), s and t are (steps + 1,).  path[i] is the i-th
+    sample as a GeodesicState (negative i counts from the end)."""
+
+    s: np.ndarray
+    z: np.ndarray
+    t: np.ndarray
+    p_h: np.ndarray
+    p_last: float
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> GeodesicState:
+        return GeodesicState(self.z[i], float(self.t[i]), self.p_h[i],
+                             self.p_last)
 
 
 def geodesic_trace(p_last: float, s_max: float, steps: int,
-                   initial: GeodesicState) -> list[GeodesicState]:
+                   initial: GeodesicState) -> GeodesicPath:
     """Integrate the CC-geodesic system with the classical 4th-order scheme.
 
     State: dz/ds = P_H, dP_H/ds = p_last * P_H^perp, and the vertical
     component follows from horizontality, dt/ds = (1/2) <z^perp, P_H>.
-    Returns steps + 1 states including the initial one.
+    Returns steps + 1 samples including the initial one.
+
+    z and P_H advance as one flat array y = (z, P_H).  One gather and one
+    scale of y give its rate (P_H, p_last * P_H^perp) followed by z^perp;
+    every stage combines whole arrays elementwise, so each sample is the
+    one that advancing z, t and P_H separately gives.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if abs(float(np.linalg.norm(initial.p_h)) - 1.0) > 1e-12:
         raise ValueError("initial horizontal momentum must be unit")
+    m = initial.z.size
+    # v^perp = sign * v[swap], block by block
+    swap = np.arange(m) ^ 1
+    sign = np.tile([-1.0, 1.0], m // 2)
+    gather = np.r_[m:2 * m, m + swap, swap]
+    scale = np.r_[np.ones(m), sign * p_last, sign]
+
+    def rates(y: np.ndarray):
+        r = y.take(gather) * scale
+        return r[:2 * m], 0.5 * float(np.dot(r[2 * m:], y[m:]))
+
     h = s_max / steps
-    z = initial.z.copy()
-    t = float(initial.t)
-    p = initial.p_h.copy()
-    out = [GeodesicState(z.copy(), t, p.copy(), p_last)]
-    for _ in range(steps):
-        k1z, k1t, k1p = _geodesic_rhs(z, p, p_last)
-        k2z, k2t, k2p = _geodesic_rhs(z + 0.5 * h * k1z, p + 0.5 * h * k1p, p_last)
-        k3z, k3t, k3p = _geodesic_rhs(z + 0.5 * h * k2z, p + 0.5 * h * k2p, p_last)
-        k4z, k4t, k4p = _geodesic_rhs(z + h * k3z, p + h * k3p, p_last)
-        z = z + h / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        t = t + h / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        out.append(GeodesicState(z.copy(), t, p.copy(), p_last))
-    return out
+    half, sixth = 0.5 * h, h / 6.0
+    ys = np.empty((steps + 1, 2 * m))
+    ts = np.empty(steps + 1)
+    y = ys[0] = np.r_[initial.z, initial.p_h]
+    t = ts[0] = float(initial.t)
+    for i in range(1, steps + 1):
+        k1, k1t = rates(y)
+        k2, k2t = rates(y + half * k1)
+        k3, k3t = rates(y + half * k2)
+        k4, k4t = rates(y + h * k3)
+        y = ys[i] = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = ts[i] = t + sixth * (k1t + 2 * k2t + 2 * k3t + k4t)
+    return GeodesicPath(s=np.arange(steps + 1) * h, z=ys[:, :m], t=ts,
+                        p_h=ys[:, m:], p_last=p_last)
 
 
 def profile_geodesic_residual(params: ProfileParams, steps: int = 10_000) -> float:
@@ -249,9 +279,6 @@ def profile_geodesic_residual(params: ProfileParams, steps: int = 10_000) -> flo
         raise ValueError("the meridian oracle runs in H^1")
     start = GeodesicState(z=np.zeros(2), t=-math.pi / 8.0,
                           p_h=np.array([1.0, 0.0]), p_last=2.0)
-    states = geodesic_trace(2.0, math.pi, steps, start)
-    worst = 0.0
-    for st in states:
-        rho = min(float(np.linalg.norm(st.z)), 1.0)
-        worst = max(worst, abs(abs(st.t) - profile_height(rho)))
-    return worst
+    path = geodesic_trace(2.0, math.pi, steps, start)
+    rho = np.minimum(np.linalg.norm(path.z, axis=1), 1.0)
+    return float(np.max(np.abs(np.abs(path.t) - profile_height(rho))))

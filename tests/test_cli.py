@@ -230,6 +230,23 @@ def test_geodesic_determinism(tmp_path):
     assert _read(a / "geodesic_1.csv") == _read(b / "geodesic_1.csv")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kwargs,code", [
+    ({"steps": 1000}, 0),                # drift 4.3e-13
+    ({"n": 2, "steps": 2000}, 0),
+    ({"steps": 100}, 1),                 # drift 4.3e-8
+    ({"plast": 1e308}, 1),               # overflows to NaN
+])
+def test_geodesic_momentum_drift_gate(tmp_path, kwargs, code):
+    cfg = RunConfig(command="geodesic", out_dir=str(tmp_path), **kwargs)
+    assert run(cfg) == code
+    assert os.listdir(tmp_path) == [f"geodesic_{cfg.n}.csv"]
+    _, [gate] = COMMANDS["geodesic"].runner(cfg)
+    assert gate["name"] == "momentum_drift" and gate["threshold"] == 1e-8
+    assert gate["pass"] == (code == 0)
+
+
 # --- config handling --------------------------------------------------------------
 
 def test_invalid_config_never_computes():
@@ -269,6 +286,12 @@ _REFUSED = [
     (["eig", "--n", "60", "--grid", "1000"], "too large for grid 1000"),
     (["poincare", "--n", "60", "--grid", "1000"], "too large for grid 1000"),
     (["spectrum", "--n", "51", "--grid", "1000"], "too large for grid 2000"),
+    # a non-finite float would trace, or gate, nothing but NaN
+    (["geodesic", "--smax", "nan"], "--smax must be finite"),
+    (["geodesic", "--smax", "inf"], "--smax must be finite"),
+    (["geodesic", "--plast", "nan"], "--plast must be finite"),
+    (["spectrum", "--tol", "nan"], "--tol must be finite"),
+    (["modes", "--tol", "inf"], "--tol must be finite"),
 ]
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hprofile.geometry import (GeodesicState, ProfileParams, area_density,
+from hprofile.geometry import (GeodesicPath, GeodesicState, ProfileParams,
+                               area_density,
                                geodesic_trace, horizontal_normal, kappa,
                                mean_curvature_check, omega_bar,
                                omega_bar_normal_deriv_check, perp,
@@ -252,6 +253,76 @@ def test_hemisphere_assignment_by_sign():
     mid = states[steps // 2]
     assert abs(mid.t) <= 1e-8
     assert np.linalg.norm(mid.z) == pytest.approx(1.0, abs=1e-8)
+
+
+# The per-state loop that geodesic_trace replaced, kept as the reference its
+# flat-array integration must reproduce bit for bit.
+def _reference_rhs(z, p, p_last):
+    return p, 0.5 * float(np.dot(perp(z), p)), p_last * perp(p)
+
+
+def _reference_trace(p_last, s_max, steps, initial):
+    h = s_max / steps
+    z, t, p = initial.z.copy(), float(initial.t), initial.p_h.copy()
+    out = [GeodesicState(z.copy(), t, p.copy(), p_last)]
+    for _ in range(steps):
+        k1z, k1t, k1p = _reference_rhs(z, p, p_last)
+        k2z, k2t, k2p = _reference_rhs(z + 0.5 * h * k1z, p + 0.5 * h * k1p,
+                                       p_last)
+        k3z, k3t, k3p = _reference_rhs(z + 0.5 * h * k2z, p + 0.5 * h * k2p,
+                                       p_last)
+        k4z, k4t, k4p = _reference_rhs(z + h * k3z, p + h * k3p, p_last)
+        z = z + h / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
+        t = t + h / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
+        p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        out.append(GeodesicState(z.copy(), t, p.copy(), p_last))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_trace_matches_per_state_loop(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    p0 = rng.normal(size=2 * n)
+    start = GeodesicState(z=rng.normal(size=2 * n), t=float(rng.normal()),
+                          p_h=p0 / np.linalg.norm(p0), p_last=0.0)
+    p_last = float(rng.uniform(-4.0, 4.0))
+    s_max = float(rng.uniform(0.1, 7.0))
+    steps = int(rng.integers(1, 300))
+    path = geodesic_trace(p_last, s_max, steps, start)
+    ref = _reference_trace(p_last, s_max, steps, start)
+    assert np.array_equal(path.z, [st.z for st in ref])
+    assert np.array_equal(path.t, [st.t for st in ref])
+    assert np.array_equal(path.p_h, [st.p_h for st in ref])
+
+
+def test_geodesic_path_contract():
+    steps = 40
+    path = geodesic_trace(2.0, math.pi, steps, _south_start())
+    assert isinstance(path, GeodesicPath)
+    assert len(path) == steps + 1
+    assert path.z.shape == path.p_h.shape == (steps + 1, 2)
+    assert path.s.shape == path.t.shape == (steps + 1,)
+    h = math.pi / steps
+    assert all(path.s[i] == i * h for i in range(steps + 1))
+    last = path[-1]
+    assert isinstance(last, GeodesicState)
+    assert np.array_equal(last.z, path.z[steps])
+    assert last.t == path.t[steps] and last.p_last == 2.0
+    states = list(path)
+    assert len(states) == steps + 1
+    assert np.array_equal([st.p_h for st in states], path.p_h)
+    with pytest.raises(IndexError):
+        path[steps + 1]
+
+
+def test_meridian_residual_matches_per_state_loop():
+    steps = 2000
+    worst = 0.0
+    for st in _reference_trace(2.0, math.pi, steps, _south_start()):
+        rho = min(float(np.linalg.norm(st.z)), 1.0)
+        worst = max(worst, abs(abs(st.t) - profile_height(rho)))
+    assert profile_geodesic_residual(ProfileParams(1), steps) == worst
 
 
 def test_meridian_oracle_requires_h1():

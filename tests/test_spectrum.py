@@ -6,11 +6,13 @@ substitutes phi = sqrt(1-rho^2) psi, which turns the Dirichlet problem into
 a natural problem with polynomial eigenfunctions and eigenvalues shifted by
 2n + 1.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hprofile import spectrum
 from hprofile.geometry import ProfileParams
 from hprofile.numerics import gauss_jacobi_rule, profile_rule, sym_tridiag_eigen
 from hprofile.spectrum import (RadialTrial, build_mode_operator,
@@ -376,6 +378,68 @@ def test_three_routes_agree(n):
                                    richardson(od1, od2)]))
     for c, d in zip(closed, disc):
         assert abs(c - d) / c <= 0.01
+
+
+def _inf_norm(d, e):
+    off = np.abs(e)
+    return float(np.max(np.abs(d) + np.r_[off, 0.0] + np.r_[0.0, off]))
+
+
+def _constant_mode_tol(norm):
+    return spectrum.CONSTANT_MODE_EPS * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_points", [1000, 2000])
+def test_constant_mode_tolerance_is_tight_on_the_study_grids(n, n_points):
+    disc = build_radial_discretization(ProfileParams(n), n_points)
+    assert _constant_mode_tol(_inf_norm(*disc.symmetrized())) <= 1e-6
+
+
+@pytest.mark.parametrize("n_points,count", [(80_000, 2), (160_000, 1)])
+def test_constant_mode_check_scales_with_the_grid(n_points, count):
+    # the computed zero reads 4.4e-6 at grid 160000, count 1
+    vals = discrete_radial_spectrum(ProfileParams(1), "natural", n_points,
+                                    count)
+    assert vals == pytest.approx([8.0, 24.0][:count], rel=1e-6)
+
+
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (10.0, True)])
+@pytest.mark.parametrize("n_points", [2000, 80_000])
+def test_constant_mode_check_catches_a_shifted_mode(monkeypatch, n_points,
+                                                    factor, raises):
+    def shifted(d, e, count):
+        shift = factor * _constant_mode_tol(_inf_norm(d, e))
+        return sym_tridiag_eigen(d + shift, e, count)
+
+    monkeypatch.setattr(spectrum, "sym_tridiag_eigen", shifted)
+    params = ProfileParams(1)
+    if raises:
+        with pytest.raises(RuntimeError, match="lost its constant mode"):
+            discrete_radial_spectrum(params, "natural", n_points, 2)
+    else:
+        discrete_radial_spectrum(params, "natural", n_points, 2)
+
+
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (10.0, True)])
+def test_mode_constant_mode_check_catches_a_shifted_mode(monkeypatch, factor,
+                                                         raises):
+    import scipy.sparse
+    build = spectrum.build_mode_operator
+
+    def shifted(k, n_points, matching):
+        op = build(k, n_points, matching)
+        d, e = op.matrix.diagonal(), op.matrix.diagonal(1)
+        shift = factor * _constant_mode_tol(_inf_norm(d, e))
+        eye = scipy.sparse.identity(op.matrix.shape[0], format="csc")
+        return dataclasses.replace(op, matrix=op.matrix + shift * eye)
+
+    monkeypatch.setattr(spectrum, "build_mode_operator", shifted)
+    if raises:
+        with pytest.raises(RuntimeError, match="lost its constant mode"):
+            mode_spectrum(0, 4000, 2)
+    else:
+        mode_spectrum(0, 4000, 2)
 
 
 # --- Fourier modes ---------------------------------------------------------
