@@ -6,8 +6,9 @@ it reads with their defaults, and the formats it writes.  The argparse
 subcommands, RunConfig's defaults and RunConfig.validate are all built from
 that table, so a subcommand takes exactly the flags it reads.
 
-Exit codes: 0 success, 1 failed verification gate, 2 configuration error,
-3 I/O error.  All output is byte-stable across repeated runs.
+Exit codes: 0 success, 1 failed verification gate (each failed gate is
+named on stderr), 2 configuration error, 3 I/O error.  All output is
+byte-stable across repeated runs.
 """
 from __future__ import annotations
 
@@ -348,7 +349,11 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    return 0 if all(g["pass"] for g in gates) else 1
+    failed = [g for g in gates if not g["pass"]]
+    for g in failed:
+        print(f"gate failed: {g['name']} = {g['value']:.6g} > "
+              f"{g['threshold']:.6g}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

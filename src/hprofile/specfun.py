@@ -1,13 +1,20 @@
 """Real Gamma-family functions and the Gauss hypergeometric function on [0, 1].
 
-Everything here is scalar, pure and reentrant.  The parameter families that
-matter downstream satisfy a + b = n and c = n + 1/2 (so c - a - b = 1/2), but
-the evaluators are written for generic real parameters.
+The Gamma functions and the value at one are scalar.  The hypergeometric
+evaluators take a float or an ndarray x and return the same shape (a Python
+float for a float); an array is summed as one loop over the series index,
+with each element converging on its own, so every element gets exactly the
+arithmetic of the scalar sum.  All of it is pure and reentrant.  The
+parameter families that matter downstream satisfy a + b = n and c = n + 1/2
+(so c - a - b = 1/2), but the evaluators are written for generic real
+parameters.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Hyp2F1ConvergenceError",
@@ -117,36 +124,50 @@ class Hyp2F1Params:
         return Hyp2F1Params(self.a + by, self.b + by, self.c + by)
 
 
-def hyp2f1(p: Hyp2F1Params, x: float) -> float:
-    """Direct series sum of F(a, b; c; x).
+def _like(x, out: np.ndarray):
+    """out in the shape of x: a Python float for a scalar x."""
+    out = out.reshape(np.shape(x))
+    return float(out) if np.isscalar(x) else out
 
-    Terminating series are summed exactly for any real x; otherwise x must
-    lie in [0, 1) and the partial sums must meet SERIES_RTOL within
-    SERIES_TERM_BUDGET terms.
-    """
+
+def _series(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
+    """The Gauss series on a 1-D array, one loop over k for every element."""
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
     m = p.terminating_index()
     if m is not None:
-        term = 1.0
-        acc = 1.0
         for k in range(m):
             term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
             acc += term
         return acc
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"non-terminating series needs 0 <= x < 1, got {x}")
-    term = 1.0
-    acc = 1.0
-    small = 0
+    inside = (0.0 <= x) & (x < 1.0)   # False at NaN
+    if not inside.all():
+        raise ValueError("non-terminating series needs 0 <= x < 1, "
+                         f"got {x[~inside][0]}")
+    # Each element counts its own run of small terms and freezes its acc
+    # after two, so it stops where a sum over that element alone would.
+    small = np.zeros(x.shape, dtype=int)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(SERIES_TERM_BUDGET):
         term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
-        acc += term
-        if abs(term) <= SERIES_RTOL * abs(acc):
-            small += 1
-            if small >= 2:
-                return acc
-        else:
-            small = 0
-    raise Hyp2F1ConvergenceError(f"series for {p} at x={x} did not converge")
+        np.add(acc, term, out=acc, where=live)
+        small = np.where(np.abs(term) <= SERIES_RTOL * np.abs(acc), small + 1, 0)
+        live &= small < 2
+        if not live.any():
+            return acc
+    raise Hyp2F1ConvergenceError(
+        f"series for {p} at x={x[live][0]} ({np.count_nonzero(live)} of "
+        f"{x.size} points) did not converge")
+
+
+def hyp2f1(p: Hyp2F1Params, x):
+    """Direct series sum of F(a, b; c; x), on a float or elementwise on an array.
+
+    Terminating series are summed exactly for any real x; otherwise every x
+    must lie in [0, 1) and each partial sum must meet SERIES_RTOL within
+    SERIES_TERM_BUDGET terms.
+    """
+    return _like(x, _series(p, np.asarray(x, dtype=float).ravel()))
 
 
 def gauss_value_at_one(p: Hyp2F1Params) -> float:
@@ -158,48 +179,59 @@ def gauss_value_at_one(p: Hyp2F1Params) -> float:
             * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
 
 
-def hyp2f1_near_one(p: Hyp2F1Params, x: float) -> float:
-    """F(a, b; c; x) by the two-term connection formula in (1 - x).
-
-    Requires c - a - b non-integer.  Terminating parameter triples bypass the
-    transformation and go through the exact polynomial sum.
-    """
+def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
+    """The two-term connection formula in (1 - x) on a 1-D array."""
     if p.terminating_index() is not None:
-        return hyp2f1(p, x)
+        return _series(p, x)
     s = p.c - p.a - p.b
     if s == math.floor(s):
         raise ValueError(f"connection formula needs non-integer c-a-b, got {s}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"need 0 <= x <= 1, got {x}")
+    inside = (0.0 <= x) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"need 0 <= x <= 1, got {x[~inside][0]}")
     y = 1.0 - x
     c1 = (gamma_fn(p.c) * gamma_fn(s)
           * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
     c2 = (gamma_fn(p.c) * gamma_fn(-s)
           * recip_gamma(p.a) * recip_gamma(p.b))
-    out = 0.0
+    out = np.zeros_like(x)
     if c1 != 0.0:
-        out += c1 * hyp2f1(Hyp2F1Params(p.a, p.b, p.a + p.b - p.c + 1.0), y)
+        out += c1 * _series(Hyp2F1Params(p.a, p.b, p.a + p.b - p.c + 1.0), y)
     if c2 != 0.0:
-        if y == 0.0:
-            if s < 0.0:
-                raise ValueError(f"F{p} diverges at x=1 (c-a-b={s} < 0)")
-        else:
-            out += c2 * y ** s * hyp2f1(Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0), y)
+        if s < 0.0 and np.any(y == 0.0):
+            raise ValueError(f"F{p} diverges at x=1 (c-a-b={s} < 0)")
+        # at y = 0 (s > 0) the term is exactly zero
+        out += c2 * y ** s * _series(Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0), y)
     return out
 
 
-def hyp2f1_auto(p: Hyp2F1Params, x: float) -> float:
-    """Evaluate F(a, b; c; x) on [0, 1], dispatching at X_SWITCH.
+def hyp2f1_near_one(p: Hyp2F1Params, x):
+    """F(a, b; c; x) by the two-term connection formula in (1 - x), on a float
+    or elementwise on an array.
+
+    Requires c - a - b non-integer.  Terminating parameter triples bypass the
+    transformation and go through the exact polynomial sum.
+    """
+    return _like(x, _connection(p, np.asarray(x, dtype=float).ravel()))
+
+
+def hyp2f1_auto(p: Hyp2F1Params, x):
+    """Evaluate F(a, b; c; x) on [0, 1], on a float or elementwise on an
+    array: the series below X_SWITCH, the connection formula from there on.
 
     Integer c - a - b (never the case for the in-scope families) falls back
     to the direct series, which still converges for x < 1.
     """
-    if p.terminating_index() is not None or x < X_SWITCH:
-        return hyp2f1(p, x)
+    flat = np.asarray(x, dtype=float).ravel()
     s = p.c - p.a - p.b
-    if s == math.floor(s):
-        return hyp2f1(p, x)
-    return hyp2f1_near_one(p, x)
+    if p.terminating_index() is not None or s == math.floor(s):
+        return _like(x, _series(p, flat))
+    # NaN fails x < X_SWITCH and is refused by the connection formula
+    low = flat < X_SWITCH
+    out = np.empty_like(flat)
+    out[low] = _series(p, flat[low])
+    out[~low] = _connection(p, flat[~low])
+    return _like(x, out)
 
 
 def hyp2f1_dz(p: Hyp2F1Params, x: float) -> float:

@@ -105,17 +105,16 @@ class RadialEigenmode:
 
     def _combine(self, rho, terms):
         """normalization * sum of scale(r) * coef * F(p; r^2) over the
-        (coef, p, scale) terms.  A term with coef == 0 is skipped unevaluated:
-        F(p; 1) may diverge where the term vanishes identically."""
+        (coef, p, scale) terms, one array evaluation per term (scale
+        broadcasts).  A term with coef == 0 is skipped unevaluated: F(p; 1)
+        may diverge where the term vanishes identically."""
         rho = np.asarray(rho, dtype=float)
-        flat = np.atleast_1d(rho)
-        out = np.full(flat.shape, -0.0)   # the exact identity, sign of 0 kept
+        out = np.full(rho.shape, -0.0)   # the exact identity, sign of 0 kept
         for coef, p, scale in terms:
             if coef != 0.0:
-                out += np.array([scale(r) * coef * hyp2f1_auto(p, r * r)
-                                 for r in flat])
+                out += scale(rho) * coef * hyp2f1_auto(p, rho * rho)
         out *= self.normalization
-        return float(out[0]) if rho.ndim == 0 else out
+        return float(out) if rho.ndim == 0 else out
 
     def value(self, rho):
         return self._combine(rho, [(1.0, self.hyp, lambda r: 1.0)])
@@ -492,6 +491,8 @@ def gram_matrix(modes: Sequence[RadialEigenmode],
     params = ProfileParams(_infer_n(modes[0]))
     area = params.sphere_area
     m = len(modes)
+    # each mode once, at the rule's nodes in rho
+    vals = [mode.value(np.sqrt(rule.nodes)) for mode in modes]
     G = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
@@ -499,8 +500,8 @@ def gram_matrix(modes: Sequence[RadialEigenmode],
             sj = modes[j].hemisphere_sign
             pair = 1.0 + si * sj
             if pair != 0.0:
-                val = integrate_profile_radial(
-                    lambda r: modes[i].value(r) * modes[j].value(r), rule)
+                val = integrate_profile_radial(lambda _: vals[i] * vals[j],
+                                               rule)
                 G[i, j] = G[j, i] = 0.5 * area * pair * val
     return G
 

@@ -247,6 +247,17 @@ def test_geodesic_momentum_drift_gate(tmp_path, kwargs, code):
     assert gate["pass"] == (code == 0)
 
 
+def test_failed_gate_is_named_on_stderr(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["geodesic", "--steps", "100", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gate failed: momentum_drift = 4.27")
+    assert captured.err.endswith(" > 1e-08\n")
+    assert main(["geodesic", "--steps", "1000", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # --- config handling --------------------------------------------------------------
 
 def test_invalid_config_never_computes():

@@ -1,19 +1,24 @@
 """Gamma family and Gauss hypergeometric evaluators.
 
 Extended-precision oracles come from mpmath; finite differences cross-check
-the parameter-shift derivative.
+the parameter-shift derivative; the per-point scalar sum is the reference for
+the array evaluation.
 """
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hprofile.specfun import (Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
+from hprofile.geometry import ProfileParams
+from hprofile.specfun import (SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
+                              Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
                               gauss_value_at_one, hyp2f1, hyp2f1_auto,
                               hyp2f1_dz, hyp2f1_near_one, ln_gamma,
                               recip_gamma)
+from hprofile.spectrum import radial_eigenfunction
 
 mpmath.mp.dps = 50
 
@@ -257,3 +262,111 @@ def test_gauss_value_zero_at_odd_eigenparameters():
 def test_gauss_value_domain_error():
     with pytest.raises(ValueError):
         gauss_value_at_one(Hyp2F1Params(1.0, 1.0, 1.5))
+
+
+# --- arrays against the per-point scalar sum --------------------------------
+#
+# The reference is the scalar evaluator the array path replaced, kept here
+# verbatim on Python floats and called once per point.
+
+def _ref_series(p, x):
+    m = p.terminating_index()
+    term = acc = 1.0
+    if m is not None:
+        for k in range(m):
+            term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
+            acc += term
+        return acc
+    if not 0.0 <= x < 1.0:
+        raise ValueError(x)
+    small = 0
+    for k in range(SERIES_TERM_BUDGET):
+        term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
+        acc += term
+        if abs(term) <= SERIES_RTOL * abs(acc):
+            small += 1
+            if small >= 2:
+                return acc
+        else:
+            small = 0
+    raise Hyp2F1ConvergenceError(x)
+
+
+def _ref_auto(p, x):
+    s = p.c - p.a - p.b
+    if p.terminating_index() is not None or x < X_SWITCH or s == math.floor(s):
+        return _ref_series(p, x)
+    y = 1.0 - x
+    c1 = (gamma_fn(p.c) * gamma_fn(s)
+          * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
+    c2 = gamma_fn(p.c) * gamma_fn(-s) * recip_gamma(p.a) * recip_gamma(p.b)
+    out = 0.0
+    if c1 != 0.0:
+        out += c1 * _ref_series(Hyp2F1Params(p.a, p.b, p.a + p.b - p.c + 1.0), y)
+    if c2 != 0.0:
+        if y == 0.0:
+            if s < 0.0:
+                raise ValueError(x)
+        else:
+            out += c2 * y ** s * _ref_series(
+                Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0), y)
+    return out
+
+
+_X = np.concatenate([np.random.default_rng(2011).uniform(0.0, 1.0, 2000),
+                     [0.0, 0.5, 1.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_array_matches_the_per_point_scalar_sum(n):
+    eps = np.finfo(float).eps
+    for k in range(1, 17):
+        for shift in (0, 1, 2):
+            p = radial_eigenfunction(k, ProfileParams(n)).hyp.shifted(shift)
+            x = _X
+            if p.terminating_index() is None and p.c - p.a - p.b < 0.0:
+                x = _X[_X < 1.0]   # F diverges at 1; refused below
+            ref = np.array([_ref_auto(p, float(v)) for v in x])
+            got = hyp2f1_auto(p, x)
+            exact = (slice(None) if p.terminating_index() is not None
+                     else x < X_SWITCH)
+            assert np.array_equal(got[exact], ref[exact]), (n, k, shift)
+            assert (np.max(np.abs(got - ref))
+                    <= 4.0 * eps * np.max(np.abs(ref))), (n, k, shift)
+
+
+@pytest.mark.parametrize("p", [Hyp2F1Params(-2.0, 3.0, 1.5),
+                               Hyp2F1Params(-0.5, 2.5, 1.5)])
+@pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_near_one, hyp2f1_auto])
+def test_array_shape_contract(fn, p):
+    x = 0.3 if fn is hyp2f1 else 0.7
+    scalar = fn(p, x)
+    assert type(scalar) is float
+    zero_d = fn(p, np.array(x))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert float(zero_d) == scalar
+    grid = np.full((2, 3), x)
+    assert fn(p, grid).shape == (2, 3)
+    assert np.all(fn(p, grid) == scalar)
+    empty = fn(p, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.2])
+@pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_near_one, hyp2f1_auto])
+def test_array_with_one_bad_point_is_refused(fn, bad):
+    p = Hyp2F1Params(-0.5, 2.5, 1.5)
+    with pytest.raises(ValueError):
+        fn(p, np.array([0.1, 0.2, bad, 0.4]))
+
+
+def test_array_budget_exhaustion_raises():
+    p = Hyp2F1Params(0.5, 1.0, 1.5)
+    with pytest.raises(Hyp2F1ConvergenceError):
+        hyp2f1(p, np.array([0.1, 1.0 - 1e-12, 0.3]))
+
+
+def test_array_refuses_the_divergent_value_at_one():
+    p = Hyp2F1Params(0.5, 1.5, 1.5)   # c - a - b = -1/2
+    with pytest.raises(ValueError):
+        hyp2f1_auto(p, np.array([0.2, 0.7, 1.0]))

@@ -85,6 +85,8 @@ def test_odd_mode_derivatives_refuse_the_equator(k):
         mode.deriv(1.0)
     with pytest.raises(ValueError):
         mode.second_deriv(1.0)
+    with pytest.raises(ValueError):
+        mode.deriv(np.array([0.5, 1.0]))
 
 
 def test_mode_parameter_relations():
