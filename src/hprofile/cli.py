@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (GeodesicState, ProfileParams, geodesic_trace,
-                       horizontal_normal, mean_curvature_check,
+from .geometry import (GeodesicState, ProfileParams, _random_interior_points,
+                       geodesic_trace, horizontal_normal, mean_curvature_check,
                        omega_bar_normal_deriv_check,
                        profile_geodesic_residual)
 from .numerics import profile_rule
@@ -113,6 +113,9 @@ class RunConfig:
                 raise ValueError(f"{flag} must be >= {f.metadata['low']}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite")
+            # argparse's ints are unbounded; a grid past float range overflows
+            if isinstance(value, int) and value > sys.maxsize:
+                raise ValueError(f"{flag} must be <= {sys.maxsize}")
         if self.command == "modes" and self.n != 1:
             raise ValueError("mode studies are only defined on H^1 (n = 1)")
         # grid2 defaults to 2 * grid; modes and poincare read none
@@ -130,8 +133,9 @@ class RunConfig:
                                      " the pole vertex's mass underflows")
         if not os.path.isdir(self.out_dir):
             raise ValueError(f"--out {self.out_dir} is not a directory")
-        if self.k_range is not None and min(self.k_range) < 0:
-            raise ValueError("need Fourier indices k >= 0")
+        if self.k_range is not None and (not self.k_range
+                                         or min(self.k_range) < 0):
+            raise ValueError("need one or more Fourier indices k >= 0")
 
 
 def _gate(name: str, value: float, threshold: float) -> dict:
@@ -222,17 +226,15 @@ def _run_modes(cfg: RunConfig):
 
 
 def _geometry_gates(params: ProfileParams, tol_fd: float) -> list[dict]:
-    rng = np.random.default_rng(11)
-    worst_norm = worst_supp = 0.0
-    for _ in range(100):
-        z = rng.normal(size=2 * params.n)
-        z *= rng.uniform(0.05, 0.999) / np.linalg.norm(z)
-        nu = horizontal_normal(z, +1)
-        worst_norm = max(worst_norm, abs(float(nu @ nu) - 1.0))
-        worst_supp = max(worst_supp, abs(float(z @ nu) - float(z @ z)))
+    # the algebraic identities hold up to the equator, so sample up to it
+    z = _random_interior_points(params.n, 100, 11, (0.05, 0.999))
+    nu = horizontal_normal(z, +1)
     gates = [
-        _gate("unit_normal", worst_norm, 1e-14),
-        _gate("support_function", worst_supp, 1e-14),
+        _gate("unit_normal",
+              float(np.max(np.abs(np.sum(nu * nu, axis=1) - 1.0))), 1e-14),
+        _gate("support_function",
+              float(np.max(np.abs(np.sum(z * nu, axis=1)
+                                  - np.sum(z * z, axis=1)))), 1e-14),
         _gate("mean_curvature", mean_curvature_check(params, 100), tol_fd),
         _gate("omega_normal_derivative",
               omega_bar_normal_deriv_check(params, 100), tol_fd),
@@ -281,15 +283,18 @@ def _run_geodesic(cfg: RunConfig):
     dim = 2 * cfg.n
     start = GeodesicState(z=np.zeros(dim), t=-math.pi / 8.0,
                           p_h=np.eye(dim)[0], p_last=cfg.plast)
-    path = geodesic_trace(cfg.plast, cfg.smax, cfg.steps, start)
+    # |P_H| is conserved along the flow; RK4 keeps it to its truncation
+    # error.  A trace that overflows fails this gate on NaN, and its numpy
+    # warnings are not printed on top of the gate line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = geodesic_trace(cfg.plast, cfg.smax, cfg.steps, start)
+        drift = float(np.max(np.abs(np.linalg.norm(path.p_h, axis=1) - 1.0)))
     header = ",".join(["s", *(f"z{i}" for i in range(1, dim + 1)), "t",
                        *(f"p{i}" for i in range(1, dim + 1)), "plast"])
     table = np.column_stack([path.s, path.z, path.t, path.p_h,
                              np.full(len(path), path.p_last)])
     row = ",".join(["%.17g"] * table.shape[1])
     rows = [row % tuple(values) for values in table.tolist()]
-    # |P_H| is conserved along the flow; RK4 keeps it to its truncation error
-    drift = float(np.max(np.abs(np.linalg.norm(path.p_h, axis=1) - 1.0)))
     return _Rows(rows, header), [_gate("momentum_drift", drift, 1e-8)]
 
 

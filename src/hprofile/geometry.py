@@ -5,7 +5,8 @@ Points of the Heisenberg group H^n carry exponential coordinates
 (z, t) in R^{2n} x R with z = (x_1, y_1, ..., x_n, y_n).  The profile is the
 surface of revolution t = +/- u0(|z|) over the closed unit ball; its two
 poles (z = 0) are the characteristic points and every pointwise operation
-here rejects them.
+here rejects them.  The pointwise functions act on the last axis, so they
+take one point or an (m, 2n) array of points.
 """
 from __future__ import annotations
 
@@ -71,11 +72,12 @@ class GeodesicState:
 
 
 def perp(v: np.ndarray) -> np.ndarray:
-    """(x_1, y_1, ...) -> (-y_1, x_1, ...), the 90-degree rotation per block."""
+    """(x_1, y_1, ...) -> (-y_1, x_1, ...), the 90-degree rotation per block
+    of the last axis."""
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
@@ -107,10 +109,11 @@ def profile_height_deriv(rho):
 
 
 def horizontal_normal(z: Sequence[float], hemisphere: int) -> np.ndarray:
-    """Unit horizontal normal z + sign * kappa(|z|) z^perp on the +/- hemisphere."""
+    """Unit horizontal normal z + sign * kappa(|z|) z^perp on the +/-
+    hemisphere, of one point or of each row of an (m, 2n) array."""
     z = np.asarray(z, dtype=float)
-    rho = float(np.linalg.norm(z))
-    if rho == 0.0 or rho > 1.0:
+    rho = np.linalg.norm(z, axis=-1, keepdims=True)
+    if np.any(rho == 0.0) or np.any(rho > 1.0):
         raise ValueError("need 0 < |z| <= 1 (characteristic pole or outside ball)")
     if hemisphere not in (1, -1):
         raise ValueError("hemisphere must be +1 or -1")
@@ -145,18 +148,49 @@ def area_density(rho, params: ProfileParams) -> tuple:
     return dens, wgt
 
 
-def _random_interior_points(n: int, count: int, seed: int) -> np.ndarray:
+def _random_interior_points(n: int, count: int, seed: int,
+                            radii: tuple[float, float] = (0.15, 0.85)
+                            ) -> np.ndarray:
+    """count points of R^{2n} with radii uniform in the interval radii and
+    uniform directions.  The radii are drawn first, so a seed gives the same
+    radii at every n."""
     rng = np.random.default_rng(seed)
+    rho = rng.uniform(*radii, size=(count, 1))
     pts = rng.normal(size=(count, 2 * n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts * rng.uniform(0.15, 0.85, size=(count, 1))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True) * rho
 
 
-def _omega_field(z: np.ndarray) -> float:
-    """Upper-hemisphere omega_bar in z, 2 sqrt(1-|z|^2) / |z|, unchecked
-    (unlike omega_bar) for the finite-difference loops that call it often."""
-    r = float(np.linalg.norm(z))
-    return 2.0 * math.sqrt(1.0 - r * r) / r
+# --- finite differences on point arrays ------------------------------------
+# f maps an (m, 2n) array of points to one value per row, or to one vector per
+# row; a direction u is one vector for every row or an (m, 2n) array.
+
+_H_GRAD = 1e-6
+_H_HESS = 1e-4
+
+
+def _fd_dir(f, z: np.ndarray, u: np.ndarray, h: float = _H_GRAD):
+    """Central difference of f along u."""
+    return (f(z + h * u) - f(z - h * u)) / (2.0 * h)
+
+
+def _fd_grad(f, z: np.ndarray, h: float = _H_GRAD) -> np.ndarray:
+    """Gradient of a scalar f, one column per coordinate direction."""
+    return np.stack([_fd_dir(f, z, e, h) for e in np.eye(z.shape[-1])],
+                    axis=-1)
+
+
+def _fd_laplacian(f, z: np.ndarray, h: float = _H_HESS):
+    """Sum of the second central differences of f along the coordinates."""
+    fz = f(z)
+    return sum((f(z + h * e) - 2.0 * fz + f(z - h * e)) / (h * h)
+               for e in np.eye(z.shape[-1]))
+
+
+def _fd_hess_quadform(f, z: np.ndarray, u: np.ndarray, v: np.ndarray,
+                      h: float = _H_HESS):
+    """<Hess f(z) u, v> by a centered four-point stencil."""
+    return (f(z + h * u + h * v) - f(z + h * u - h * v)
+            - f(z - h * u + h * v) + f(z - h * u - h * v)) / (4.0 * h * h)
 
 
 def mean_curvature_check(params: ProfileParams, sample_count: int,
@@ -169,20 +203,10 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    target = 2.0 * params.n
-
-    def field(z: np.ndarray) -> np.ndarray:
-        return z + kappa(np.linalg.norm(z)) * perp(z)
-
-    worst = 0.0
-    for z in _random_interior_points(params.n, sample_count, seed):
-        div = 0.0
-        for i in range(z.size):
-            step = np.zeros_like(z)
-            step[i] = h
-            div += (field(z + step)[i] - field(z - step)[i]) / (2.0 * h)
-        worst = max(worst, abs(div - target))
-    return worst
+    pts = _random_interior_points(params.n, sample_count, seed)
+    div = sum(_fd_dir(lambda y: horizontal_normal(y, +1), pts, e, h)[:, i]
+              for i, e in enumerate(np.eye(2 * params.n)))
+    return float(np.max(np.abs(div - 2.0 * params.n)))
 
 
 def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
@@ -190,16 +214,12 @@ def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
     """Max |d(omega_bar)/d(nu_H^perp) - 2/rho^2| over random interior points."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-
-    worst = 0.0
-    for z in _random_interior_points(params.n, sample_count, seed):
-        rho = float(np.linalg.norm(z))
-        nu = horizontal_normal(z, +1)
-        u = perp(nu)
-        deriv = (_omega_field(z + h * u)
-                 - _omega_field(z - h * u)) / (2.0 * h)
-        worst = max(worst, abs(deriv - 2.0 / rho ** 2))
-    return worst
+    pts = _random_interior_points(params.n, sample_count, seed)
+    rho = np.linalg.norm(pts, axis=-1)
+    u = perp(horizontal_normal(pts, +1))
+    deriv = _fd_dir(lambda y: omega_bar(np.linalg.norm(y, axis=-1), +1),
+                    pts, u, h)
+    return float(np.max(np.abs(deriv - 2.0 / rho ** 2)))
 
 
 @dataclass(frozen=True)

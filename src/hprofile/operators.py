@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (ProfileParams, _omega_field, _random_interior_points,
-                       horizontal_normal, perp)
+from .geometry import (ProfileParams, _fd_dir, _fd_grad, _fd_hess_quadform,
+                       _fd_laplacian, _random_interior_points,
+                       horizontal_normal, omega_bar, perp)
 
 __all__ = [
     "RadialJet",
@@ -208,70 +209,37 @@ def default_green_radial_trials() -> list[RadialTrial]:
     ]
 
 
-# --- finite-difference oracles -------------------------------------------
-
-_H_GRAD = 1e-6
-_H_HESS = 1e-4
-
-
-def _fd_grad(f: Callable[[np.ndarray], float], z: np.ndarray,
-             h: float = _H_GRAD) -> np.ndarray:
-    g = np.empty_like(z)
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h
-        g[i] = (f(z + e) - f(z - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hess_quadform(f: Callable[[np.ndarray], float], z: np.ndarray,
-                      u: np.ndarray, v: np.ndarray,
-                      h: float = _H_HESS) -> float:
-    """<Hess f(z) u, v> by a centered four-point stencil."""
-    return (f(z + h * u + h * v) - f(z + h * u - h * v)
-            - f(z - h * u + h * v) + f(z - h * u - h * v)) / (4.0 * h * h)
-
-
-def _fd_laplacian(f: Callable[[np.ndarray], float], z: np.ndarray,
-                  h: float = _H_HESS) -> float:
-    acc = 0.0
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h
-        acc += (f(z + e) - 2.0 * f(z) + f(z - e)) / (h * h)
-    return acc
-
-
-def _fd_dir(f: Callable[[np.ndarray], float], z: np.ndarray, u: np.ndarray,
-            h: float = _H_GRAD) -> float:
-    return (f(z + h * u) - f(z - h * u)) / (2.0 * h)
-
-
 # --- identity verification ------------------------------------------------
 
 @dataclass(frozen=True)
 class AmbientTrial:
     """A t-independent polynomial trial function on R^{2n}, with its radial
-    profile when it is radial."""
+    profile when it is radial.  value maps one point, or each row of an
+    (m, 2n) array, to a number."""
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     radial: RadialTrial | None = None
 
 
 def default_ambient_trials() -> list[AmbientTrial]:
     """The first three radial trials as functions of |z|, then three
     non-radial polynomials."""
-    trials = [AmbientTrial(lambda z, f=tr.f: f(float(np.linalg.norm(z))), tr)
+    trials = [AmbientTrial(lambda z, f=tr.f: f(np.linalg.norm(z, axis=-1)), tr)
               for tr in default_green_radial_trials()[:3]]
-    trials.append(AmbientTrial(lambda z: z[0] * z[0]))
-    trials.append(AmbientTrial(lambda z: z[0] * z[1]))
-    trials.append(AmbientTrial(lambda z: z[0] * float(z @ z)))
+    trials.append(AmbientTrial(lambda z: z[..., 0] * z[..., 0]))
+    trials.append(AmbientTrial(lambda z: z[..., 0] * z[..., 1]))
+    trials.append(AmbientTrial(lambda z: z[..., 0] * _dot(z, z)))
     return trials
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner product over the last axis."""
+    return np.sum(a * b, axis=-1)
 
 
 def _grad_hs(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Tangential-horizontal part of a horizontal gradient."""
-    return grad - float(grad @ nu) * nu
+    return grad - _dot(grad, nu)[..., None] * nu
 
 
 def verify_identities(params: ProfileParams,
@@ -282,79 +250,60 @@ def verify_identities(params: ProfileParams,
 
     Each entry reports the max |LHS - RHS| over random interior points on the
     upper hemisphere; all trial functions are t-independent so horizontal
-    derivatives coincide with Euclidean ones.
+    derivatives coincide with Euclidean ones.  Every stencil runs on all
+    sample points at once.
     """
     if trials is None:
         trials = default_ambient_trials()
     pts = _random_interior_points(params.n, sample_count, seed)
+    rho = np.linalg.norm(pts, axis=-1)
+    nu = horizontal_normal(pts, +1)
     H = -2.0 * params.n
-    report = []
 
-    # tangential Laplacian split: Lap_HS = Lap_H + H d/dnu - <Hess nu, nu>
-    dev = 0.0
-    for tr in trials:
-        if tr.radial is None:
-            continue
-        for z in pts:
-            rho = float(np.linalg.norm(z))
-            lhs = radial_surface_laplacian(tr.radial.jet(rho), params)
-            nu = horizontal_normal(z, +1)
-            rhs = (_fd_laplacian(tr.value, z)
-                   + H * float(_fd_grad(tr.value, z) @ nu)
-                   - _fd_hess_quadform(tr.value, z, nu, nu))
-            dev = max(dev, abs(lhs - rhs))
-    report.append({"lemma": "tangential_laplacian_split",
-                   "max_deviation": dev, "samples": len(pts)})
+    def normal(y):
+        return horizontal_normal(y, +1)
+
+    def omega_of(y):
+        return omega_bar(np.linalg.norm(y, axis=-1), +1)
+
+    omega = omega_of(pts)
+    grad_omega_hs = _grad_hs(_fd_grad(omega_of, pts), nu)
+    dev = dict.fromkeys(("tangential_laplacian_split",
+                         "normal_derivative_of_normal",
+                         "hessian_contraction_split",
+                         "normal_hessian_radial_form"), 0.0)
+
+    def record(lemma: str, lhs, rhs) -> None:
+        dev[lemma] = max(dev[lemma], float(np.max(np.abs(lhs - rhs))))
 
     # normal self-derivative: (nu . grad) nu = -grad_HS(omega)/omega + omega nu^perp
-    dev = 0.0
-    for z in pts:
-        nu = horizontal_normal(z, +1)
-        lhs = np.array([_fd_dir(lambda y, i=i: horizontal_normal(y, +1)[i], z, nu)
-                        for i in range(z.size)])
-        omega = _omega_field(z)
-        grad_omega = _fd_grad(_omega_field, z)
-        nu_perp = perp(nu)
-        rhs = -_grad_hs(grad_omega, nu) / omega + omega * nu_perp
-        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    report.append({"lemma": "normal_derivative_of_normal",
-                   "max_deviation": dev, "samples": len(pts)})
+    record("normal_derivative_of_normal", _fd_dir(normal, pts, nu),
+           -grad_omega_hs / omega[:, None] + omega[:, None] * perp(nu))
 
-    # Hessian contraction: <Hess phi nu, nu> = nu(nu(phi))
-    #                      + <grad_HS omega / omega, grad_HS phi> - omega dphi/dnu^perp
-    dev = 0.0
     for tr in trials:
-        for z in pts:
-            nu = horizontal_normal(z, +1)
-            lhs = _fd_hess_quadform(tr.value, z, nu, nu)
-            g = lambda y: float(_fd_grad(tr.value, y) @ horizontal_normal(y, +1))
-            nu_nu = _fd_dir(g, z, nu, h=1e-4)
-            omega = _omega_field(z)
-            grad_omega = _fd_grad(_omega_field, z)
-            grad_phi = _fd_grad(tr.value, z)
-            rhs = (nu_nu
-                   + float(_grad_hs(grad_omega, nu) @ _grad_hs(grad_phi, nu)) / omega
-                   - omega * float(grad_phi @ perp(nu)))
-            dev = max(dev, abs(lhs - rhs))
-    report.append({"lemma": "hessian_contraction_split",
-                   "max_deviation": dev, "samples": len(pts)})
-
-    # radial reduction of the normal-normal Hessian: rho^2 f'' + ((1-rho^2)/rho) f'
-    dev = 0.0
-    for tr in trials:
+        hess_nn = _fd_hess_quadform(tr.value, pts, nu, nu)
+        grad_phi = _fd_grad(tr.value, pts)
+        # Hessian contraction: <Hess phi nu, nu> = nu(nu(phi))
+        #     + <grad_HS omega / omega, grad_HS phi> - omega dphi/dnu^perp
+        nu_nu = _fd_dir(lambda y: _dot(_fd_grad(tr.value, y), normal(y)),
+                        pts, nu, h=1e-4)
+        record("hessian_contraction_split", hess_nn,
+               nu_nu + _dot(grad_omega_hs, _grad_hs(grad_phi, nu)) / omega
+               - omega * _dot(grad_phi, perp(nu)))
         if tr.radial is None:
             continue
-        for z in pts:
-            rho = float(np.linalg.norm(z))
-            jet = tr.radial.jet(rho)
-            lhs = rho * rho * jet.d2f + (1.0 - rho * rho) / rho * jet.df
-            nu = horizontal_normal(z, +1)
-            rhs = _fd_hess_quadform(tr.value, z, nu, nu)
-            dev = max(dev, abs(lhs - rhs))
-    report.append({"lemma": "normal_hessian_radial_form",
-                   "max_deviation": dev, "samples": len(pts)})
+        jet = tr.radial.jet(rho)
+        # tangential Laplacian split: Lap_HS = Lap_H + H d/dnu - <Hess nu, nu>
+        record("tangential_laplacian_split",
+               radial_surface_laplacian(jet, params),
+               _fd_laplacian(tr.value, pts) + H * _dot(grad_phi, nu) - hess_nn)
+        # radial reduction of the normal-normal Hessian:
+        # rho^2 f'' + ((1-rho^2)/rho) f'
+        record("normal_hessian_radial_form",
+               rho * rho * jet.d2f + (1.0 - rho * rho) / rho * jet.df, hess_nn)
 
-    return report
+    return [{"lemma": lemma, "max_deviation": worst, "samples": len(pts)}
+            for lemma, worst in dev.items()]
 
 
 def purely_angular_probe(value: Callable[[np.ndarray], np.ndarray],

@@ -2,11 +2,16 @@
 import json
 import math
 import os
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hprofile.cli import COMMANDS, RunConfig, _build_parser, main, run
+from hprofile.geometry import ProfileParams
 
 
 def _read(path):
@@ -164,6 +169,23 @@ def test_verify_suites_pass(tmp_path, suite):
     assert doc["gates"] and all(g["pass"] for g in doc["gates"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_algebraic_geometry_gates_reach_the_equator(monkeypatch, n):
+    import hprofile.cli as cli
+    sampler, drawn = cli._random_interior_points, []
+
+    def recording(*args):
+        drawn.append(sampler(*args))
+        return drawn[-1]
+    monkeypatch.setattr(cli, "_random_interior_points", recording)
+    gates = {g["name"]: g for g in cli._geometry_gates(ProfileParams(n), 1e-6)}
+    assert gates["unit_normal"]["pass"] and gates["support_function"]["pass"]
+    [z] = drawn
+    radii = np.linalg.norm(z, axis=1)
+    assert len(radii) == 100 and radii.max() > 0.99
+    assert 0.05 <= radii.min() and radii.max() <= 0.999
+
+
 def test_verify_json_records_the_format_it_writes(tmp_path):
     cfg = RunConfig(command="verify", n=1, suite="geometry",
                     out_dir=str(tmp_path))
@@ -230,17 +252,19 @@ def test_geodesic_determinism(tmp_path):
     assert _read(a / "geodesic_1.csv") == _read(b / "geodesic_1.csv")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("kwargs,code", [
     ({"steps": 1000}, 0),                # drift 4.3e-13
     ({"n": 2, "steps": 2000}, 0),
     ({"steps": 100}, 1),                 # drift 4.3e-8
     ({"plast": 1e308}, 1),               # overflows to NaN
 ])
-def test_geodesic_momentum_drift_gate(tmp_path, kwargs, code):
+def test_geodesic_momentum_drift_gate(tmp_path, capsys, kwargs, code):
     cfg = RunConfig(command="geodesic", out_dir=str(tmp_path), **kwargs)
     assert run(cfg) == code
+    err = capsys.readouterr().err
+    if "plast" in kwargs:
+        # the overflow shows only as the failed gate, not as numpy warnings
+        assert err == "gate failed: momentum_drift = nan > 1e-08\n"
     assert os.listdir(tmp_path) == [f"geodesic_{cfg.n}.csv"]
     _, [gate] = COMMANDS["geodesic"].runner(cfg)
     assert gate["name"] == "momentum_drift" and gate["threshold"] == 1e-8
@@ -402,6 +426,56 @@ def test_missing_out_dir_is_refused_before_computing(tmp_path, capsys):
                  "--out", str(missing)]) == 2
     assert "is not a directory" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+# Values of each field's type as argparse produces them, in and out of range.
+_INTS = st.one_of(st.integers(max_value=0), st.integers(1, 5000),
+                  st.integers(min_value=10 ** 6),
+                  st.sampled_from([2 ** 31, sys.maxsize, sys.maxsize + 1,
+                                   10 ** 400]))
+
+
+def _field_values(f, command):
+    spec = COMMANDS[command]
+    kwargs = f.metadata["argparse"]
+    if f.name == "out_dir":
+        return st.sampled_from(["existing", "missing"])
+    if f.name == "fmt" or "choices" in kwargs:
+        choices = spec.formats if f.name == "fmt" else kwargs["choices"]
+        return st.sampled_from(choices) | st.text(max_size=6)
+    if f.name == "k_range":
+        return st.lists(_INTS, max_size=4).map(tuple)
+    if kwargs.get("action") == "store_true":
+        return st.booleans()
+    if kwargs["type"] is float:
+        return st.floats(allow_nan=True, allow_infinity=True)
+    assert kwargs["type"] is int, f.name
+    return _INTS
+
+
+@st.composite
+def _configs(draw, out):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {f.name: draw(_field_values(f, command))
+              for f in fields(RunConfig)[1:]
+              if f.name in COMMANDS[command].defaults}
+    values["out_dir"] = str(out if values["out_dir"] == "existing"
+                            else out / "missing")
+    return RunConfig(command=command, **values)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_validate_refuses_with_value_error_only(tmp_path, capsys, data):
+    cfg = data.draw(_configs(tmp_path))
+    try:
+        cfg.validate()
+    except ValueError:
+        assert run(cfg) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not os.listdir(tmp_path)
+    # an accepted config is not run here: validation is what is fuzzed
 
 
 def test_mode_k_range_parsing():

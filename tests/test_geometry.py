@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hprofile.geometry as G
 from hprofile.geometry import (GeodesicPath, GeodesicState, ProfileParams,
+                               _fd_dir, _fd_grad, _fd_hess_quadform,
+                               _fd_laplacian, _random_interior_points,
                                area_density,
                                geodesic_trace, horizontal_normal, kappa,
                                mean_curvature_check, omega_bar,
@@ -118,6 +121,24 @@ def test_perp_is_rotation():
     assert np.array_equal(perp(perp(v)), -v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normal_and_perp_act_row_by_row(n):
+    z = _random_interior_points(n, 40, 5, (0.05, 1.0))
+    for hemi in (+1, -1):
+        nu = horizontal_normal(z, hemi)
+        assert nu.shape == z.shape
+        assert all(np.array_equal(nu[i], horizontal_normal(z[i], hemi))
+                   for i in range(len(z)))
+    assert all(np.array_equal(perp(z)[i], perp(z[i])) for i in range(len(z)))
+
+
+def test_normal_rejects_any_bad_row():
+    z = _random_interior_points(2, 10, 5)
+    for bad in (np.zeros(4), np.array([1.0, 0.5, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            horizontal_normal(np.vstack([z, bad]), +1)
+
+
 # --- omega_bar --------------------------------------------------------------
 
 def test_omega_bar_values():
@@ -178,6 +199,53 @@ def test_area_density_rejects_endpoints():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mean_curvature_is_2n(n):
     assert mean_curvature_check(ProfileParams(n), 60) <= 1e-6
+
+
+def _rotated_normal(z, hemisphere, angle=1e-3):
+    """The horizontal normal turned by angle towards its own perp."""
+    nu = horizontal_normal(z, hemisphere)
+    return math.cos(angle) * nu + math.sin(angle) * perp(nu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_geometry_checks_catch_a_rotated_normal(monkeypatch, n):
+    monkeypatch.setattr(G, "horizontal_normal", _rotated_normal)
+    assert mean_curvature_check(ProfileParams(n), 60) > 1e-6
+    assert omega_bar_normal_deriv_check(ProfileParams(n), 50) > 1e-6
+
+
+# --- finite differences on point arrays --------------------------------------
+
+def _normal(y):
+    return horizontal_normal(y, +1)
+
+
+def _omega_z(y):
+    return omega_bar(np.linalg.norm(y, axis=-1), +1)
+
+
+def _cubic(y):
+    return y[..., 0] * np.sum(y * y, axis=-1) + y[..., -1] ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_stencils_on_arrays_equal_row_by_row(n):
+    z = _random_interior_points(n, 30, 3)
+    nu = horizontal_normal(z, +1)
+    e = np.eye(2 * n)[-1]
+    cases = [
+        lambda y, i: _fd_dir(_normal, y, nu[i]),          # direction per row
+        lambda y, i: _fd_dir(_omega_z, y, e, 1e-5),      # shared direction
+        lambda y, i: _fd_grad(_omega_z, y),
+        lambda y, i: _fd_grad(_cubic, y),
+        lambda y, i: _fd_laplacian(_cubic, y),
+        lambda y, i: _fd_hess_quadform(_cubic, y, nu[i], perp(nu[i])),
+    ]
+    for stencil in cases:
+        whole = stencil(z, slice(None))
+        assert len(whole) == len(z)
+        for i in range(len(z)):
+            assert np.array_equal(whole[i], stencil(z[i], i))
 
 
 # --- geodesics ----------------------------------------------------------

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hprofile.geometry import ProfileParams
+import hprofile.operators as O
+from hprofile.geometry import (ProfileParams, _fd_dir, _fd_grad,
+                               _fd_hess_quadform, _fd_laplacian,
+                               _random_interior_points, horizontal_normal,
+                               omega_bar, perp)
 from hprofile.operators import (FullJet, PolarJet, RadialJet, apply_full,
                                 apply_full_grouped, apply_polar_h1,
                                 apply_radial, purely_angular_probe,
-                                sl_coefficients, verify_identities)
+                                radial_surface_laplacian, sl_coefficients,
+                                verify_identities)
 from hprofile.operators import default_ambient_trials
 from hprofile.spectrum import (RadialTrial, default_green_radial_trials,
                                radial_eigenfunction)
@@ -221,8 +226,97 @@ def test_identity_suites_pass(n):
         assert item["max_deviation"] <= 1e-5, item
 
 
+# The per-point loop that verify_identities replaced, kept as the reference.
+# Each point goes in as a one-row array, so every stencil does the same
+# arithmetic as on the whole array and the reports must agree exactly.
+def _reference_identities(params, trials, pts):
+    def normal(y):
+        return horizontal_normal(y, +1)
+
+    def omega_z(y):
+        return omega_bar(np.linalg.norm(y, axis=-1), +1)
+
+    def grad_hs(grad, nu):
+        return grad - float(np.sum(grad * nu)) * nu
+
+    H = -2.0 * params.n
+    dev = [0.0] * 4
+    for z in pts[:, None, :]:
+        rho = float(np.linalg.norm(z, axis=-1)[0])
+        nu = normal(z)[0]
+        omega = float(omega_z(z)[0])
+        grad_omega = _fd_grad(omega_z, z)[0]
+        lhs = np.array([_fd_dir(lambda y, i=i: normal(y)[:, i], z, nu)[0]
+                        for i in range(z.shape[1])])
+        rhs = -grad_hs(grad_omega, nu) / omega + omega * perp(nu)
+        dev[1] = max(dev[1], float(np.max(np.abs(lhs - rhs))))
+        for tr in trials:
+            hess = float(_fd_hess_quadform(tr.value, z, nu, nu)[0])
+            grad_phi = _fd_grad(tr.value, z)[0]
+            nu_nu = float(_fd_dir(
+                lambda y: np.sum(_fd_grad(tr.value, y) * normal(y), axis=-1),
+                z, nu, h=1e-4)[0])
+            rhs = (nu_nu + float(np.sum(grad_hs(grad_omega, nu)
+                                        * grad_hs(grad_phi, nu))) / omega
+                   - omega * float(np.sum(grad_phi * perp(nu))))
+            dev[2] = max(dev[2], abs(hess - rhs))
+            if tr.radial is None:
+                continue
+            jet = tr.radial.jet(rho)
+            split = (float(_fd_laplacian(tr.value, z)[0])
+                     + H * float(np.sum(grad_phi * nu)) - hess)
+            dev[0] = max(dev[0], abs(radial_surface_laplacian(jet, params)
+                                     - split))
+            dev[3] = max(dev[3], abs(rho * rho * jet.d2f
+                                     + (1.0 - rho * rho) / rho * jet.df - hess))
+    return dev
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_suites_match_the_per_point_loop(n):
+    params = ProfileParams(n)
+    report = verify_identities(params, sample_count=40, seed=3)
+    pts = _random_interior_points(n, 40, 3)
+    assert ([item["max_deviation"] for item in report]
+            == _reference_identities(params, default_ambient_trials(), pts))
+    assert all(item["samples"] == 40 for item in report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_suites_catch_a_rotated_normal(monkeypatch, n):
+    def rotated(z, hemisphere, angle=1e-3):
+        nu = horizontal_normal(z, hemisphere)
+        return math.cos(angle) * nu + math.sin(angle) * perp(nu)
+    monkeypatch.setattr(O, "horizontal_normal", rotated)
+    report = verify_identities(ProfileParams(n), sample_count=60)
+    assert [item["lemma"] for item in report] == [
+        "tangential_laplacian_split", "normal_derivative_of_normal",
+        "hessian_contraction_split", "normal_hessian_radial_form"]
+    for item in report:
+        assert item["max_deviation"] > 1e-5, item
+
+
+def test_identity_suites_catch_a_wrong_omega(monkeypatch):
+    exact = O.omega_bar
+    monkeypatch.setattr(O, "omega_bar", lambda rho, hemi: exact(rho, -hemi))
+    dev = {item["lemma"]: item["max_deviation"]
+           for item in verify_identities(ProfileParams(2), sample_count=60)}
+    assert dev["normal_derivative_of_normal"] > 1e-5
+    assert dev["hessian_contraction_split"] > 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ambient_trials_act_row_by_row(n):
+    z = _random_interior_points(n, 25, 2)
+    for trial in default_ambient_trials():
+        whole = trial.value(z)
+        assert whole.shape == (25,)
+        # numpy's scalar and array r ** 4 may differ in the last bit
+        np.testing.assert_allclose(whole, [trial.value(p) for p in z],
+                                   rtol=1e-15, atol=0.0)
+
+
 def test_ambient_radial_trials_are_the_green_family():
-    import hprofile.operators as O
     assert RadialTrial is O.RadialTrial
     trials = default_ambient_trials()
     z = np.array([0.3, 0.4])          # |z| = 0.5
