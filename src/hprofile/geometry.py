@@ -242,6 +242,45 @@ class GeodesicPath:
                              self.p_last)
 
 
+# steps per slice of a trace: bounds the stage temporaries of geodesic_trace
+_TRACE_ROWS = 1024
+
+
+def _block_momenta(px: float, py: float, p_last: float, h: float,
+                   steps: int) -> np.ndarray:
+    """RK4 for one 2-block of P_H, dP/ds = p_last P^perp, as Python floats.
+
+    Returns a (4 steps + 1, 2) array: row 4i is P after i steps and rows
+    4i + 1 .. 4i + 3 are that step's stage momenta U1, U2, U3.  Each stage
+    does the arithmetic that RK4 on the whole flat state does elementwise,
+    in the same order.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    lo, hi = -1.0 * p_last, 1.0 * p_last       # p_last P^perp = (lo y, hi x)
+    out = [px, py]
+    put = out.extend
+    for _ in range(steps):
+        k1x, k1y = py * lo, px * hi
+        ux, uy = px + half * k1x, py + half * k1y
+        k2x, k2y = uy * lo, ux * hi
+        vx, vy = px + half * k2x, py + half * k2y
+        k3x, k3y = vy * lo, vx * hi
+        wx, wy = px + h * k3x, py + h * k3y
+        k4x, k4y = wy * lo, wx * hi
+        px = px + sixth * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
+        py = py + sixth * (((k1y + 2.0 * k2y) + 2.0 * k3y) + k4y)
+        put((ux, uy, vx, vy, wx, wy, px, py))
+    return np.array(out).reshape(-1, 2)
+
+
+def _spread(out: np.ndarray, runs, stage) -> None:
+    """Write stage(momenta) of each (block indices, momenta) run into those
+    2-blocks of every row of out."""
+    blocks = out.reshape(len(out), -1, 2)
+    for idx, mom in runs:
+        blocks[:, idx] = stage(mom)[:, None]
+
+
 def geodesic_trace(p_last: float, s_max: float, steps: int,
                    initial: GeodesicState) -> GeodesicPath:
     """Integrate the CC-geodesic system with the classical 4th-order scheme.
@@ -250,41 +289,58 @@ def geodesic_trace(p_last: float, s_max: float, steps: int,
     component follows from horizontality, dt/ds = (1/2) <z^perp, P_H>.
     Returns steps + 1 samples including the initial one.
 
-    z and P_H advance as one flat array y = (z, P_H).  One gather and one
-    scale of y give its rate (P_H, p_last * P_H^perp) followed by z^perp;
-    every stage combines whole arrays elementwise, so each sample is the
-    one that advancing z, t and P_H separately gives.
+    The step is split by what couples to what.  P_H moves 2-block by
+    2-block on its own: each distinct initial block runs one float
+    recurrence (_block_momenta), and blocks of bit-identical momentum share
+    it.  z and t are quadratures of its stage momenta, taken on
+    _TRACE_ROWS steps at a time and summed left to right, so each sample is
+    the one that RK4 on the whole state (z, t, P_H) gives, bit for bit.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if abs(float(np.linalg.norm(initial.p_h)) - 1.0) > 1e-12:
         raise ValueError("initial horizontal momentum must be unit")
     m = initial.z.size
-    # v^perp = sign * v[swap], block by block
-    swap = np.arange(m) ^ 1
-    sign = np.tile([-1.0, 1.0], m // 2)
-    gather = np.r_[m:2 * m, m + swap, swap]
-    scale = np.r_[np.ones(m), sign * p_last, sign]
-
-    def rates(y: np.ndarray):
-        r = y.take(gather) * scale
-        return r[:2 * m], 0.5 * float(np.dot(r[2 * m:], y[m:]))
-
     h = s_max / steps
     half, sixth = 0.5 * h, h / 6.0
-    ys = np.empty((steps + 1, 2 * m))
-    ts = np.empty(steps + 1)
-    y = ys[0] = np.r_[initial.z, initial.p_h]
-    t = ts[0] = float(initial.t)
-    for i in range(1, steps + 1):
-        k1, k1t = rates(y)
-        k2, k2t = rates(y + half * k1)
-        k3, k3t = rates(y + half * k2)
-        k4, k4t = rates(y + h * k3)
-        y = ys[i] = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = ts[i] = t + sixth * (k1t + 2 * k2t + 2 * k3t + k4t)
-    return GeodesicPath(s=np.arange(steps + 1) * h, z=ys[:, :m], t=ts,
-                        p_h=ys[:, m:], p_last=p_last)
+    # block indices of each distinct initial momentum; tobytes keeps -0.0
+    groups: dict[bytes, list[int]] = {}
+    for b, block in enumerate(initial.p_h.reshape(-1, 2)):
+        groups.setdefault(block.tobytes(), []).append(b)
+    swap = np.arange(m) ^ 1
+    sign = np.tile([-1.0, 1.0], m // 2)
+    z, p_h = np.empty((steps + 1, m)), np.empty((steps + 1, m))
+    t = np.empty(steps + 1)
+    z[0], t[0], p_h[0] = initial.z, initial.t, initial.p_h
+    buffers = np.empty((3, min(steps, _TRACE_ROWS), m))
+    for a in range(0, steps, _TRACE_ROWS):
+        rows = min(_TRACE_ROWS, steps - a)
+        end = a + rows
+        runs = [(idx, _block_momenta(*p_h[a, 2 * idx[0]:2 * idx[0] + 2].tolist(),
+                                     float(p_last), float(h), rows))
+                for idx in groups.values()]
+        _spread(p_h[a + 1:end + 1], runs, lambda mom: mom[4::4])
+        _spread(z[a + 1:end + 1], runs,
+                lambda mom: sixth * (((mom[0:-1:4] + 2 * mom[1::4])
+                                      + 2 * mom[2::4]) + mom[3::4]))
+        np.cumsum(z[a:end + 1], axis=0, out=z[a:end + 1])
+        # stage k of t: 0.5 <z_k^perp, U_k> with z_k = z + c_k U_{k-1}.
+        # Both operands are C-contiguous: a strided ddot rounds differently.
+        zk, zperp, u = buffers[:, :rows]
+        rates = []
+        for k, c in enumerate((0.0, half, half, h)):
+            if k:
+                np.multiply(u, c, out=zk)
+                zk += z[a:end]
+            np.take(zk if k else z[a:end], swap, axis=1, out=zperp)
+            zperp *= sign
+            _spread(u, runs, lambda mom: mom[k:-1:4])
+            rates.append(0.5 * np.vecdot(zperp, u))
+        k1, k2, k3, k4 = rates
+        t[a + 1:end + 1] = sixth * (((k1 + 2 * k2) + 2 * k3) + k4)
+        np.cumsum(t[a:end + 1], out=t[a:end + 1])
+    return GeodesicPath(s=np.arange(steps + 1) * h, z=z, t=t, p_h=p_h,
+                        p_last=p_last)
 
 
 def profile_geodesic_residual(params: ProfileParams, steps: int = 10_000) -> float:

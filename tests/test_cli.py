@@ -271,6 +271,33 @@ def test_geodesic_momentum_drift_gate(tmp_path, capsys, kwargs, code):
     assert gate["pass"] == (code == 0)
 
 
+# Finite --plast / --smax values: zeros of both signs, subnormals, the ends
+# of float range and anything between.
+_GEODESIC_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(n=st.integers(1, 4), steps=st.integers(1, 400),
+       plast=_GEODESIC_FLOATS, smax=_GEODESIC_FLOATS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_accepted_geodesic_configs_pass_or_fail_the_drift_gate(
+        tmp_path, capsys, n, steps, plast, smax):
+    # "--flag=value", since argparse takes "-1e+308" for an option
+    code = main(["geodesic", f"--n={n}", f"--steps={steps}",
+                 f"--plast={plast!r}", f"--smax={smax!r}", f"--out={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("gate failed: momentum_drift = ")
+        assert err.endswith(" > 1e-08\n") and err.count("\n") == 1
+    lines = _read(tmp_path / f"geodesic_{n}.csv").decode().splitlines()
+    assert len(lines) == 1 + steps + 1
+
+
 def test_failed_gate_is_named_on_stderr(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["geodesic", "--steps", "100", "--out", out]) == 1

@@ -347,11 +347,25 @@ def _reference_trace(p_last, s_max, steps, initial):
     return out
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_flat_trace_matches_per_state_loop(n, seed):
+# (n, kind): seeded random unit momenta (at n = 8 ddot sums 16 terms, in its
+# unrolled kernel), one momentum whose 2-blocks all repeat, and one whose
+# (-0.0, 0.0) block sits beside a (0.0, 0.0) one.  geodesic_trace shares one
+# recurrence among blocks of bit-identical momentum, so the second must not
+# share the first's; only the bytes of p_h tell their zeros apart.
+_TRACE_STARTS = ([(n, seed) for n in (1, 2, 3, 5, 8) for seed in range(4)]
+                 + [(4, "repeated"), (3, "signed_zero")])
+
+
+@pytest.mark.parametrize("n,kind", _TRACE_STARTS)
+def test_flat_trace_matches_per_state_loop(n, kind):
+    seed = {"repeated": 4, "signed_zero": 5}.get(kind, kind)
     rng = np.random.default_rng(100 * n + seed)
-    p0 = rng.normal(size=2 * n)
+    if kind == "repeated":
+        p0 = np.tile(rng.normal(size=2), n)
+    elif kind == "signed_zero":
+        p0 = np.array([0.6, 0.8, -0.0, 0.0, 0.0, 0.0])
+    else:
+        p0 = rng.normal(size=2 * n)
     start = GeodesicState(z=rng.normal(size=2 * n), t=float(rng.normal()),
                           p_h=p0 / np.linalg.norm(p0), p_last=0.0)
     p_last = float(rng.uniform(-4.0, 4.0))
@@ -362,6 +376,7 @@ def test_flat_trace_matches_per_state_loop(n, seed):
     assert np.array_equal(path.z, [st.z for st in ref])
     assert np.array_equal(path.t, [st.t for st in ref])
     assert np.array_equal(path.p_h, [st.p_h for st in ref])
+    assert path.p_h.tobytes() == np.array([st.p_h for st in ref]).tobytes()
 
 
 def test_geodesic_path_contract():
