@@ -51,10 +51,11 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _flag(flag: str, default=None, low=None, **argparse_kwargs):
-    """A RunConfig field, its command-line spelling and its lower bound."""
+def _flag(flag: str, default=None, low=None, above=None, **argparse_kwargs):
+    """A RunConfig field, its command-line spelling and its lower bound:
+    value >= low, or value > above."""
     return field(default=default, metadata={
-        "flag": flag, "low": low, "argparse": argparse_kwargs})
+        "flag": flag, "low": low, "above": above, "argparse": argparse_kwargs})
 
 
 @dataclass
@@ -83,7 +84,7 @@ class RunConfig:
     plast: float | None = _flag("--plast", type=float)
     steps: int | None = _flag("--steps", low=1, type=int)
     smax: float | None = _flag("--smax", type=float)
-    tol: float | None = _flag("--tol", type=float)
+    tol: float | None = _flag("--tol", above=0.0, type=float)
     # A command with one format does not read fmt.
     fmt: str = _flag("--format", default="csv")
     out_dir: str | None = _flag("--out")
@@ -111,11 +112,16 @@ class RunConfig:
                 raise ValueError(f"{flag} must be one of {', '.join(choices)}")
             if f.metadata["low"] is not None and value < f.metadata["low"]:
                 raise ValueError(f"{flag} must be >= {f.metadata['low']}")
+            above = f.metadata["above"]
+            if above is not None and value is not None and value <= above:
+                raise ValueError(f"{flag} must be > {above}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite")
             # argparse's ints are unbounded; a grid past float range overflows
             if isinstance(value, int) and value > sys.maxsize:
                 raise ValueError(f"{flag} must be <= {sys.maxsize}")
+        if self.command == "poincare" and self.full and self.tol is not None:
+            raise ValueError("poincare --full is not gated and takes no --tol")
         if self.command == "modes" and self.n != 1:
             raise ValueError("mode studies are only defined on H^1 (n = 1)")
         # grid2 defaults to 2 * grid; modes and poincare read none
@@ -208,9 +214,12 @@ def _run_eig(cfg: RunConfig):
 
 def _run_modes(cfg: RunConfig):
     params = ProfileParams(1)
-    # The roundoff of the k = 0 comparison grows like ||A||_2, about 1.9 grid^2.
+    # The roundoff of the k = 0 comparison, the sparse mode solve against
+    # the radial Lanczos one, grows like ||A||_2, about 1.9 grid^2: measured
+    # at most 1.9e-12 max(1, (grid / 400)^2) over grids 100..8000, both
+    # matching classes, counts 1 and 6.
     tol = (cfg.tol if cfg.tol is not None
-           else 1e-10 * max(1, (cfg.grid / 400) ** 2))
+           else 1e-11 * max(1, (cfg.grid / 400) ** 2))
     report, gates = ModeReport(), []
     for k in cfg.k_range:
         vals = mode_spectrum(k, cfg.grid, cfg.count, cfg.matching)
@@ -274,9 +283,16 @@ def _run_verify(cfg: RunConfig):
 
 
 def _run_poincare(cfg: RunConfig):
-    mu, cp = poincare_constant_estimate(ProfileParams(cfg.n), cfg.grid,
+    params = ProfileParams(cfg.n)
+    mu, cp = poincare_constant_estimate(params, cfg.grid,
                                         include_modes=cfg.full)
-    return PoincareReport([PoincareEntry(cfg.n, mu, cp, not cfg.full)]), []
+    report = PoincareReport([PoincareEntry(cfg.n, mu, cp, not cfg.full)])
+    if cfg.full:
+        return report, []    # exploratory: no closed form to gate against
+    # the radial mu is the first odd eigenvalue, Q - 1 = 2n + 1
+    tol = cfg.tol if cfg.tol is not None else 0.01
+    first = params.Q - 1.0
+    return report, [_gate("poincare_radial", abs(mu - first) / first, tol)]
 
 
 def _run_geodesic(cfg: RunConfig):
@@ -332,7 +348,7 @@ COMMANDS = {
         {"suite": "identities", "tol": None}, formats=("json",)),
     "poincare": _Command(
         _run_poincare, "Poincare constant estimate",
-        {"grid": 1000, "full": False}),
+        {"grid": 1000, "full": False, "tol": None}),
     "geodesic": _Command(
         _run_geodesic, "CC-geodesic trace as CSV",
         {"plast": 2.0, "steps": 10_000, "smax": math.pi}, formats=("csv",)),

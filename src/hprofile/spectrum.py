@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import ProfileParams
-# hessenberg_qr_eigenvalues is unused here but stays importable:
-# perfbench/tracing.py wraps it under this module's name.
+# hessenberg_qr_eigenvalues and sym_tridiag_eigen are unused here but stay
+# importable: perfbench/tracing.py wraps them under this module's name.
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        hessenberg_qr_eigenvalues, integrate_profile_radial,
                        profile_rule, sym_tridiag_eigen)
@@ -236,6 +236,61 @@ def pole_mass(params: ProfileParams, n_points: int) -> float:
     return float(_half_masses(params.n, edges)[0, 0])
 
 
+# The Green's operator is applied with the resistances 1/cond scaled by
+# this power of two: at n = 50, grid 2000 the pole conductance is subnormal
+# and 1/cond itself overflows.  sqrt(mass) carries the 2^32 back on each
+# side, so M^{1/2} K^{-1} M^{1/2} comes out unscaled and the scaling rounds
+# nothing.
+_RESIST_SCALE = 2.0 ** -64
+_MASS_SCALE = 1.0 / math.sqrt(_RESIST_SCALE)
+# Largest relative deviation of a computed eigenvalue from the edge-form
+# Rayleigh quotient of its own vector, and largest cosine, in the mass inner
+# product, between a natural-family vector and the constants.  Measured at
+# most 3.1e-14 and 6.5e-15 (n <= 50, grids up to 320000, counts up to
+# grid / 4, subintervals included); one resistance 1% off in mid-mesh reads
+# 1e-5 at grid 2000 and 2.5e-7 at grid 80000.
+EIGENPAIR_TOL = 1e-12
+
+
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """v[i:].sum() for every i, in place, as a reversed cumsum: total -
+    prefix would cancel wherever the suffix is small next to the total."""
+    np.add.accumulate(v[::-1], out=v[::-1])
+    return v
+
+
+def _path_green(resist: np.ndarray, left_grounded: bool) -> Callable:
+    """x -> K^{-1} x for the Laplacian of a path with element resistances
+    `resist`, grounded past its last element and, if left_grounded, before
+    its first; the vertices are those between the grounds.
+
+    K^{-1}_ij is the resistance b_max(i,j) from the later vertex to the
+    right ground, or with a left ground a_min(i,j) b_max(i,j) / total, a
+    being the resistance to the left ground.  Every term is positive, so
+    K^{-1} applies in O(N) without cancellation.
+    """
+    if not left_grounded:
+        # sum over elements m >= i of resist_m times the sum of x_j, j <= m
+        def apply(x):
+            return _suffix_sums(np.add.accumulate(x) * resist)
+        return apply
+    a = np.add.accumulate(resist)
+    b = _suffix_sums(resist.copy())[1:]
+    total, a = a[-1], a[:-1]
+
+    def apply(x):
+        y = b * np.add.accumulate(a * x)
+        y[:-1] += a[:-1] * _suffix_sums(b[1:] * x[1:])
+        return y / total
+    return apply
+
+
+def _off_constants(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x minus its component along the unit vector q: q = M^{1/2} 1, scaled,
+    for the constants of the symmetrized pencil."""
+    return x - q * (q @ x)
+
+
 @dataclass(frozen=True)
 class SLDiscretization:
     """Lumped P1 pencil K v = lambda M v for the radial problem.
@@ -246,7 +301,7 @@ class SLDiscretization:
     pole degenerates (W -> 0), where the natural condition needs no row.
     Piecewise-linear elements on uniform vertices; each element gives its
     two half masses `half` to its two vertices and couples them with the
-    conductance (half sum) / h^2.  A Dirichlet end drops its vertex.
+    conductance `cond` = (half sum) / h^2.  A Dirichlet end drops its vertex.
     """
 
     h: float
@@ -255,14 +310,75 @@ class SLDiscretization:
     stiff_off: np.ndarray
     mass: np.ndarray
     half: np.ndarray           # (2, elements), from _half_masses
+    cond: np.ndarray           # one per element, dropped ends included
+    bc: tuple[str, str]        # (left, right) end conditions
 
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
         s = 1.0 / np.sqrt(self.mass)
         return self.stiff_diag * s * s, self.stiff_off * s[:-1] * s[1:]
 
     def lowest(self, count: int) -> np.ndarray:
-        d, e = self.symmetrized()
-        return sym_tridiag_eigen(d, e, count)
+        """Lowest `count` eigenvalues, ascending; a natural pencil's
+        constant mode is not one of them.
+
+        Lanczos (ARPACK, fixed start vector) for the top of the Green's
+        operator M^{1/2} K^{-1} M^{1/2}, whose entries are all positive, so
+        lambda_k comes out to eps lambda_k / lambda_1 relative, however fine
+        the grid.  A pencil with both ends natural is solved grounded at its
+        last vertex and projected off the constants, which removes the
+        constant mode exactly.  Each eigenpair is checked against the
+        edge-form Rayleigh quotient; RuntimeError if one fails.  A Dirichlet
+        left end needs a Dirichlet right end (ValueError).
+        """
+        # loaded here: closed_form and oracles never solve a pencil
+        # (+2 MB, ~35 ms to import)
+        from scipy.sparse.linalg import LinearOperator, eigsh
+        natural = self.bc[1] == "natural"
+        if natural and self.bc[0] == "dirichlet":
+            raise ValueError("a Dirichlet left end needs a Dirichlet right end")
+        resist = _RESIST_SCALE / self.cond
+        if natural:
+            # the last vertex is grounded: its own ground, through 0
+            resist = np.r_[resist, 0.0]
+        green = _path_green(resist, self.bc[0] == "dirichlet")
+        s = np.sqrt(self.mass) * _MASS_SCALE
+        q = s / np.linalg.norm(s)
+
+        def matvec(x):
+            if natural:
+                x = _off_constants(x, q)
+            y = s * green(s * x)
+            return _off_constants(y, q) if natural else y
+
+        m = len(s)
+        mu, vecs = eigsh(LinearOperator((m, m), matvec=matvec, dtype=float),
+                         k=count, which="LA", v0=np.ones(m))
+        lam, vecs = 1.0 / mu[::-1], vecs[:, ::-1]
+        self._check_eigenpairs(lam, vecs / s[:, None],
+                               q @ vecs if natural else None)
+        return lam
+
+    def _check_eigenpairs(self, lam, v, along_constants) -> None:
+        """Raise unless each lam matches the edge-form Rayleigh quotient
+        sum cond (dv)^2 / sum mass v^2 of its vector v (zero at a Dirichlet
+        end), and a natural vector is M-orthogonal to the constants."""
+        left = self.bc[0] == "dirichlet"
+        edges = np.zeros((len(self.cond) + 1, v.shape[1]))
+        edges[left:left + len(v)] = v
+        quotient = (self.cond @ np.diff(edges, axis=0) ** 2
+                    / (self.mass @ (v * v)))
+        dev = np.abs(quotient - lam) / lam
+        if not np.all(dev <= EIGENPAIR_TOL):
+            raise RuntimeError(
+                "radial pencil eigenvalues off their Rayleigh quotients by "
+                f"{np.max(dev):.3g} (tolerance {EIGENPAIR_TOL:.3g})")
+        if along_constants is not None:
+            cos = np.max(np.abs(along_constants))
+            if not cos <= EIGENPAIR_TOL:
+                raise RuntimeError(
+                    "natural pencil eigenvectors not M-orthogonal to the "
+                    f"constants: cosine {cos:.3g} (tolerance "
+                    f"{EIGENPAIR_TOL:.3g})")
 
 
 def build_radial_discretization(params: ProfileParams, n_points: int,
@@ -288,21 +404,22 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
     return SLDiscretization(h=h, nodes=np.sin(edges[first:last + 1]),
                             stiff_diag=diag[first:last + 1],
                             stiff_off=-cond[first:last],
-                            mass=mass[first:last + 1], half=half)
+                            mass=mass[first:last + 1], half=half, cond=cond,
+                            bc=(bc_left, bc_right))
 
 
-# The computed constant mode is zero only up to roundoff, which grows like
-# eps ||A||: measured at most 0.5 eps ||A||_inf (n <= 50, grids up to
-# 160000, both the radial pencil and the k = 0 mode operator).
+# The computed constant mode of the k = 0 mode operator is zero only up to
+# roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
+# (grids up to 160000).
 CONSTANT_MODE_EPS = 16.0   # tolerance of the check, in units of eps ||A||_inf
 
 
-def _check_constant_mode(what: str, value, norm: float) -> None:
+def _check_constant_mode(value, norm: float) -> None:
     """Raise unless `value`, the eigenvalue nearest 0 of a matrix with
     inf-norm `norm`, is zero to within CONSTANT_MODE_EPS eps norm."""
     tol = CONSTANT_MODE_EPS * np.finfo(float).eps * norm
     if abs(value) > tol:
-        raise RuntimeError(f"{what} pencil lost its constant mode: {value} "
+        raise RuntimeError(f"mode operator lost its constant mode: {value} "
                            f"(tolerance {tol:.3g})")
 
 
@@ -310,9 +427,9 @@ def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
                              count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of the radial problem.
 
-    bc='natural' realizes the zero-weighted-mean (even) family; the trivial
-    constant mode is checked to sit at zero and dropped.  bc='dirichlet'
-    pins the equator value and realizes the odd family.
+    bc='natural' realizes the zero-weighted-mean (even) family, without the
+    trivial constant mode.  bc='dirichlet' pins the equator value and
+    realizes the odd family.
     """
     if n_points < 50:
         raise ValueError("n_points must be >= 50")
@@ -320,15 +437,8 @@ def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
         raise ValueError("count must be <= n_points / 4")
     if bc not in ("natural", "dirichlet"):
         raise ValueError("bc must be 'natural' or 'dirichlet'")
-    disc = build_radial_discretization(params, n_points, bc_right=bc)
-    if bc == "natural":
-        d, e = disc.symmetrized()
-        vals = sym_tridiag_eigen(d, e, count + 1)
-        off = np.abs(e)
-        norm = np.max(np.abs(d) + np.r_[off, 0.0] + np.r_[0.0, off])
-        _check_constant_mode("natural", vals[0], norm)
-        return vals[1:]
-    return disc.lowest(count)
+    return build_radial_discretization(params, n_points,
+                                       bc_right=bc).lowest(count)
 
 
 def richardson(coarse, fine, order: float = RICHARDSON_ORDER):
@@ -407,7 +517,7 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     Shift-invert Arnoldi (ARPACK) about MODE_SHIFT from a fixed start
     vector, so repeated solves of one matrix agree bit for bit.  For k = 0
     the spectrum coincides with the radial pencil; the constant mode of the
-    continuity class is dropped there, as in the radial case.
+    continuity class is checked to sit at zero and dropped there.
     """
     if k < 0:
         raise ValueError("Fourier index must be >= 0")
@@ -426,7 +536,7 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     if drop:
-        _check_constant_mode("mode", vals[0], norm(op.matrix, np.inf))
+        _check_constant_mode(vals[0], norm(op.matrix, np.inf))
     vals = vals[drop:drop + count]
     if return_vectors:
         vecs = vecs[:, order[drop:drop + count]] / np.sqrt(op.mass)[:, None]

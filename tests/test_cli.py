@@ -82,11 +82,20 @@ def test_spectrum_gate_failure_gives_exit_1(tmp_path):
 
 @pytest.mark.parametrize("n", [12, 40, 50])
 def test_spectrum_large_n_is_right(tmp_path, n):
-    # the cell-centred pencil was 21-24% off at n = 12, with a spurious value
+    # the cell-centred pencil was 21-24% off at n = 12, with a spurious value;
+    # at n = 50 the pole conductance of grid 2000 is subnormal
     assert main(["spectrum", "--n", str(n), "--grid", "1000", "--k-max", "8",
                  "--format", "json", "--out", str(tmp_path)]) == 0
     rows = json.loads(_read(tmp_path / f"spectrum_{n}.json"))["results"]
     assert len(rows) == 8 and max(r["rel_err"] for r in rows) <= 1e-8
+
+
+def test_spectrum_fine_grid_is_relatively_accurate(tmp_path):
+    # bisection's absolute eps ||A|| ~ eps h^-2 read 9.6e-7 here
+    assert main(["spectrum", "--n", "1", "--grid", "80000", "--k-max", "3",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    rows = json.loads(_read(tmp_path / "spectrum_1.json"))["results"]
+    assert len(rows) == 3 and max(r["rel_err"] for r in rows) <= 1e-12
 
 
 def test_eig_json_shares_the_spectrum_rows(tmp_path):
@@ -140,12 +149,12 @@ def test_modes_beyond_the_old_dense_cap(tmp_path):
 
 
 def test_modes_k0_gate_scales_with_the_grid(tmp_path):
-    # roundoff of the k = 0 comparison exceeds 1e-10 at grid 1600
-    assert main(["modes", "--k", "0", "--grid", "1600", "--format", "json",
+    # roundoff of the k = 0 comparison exceeds 1e-11 at grid 3200 (1.5e-11)
+    assert main(["modes", "--k", "0", "--grid", "3200", "--format", "json",
                  "--out", str(tmp_path)]) == 0
     gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
-    assert gate["threshold"] == pytest.approx(1.6e-9, rel=1e-15)
-    assert 1e-10 < gate["value"] <= gate["threshold"]
+    assert gate["threshold"] == pytest.approx(6.4e-10, rel=1e-15)
+    assert 1e-11 < gate["value"] <= gate["threshold"] / 5
 
 
 def test_modes_tol_overrides_the_k0_gate(tmp_path):
@@ -219,13 +228,25 @@ def test_poincare_json_results_are_the_table_fields(tmp_path):
                      "--out", str(tmp_path)]) == 0
     header, row = _read(tmp_path / "poincare_1.csv").decode().splitlines()
     doc = json.loads(_read(tmp_path / "poincare_1.json"))
-    assert doc["gates"] == []
+    [gate] = doc["gates"]
+    assert gate["name"] == "poincare_radial" and gate["pass"]
     [result] = doc["results"]
     assert list(result) == header.split(",")
     n, mu, cp, flag = row.split(",")
     assert result == {"n": int(n), "mu": float(mu),
                       "poincare_constant": float(cp), "radial_only": True}
     assert flag == "true"
+
+
+def test_poincare_radial_mu_is_gated(tmp_path, capsys):
+    # mu = 40.7254 against Q - 1 = 41: 0.67% off on this coarse grid
+    argv = ["poincare", "--n", "20", "--grid", "50", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol", "1e-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gate failed: poincare_radial = 0.0066")
+    assert err.endswith(" > 0.001\n")
 
 
 # --- geodesic -------------------------------------------------------------------
@@ -339,7 +360,7 @@ _REFUSED = [
     (["geodesic", "--plot"], "unrecognized arguments: --plot"),
     (["verify", "--grid", "49"], "unrecognized arguments: --grid 49"),
     (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
-    (["poincare", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+    (["poincare", "--full", "--tol", "1e-3"], "takes no --tol"),
     (["geodesic", "--grid", "5"], "unrecognized arguments: --grid 5"),
     (["geodesic", "--format", "json"], "unrecognized arguments: --format json"),
     (["geodesic", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
@@ -354,6 +375,13 @@ _REFUSED = [
     (["geodesic", "--plast", "nan"], "--plast must be finite"),
     (["spectrum", "--tol", "nan"], "--tol must be finite"),
     (["modes", "--tol", "inf"], "--tol must be finite"),
+    # a tolerance no value can meet is a configuration error, not a gate
+    (["spectrum", "--tol", "0"], "--tol must be > 0"),
+    (["spectrum", "--tol", "-1"], "--tol must be > 0"),
+    (["eig", "--tol=-1e-3"], "--tol must be > 0"),
+    (["modes", "--tol", "0"], "--tol must be > 0"),
+    (["verify", "--tol", "-0.0"], "--tol must be > 0"),
+    (["poincare", "--tol=-inf"], "--tol must be > 0"),
 ]
 
 
@@ -377,7 +405,7 @@ def test_out_of_range_sizes_exit_2(tmp_path, capsys, argv, message):
     {"command": "modes", "plot": True},
     {"command": "verify", "grid": 500},
     {"command": "verify", "fmt": "json"},
-    {"command": "poincare", "tol": 1e-3},
+    {"command": "poincare", "count": 4},
     {"command": "geodesic", "grid": 1000},
     {"command": "geodesic", "fmt": "json"},
     {"command": "spectrum", "count": 4},
@@ -404,10 +432,10 @@ def test_subcommands_take_only_the_flags_they_read():
         "modes": shared | {"--grid", "--k", "--matching", "--count",
                            "--format", "--tol"},
         "verify": shared | {"--suite", "--tol"},
-        "poincare": shared | {"--grid", "--full", "--format"},
+        "poincare": shared | {"--grid", "--full", "--format", "--tol"},
         "geodesic": shared | {"--plast", "--steps", "--smax"},
     }
-    assert sum(len(f) for f in flags.values()) == 39
+    assert sum(len(f) for f in flags.values()) == 40
 
 
 def test_api_defaults_are_the_cli_defaults():

@@ -8,6 +8,7 @@ a natural problem with polynomial eigenfunctions and eigenvalues shifted by
 """
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -400,27 +401,165 @@ def test_constant_mode_tolerance_is_tight_on_the_study_grids(n, n_points):
 
 @pytest.mark.parametrize("n_points,count", [(80_000, 2), (160_000, 1)])
 def test_constant_mode_check_scales_with_the_grid(n_points, count):
-    # the computed zero reads 4.4e-6 at grid 160000, count 1
+    # the natural family is solved off the constants, so no computed zero
+    # (4.4e-6 at grid 160000 under bisection) limits a fine grid: the values
+    # sit below the closed form by the lumping error alone, 3.9e-10 and
+    # 9.9e-10 relative at grid 80000
     vals = discrete_radial_spectrum(ProfileParams(1), "natural", n_points,
                                     count)
-    assert vals == pytest.approx([8.0, 24.0][:count], rel=1e-6)
+    exact = np.array([8.0, 24.0][:count])
+    assert np.all(vals < exact)
+    assert np.all((exact - vals) / exact <= 2e-9)
 
 
-@pytest.mark.parametrize("factor,raises", [(0.5, False), (10.0, True)])
-@pytest.mark.parametrize("n_points", [2000, 80_000])
-def test_constant_mode_check_catches_a_shifted_mode(monkeypatch, n_points,
-                                                    factor, raises):
-    def shifted(d, e, count):
-        shift = factor * _constant_mode_tol(_inf_norm(d, e))
-        return sym_tridiag_eigen(d + shift, e, count)
+# --- the Green's-function solve ----------------------------------------------
 
-    monkeypatch.setattr(spectrum, "sym_tridiag_eigen", shifted)
-    params = ProfileParams(1)
-    if raises:
-        with pytest.raises(RuntimeError, match="lost its constant mode"):
-            discrete_radial_spectrum(params, "natural", n_points, 2)
-    else:
-        discrete_radial_spectrum(params, "natural", n_points, 2)
+@pytest.mark.parametrize("bc", [("natural", "natural"),
+                                ("natural", "dirichlet"),
+                                ("dirichlet", "dirichlet")])
+def test_path_green_inverts_the_grounded_stiffness(bc):
+    interval = (0.0, 1.0) if bc[0] == "natural" else (0.2, 0.9)
+    disc = build_radial_discretization(ProfileParams(3), 60, bc[1], interval,
+                                       bc[0])
+    K = (np.diag(disc.stiff_diag) + np.diag(disc.stiff_off, 1)
+         + np.diag(disc.stiff_off, -1))
+    resist = 1.0 / disc.cond
+    if bc == ("natural", "natural"):
+        K = K[:-1, :-1]          # grounded at the equator vertex
+    green = spectrum._path_green(resist, bc[0] == "dirichlet")
+    G = np.column_stack([green(e) for e in np.eye(len(K))])
+    assert np.all(G > 0.0)
+    assert np.max(np.abs(G @ K - np.eye(len(K)))) <= 1e-12
+
+
+def test_green_solve_refuses_a_floating_right_end():
+    disc = build_radial_discretization(ProfileParams(1), 100, "natural",
+                                       (0.3, 1.0), "dirichlet")
+    with pytest.raises(ValueError, match="needs a Dirichlet right end"):
+        disc.lowest(1)
+
+
+def _mp_pencil(n, m):
+    """Conductances and lumped masses of the P1 pencil, as Decimals of 30
+    digits, integrated in 30 digits by 12-point Gauss-Legendre on each
+    element of the float mesh (its edges taken exactly): no entry is the
+    rounded float one, which carries its own eps ||K|| error."""
+    from mpmath import mp, mpf, nstr
+    from mpmath.calculus.quadrature import GaussLegendre
+    edges = np.linspace(0.0, math.asin(1.0), m + 1)
+    with mp.workdps(30):
+        rule = GaussLegendre(mp).calc_nodes(3, mp.prec)    # 12 nodes on [-1, 1]
+        e = [mpf(float(x)) for x in edges]
+        h = (e[-1] - e[0]) / m
+        cond, mass = [], [mpf(0)] * (m + 1)
+        for j, (a, b) in enumerate(zip(e[:-1], e[1:])):
+            left = right = mpf(0)
+            for x, wt in rule:
+                t = (x + 1) / 2
+                f = mp.sin(a + (b - a) * t) ** (2 * n) * wt * (b - a) / 2
+                left += f * (1 - t)
+                right += f * t
+            cond.append((left + right) / (h * h))
+            mass[j] += left
+            mass[j + 1] += right
+        dec = lambda v: Decimal(nstr(v, 32, min_fixed=1, max_fixed=0))
+        return [dec(c) for c in cond], [dec(v) for v in mass]
+
+
+def _count_below(lam, cond, mass):
+    """Eigenvalues of the pencil below lam: the negative pivots of
+    K - lam M (Sturm), K assembled from the conductances, the vertices past
+    len(mass) grounded."""
+    below, d = 0, None
+    for i, m_i in enumerate(mass):
+        di = ((cond[i - 1] if i else 0) + (cond[i] if i < len(cond) else 0)
+              - lam * m_i)
+        if i:
+            di -= cond[i - 1] ** 2 / d
+        below += di < 0
+        d = di
+    return below
+
+
+def _sturm_eigenvalue(index, guess, cond, mass):
+    """The index-th eigenvalue (from 0) by bisection of Sturm counts, from a
+    bracket of +-1e-12 relative around guess, to 1e-18 relative."""
+    lo = Decimal(guess) * (1 - Decimal("1e-12"))
+    hi = Decimal(guess) * (1 + Decimal("1e-12"))
+    assert _count_below(lo, cond, mass) <= index < _count_below(hi, cond, mass)
+    while hi - lo > lo * Decimal("1e-18"):
+        mid = (lo + hi) / 2
+        if _count_below(mid, cond, mass) > index:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_radial_solve_against_a_30_digit_reference(n):
+    # measured at most 1.3e-15; bisection's eps ||A|| missed the 1e-12
+    # bracket at grid 400
+    m = 400
+    with localcontext() as ctx:
+        ctx.prec = 30
+        cond, mass = _mp_pencil(n, m)
+        for bc, first in (("natural", 1), ("dirichlet", 0)):
+            vals = discrete_radial_spectrum(ProfileParams(n), bc, m, 4)
+            kept = mass if bc == "natural" else mass[:-1]
+            for i, v in enumerate(vals):
+                ref = _sturm_eigenvalue(first + i, v, cond, kept)
+                assert abs(Decimal(v) - ref) / ref <= Decimal("1e-14")
+
+
+@pytest.mark.parametrize("interval", [(0.05, 0.95), (0.3, 0.99), (0.5, 1.0)])
+def test_subdomain_bound_matches_a_dense_solve(interval):
+    params = ProfileParams(2)
+    disc = build_radial_discretization(params, 400, "dirichlet", interval,
+                                       "dirichlet")
+    d, e = disc.symmetrized()
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    got = subdomain_bound_check(interval, 0.0, params, 400)
+    # the dense solve's own error is eps ||A||, 1e-11 to 1.6e-11 of the
+    # value here; the two differ by at most 4.1e-11
+    assert got == pytest.approx(dense[0], rel=1e-9, abs=0.0)
+
+
+def test_radial_solves_repeat_bit_for_bit():
+    params = ProfileParams(3)
+    for bc in ("natural", "dirichlet"):
+        first = discrete_radial_spectrum(params, bc, 1000, 6)
+        assert np.array_equal(first,
+                              discrete_radial_spectrum(params, bc, 1000, 6))
+    first = subdomain_bound_check((0.2, 0.9), 0.0, params)
+    assert first == subdomain_bound_check((0.2, 0.9), 0.0, params)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_eigenpair_check_catches_one_resistance_off_by_one_percent(
+        monkeypatch, n, bc):
+    # the Green's operator is then the inverse of another pencil; its worst
+    # eigenvalue misses its own Rayleigh quotient by 1e-5 to 2e-5 here
+    green = spectrum._path_green
+
+    def perturbed(resist, left_grounded):
+        resist = resist.copy()
+        resist[len(resist) // 2] *= 1.01
+        return green(resist, left_grounded)
+
+    monkeypatch.setattr(spectrum, "_path_green", perturbed)
+    with pytest.raises(RuntimeError, match="Rayleigh quotients"):
+        discrete_radial_spectrum(ProfileParams(n), bc, 2000, 4)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_eigenpair_check_catches_a_dropped_projection(monkeypatch, n):
+    # without the projection the grounded operator returns the odd family,
+    # whose vectors pass the Rayleigh check but not the orthogonality one
+    monkeypatch.setattr(spectrum, "_off_constants", lambda x, q: x)
+    with pytest.raises(RuntimeError, match="M-orthogonal to the constants"):
+        discrete_radial_spectrum(ProfileParams(n), "natural", 500, 4)
 
 
 @pytest.mark.parametrize("factor,raises", [(0.5, False), (10.0, True)])
