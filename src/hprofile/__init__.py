@@ -5,19 +5,16 @@ studies, with a verification-oriented CLI."""
 
 from .geometry import (GeodesicPath, GeodesicState, ProfileParams,
                        geodesic_trace, horizontal_normal,
-                       mean_curvature_check, omega_bar, area_density,
-                       profile_geodesic_residual, profile_height,
-                       profile_height_deriv)
+                       mean_curvature_check, omega_bar,
+                       profile_geodesic_residual, profile_height)
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
                        hessenberg_qr_eigenvalues, integrate_profile_radial,
                        profile_rule, sym_tridiag_eigen)
 from .operators import (FullJet, PolarJet, RadialJet, SLCoefficients,
-                        apply_full, apply_full_grouped, apply_polar_h1,
-                        apply_radial, purely_angular_probe, sl_coefficients,
-                        verify_identities)
+                        apply_full, apply_polar_h1, apply_radial,
+                        sl_coefficients, verify_identities)
 from .specfun import (Hyp2F1ConvergenceError, Hyp2F1Params, gauss_value_at_one,
-                      hyp2f1, hyp2f1_auto, hyp2f1_dz, hyp2f1_near_one,
-                      ln_gamma, recip_gamma)
+                      hyp2f1_auto, ln_gamma, recip_gamma)
 from .spectrum import (ModeOperator, RadialEigenmode, SLDiscretization,
                        SpectrumEntry, SpectrumReport, build_mode_operator,
                        build_radial_discretization, build_spectrum_report,

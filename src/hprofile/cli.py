@@ -28,8 +28,8 @@ from .geometry import (GeodesicState, ProfileParams, _random_interior_points,
                        profile_geodesic_residual)
 from .numerics import profile_rule
 from .operators import verify_identities
-from .spectrum import (ModeEntry, ModeReport, PoincareEntry, PoincareReport,
-                       SpectrumReport, build_spectrum_report,
+from .spectrum import (_MODE_EXTRA, ModeEntry, ModeReport, PoincareEntry,
+                       PoincareReport, SpectrumReport, build_spectrum_report,
                        default_green_polar_trials,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
@@ -42,6 +42,17 @@ __all__ = ["RunConfig", "run", "main"]
 # Default gate tolerance of each verify suite.
 _SUITE_TOL = {"identities": 1e-5, "green": 1e-6, "orthogonality": 1e-8,
               "geometry": 1e-6}
+# Largest eigensolver workspace (_solve_bytes) a config may ask for.
+_WORKSPACE_LIMIT = 2 ** 30
+
+
+def _solve_bytes(grid: int, k: int, itemsize: int, extra: int = 0) -> int:
+    """Upper estimate of the memory of an ARPACK solve for k values on `grid`
+    elements: ncv = max(2k + 1, 20) vectors of the grid's length, about
+    3 ncv^2 work entries, and `extra` more vectors of the grid's length."""
+    ncv = max(2 * k + 1, 20)
+    return itemsize * ((grid + 1) * (ncv + extra) + 3 * ncv * ncv)
+
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -132,6 +143,17 @@ class RunConfig:
             count = self.count or (self.k_max + 1) // 2
             if any(g < 50 or not 1 <= count <= g // 4 for g in grids):
                 raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
+            # a radial solve per grid, whose eigenpair check holds about
+            # five count-wide arrays; modes solves it only for k = 0, and
+            # its complex mode solves ask for 1 + _MODE_EXTRA values more
+            need = max(_solve_bytes(g, count, 8, 5 * count) for g in grids)
+            if self.command == "modes":
+                need = max(need * (0 in self.k_range), _solve_bytes(
+                    self.grid, count + 1 + _MODE_EXTRA, 16))
+            if need > _WORKSPACE_LIMIT:
+                raise ValueError(f"{count} eigenvalues on grid {max(grids)} "
+                                 f"need about {need >> 20} MiB of eigensolver "
+                                 f"workspace (limit {_WORKSPACE_LIMIT >> 20} MiB)")
         if self.command in ("spectrum", "eig", "poincare"):
             for g in grids:
                 if pole_mass(ProfileParams(self.n), g) == 0.0:

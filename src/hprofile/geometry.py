@@ -23,10 +23,8 @@ __all__ = [
     "perp",
     "kappa",
     "profile_height",
-    "profile_height_deriv",
     "horizontal_normal",
     "omega_bar",
-    "area_density",
     "mean_curvature_check",
     "omega_bar_normal_deriv_check",
     "geodesic_trace",
@@ -99,15 +97,6 @@ def profile_height(rho):
     return float(val) if val.ndim == 0 else val
 
 
-def profile_height_deriv(rho):
-    """u0'(rho) = -rho^2 / (2 sqrt(1 - rho^2)); blows up at the equator."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0) or np.any(rho >= 1.0):
-        raise ValueError("rho must lie in [0, 1)")
-    val = -rho * rho / (2.0 * np.sqrt(1.0 - rho * rho))
-    return float(val) if val.ndim == 0 else val
-
-
 def horizontal_normal(z: Sequence[float], hemisphere: int) -> np.ndarray:
     """Unit horizontal normal z + sign * kappa(|z|) z^perp on the +/-
     hemisphere, of one point or of each row of an (m, 2n) array."""
@@ -129,23 +118,6 @@ def omega_bar(rho, hemisphere: int):
         raise ValueError("hemisphere must be +1 or -1")
     val = hemisphere * 2.0 * np.sqrt(1.0 - rho * rho) / rho
     return float(val) if val.ndim == 0 else val
-
-
-def area_density(rho, params: ProfileParams) -> tuple:
-    """Pointwise 2n-density and radial weight of the H-perimeter measure.
-
-    Returns (rho / (2 sqrt(1-rho^2)), rho^{2n} / sqrt(1-rho^2)); the second is
-    the weight against which radial integrals over a hemisphere are taken.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    root = np.sqrt(1.0 - rho * rho)
-    dens = rho / (2.0 * root)
-    wgt = rho ** (2 * params.n) / root
-    if dens.ndim == 0:
-        return float(dens), float(wgt)
-    return dens, wgt
 
 
 def _random_interior_points(n: int, count: int, seed: int,

@@ -14,7 +14,6 @@ and sphere_laplacian is the unit-sphere Laplacian of the restriction
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,14 +32,12 @@ __all__ = [
     "apply_radial",
     "apply_polar_h1",
     "apply_full",
-    "apply_full_grouped",
     "radial_surface_laplacian",
     "RadialTrial",
     "default_green_radial_trials",
     "AmbientTrial",
     "default_ambient_trials",
     "verify_identities",
-    "purely_angular_probe",
 ]
 
 
@@ -143,26 +140,6 @@ def apply_full(jet: FullJet, params: ProfileParams):
                - (1.0 - rho * rho) * jet.f_zetazeta
                - (Q - 1) * root * jet.f_zeta)
     return radial + mixed + angular
-
-
-def apply_full_grouped(jet: FullJet, params: ProfileParams):
-    """Alternative grouping through the ambient Laplacian.
-
-    (1-r^2)(Lap_{R^{2n}} - f_zetazeta) - 2 r sqrt(1-r^2) f_zetarho
-    + sphere_laplacian + ((1 - 2r^2)/r) f_rho - (Q-1) sqrt(1-r^2) f_zeta.
-    Evaluates identically to apply_full.
-    """
-    n = params.n
-    Q = params.Q
-    rho = jet.rho
-    root = np.sqrt(1.0 - rho * rho)
-    ambient_lap = (jet.f_rhorho + (2 * n - 1) / rho * jet.f_rho
-                   + jet.sphere_laplacian / rho ** 2)
-    return ((1.0 - rho * rho) * (ambient_lap - jet.f_zetazeta)
-            - 2.0 * rho * root * jet.f_zetarho
-            + jet.sphere_laplacian
-            + (1.0 - 2.0 * rho * rho) / rho * jet.f_rho
-            - (Q - 1) * root * jet.f_zeta)
 
 
 def radial_surface_laplacian(jet: RadialJet, params: ProfileParams):
@@ -304,27 +281,3 @@ def verify_identities(params: ProfileParams,
 
     return [{"lemma": lemma, "max_deviation": worst, "samples": len(pts)}
             for lemma, worst in dev.items()]
-
-
-def purely_angular_probe(value: Callable[[np.ndarray], np.ndarray],
-                         d1: Callable[[np.ndarray], np.ndarray],
-                         d2: Callable[[np.ndarray], np.ndarray],
-                         lambda_grid: Sequence[float],
-                         rho_range: tuple[float, float] = (0.1, 0.9),
-                         n_rho: int = 81,
-                         n_theta: int = 64) -> float:
-    """Min over a lambda grid of sup |L phi + lambda phi| for angular-only phi.
-
-    Non-constant angular profiles keep the residual bounded away from zero:
-    there is no non-trivial purely angular eigenfunction.
-    """
-    rho = np.linspace(rho_range[0], rho_range[1], n_rho)[:, None]
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)[None, :]
-    phi = np.broadcast_to(value(theta), (n_rho, n_theta))
-    jet = PolarJet(rho=rho, f_rho=0.0, f_theta=d1(theta),
-                   f_rhorho=0.0, f_thetarho=0.0, f_thetatheta=d2(theta))
-    l_phi = apply_polar_h1(jet)
-    best = math.inf
-    for lam in lambda_grid:
-        best = min(best, float(np.max(np.abs(l_phi + lam * phi))))
-    return best

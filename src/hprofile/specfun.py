@@ -1,13 +1,13 @@
 """Real Gamma-family functions and the Gauss hypergeometric function on [0, 1].
 
 The Gamma functions and the value at one are scalar.  The hypergeometric
-evaluators take a float or an ndarray x and return the same shape (a Python
-float for a float); an array is summed as one loop over the series index,
-with each element converging on its own, so every element gets exactly the
-arithmetic of the scalar sum.  All of it is pure and reentrant.  The
-parameter families that matter downstream satisfy a + b = n and c = n + 1/2
-(so c - a - b = 1/2), but the evaluators are written for generic real
-parameters.
+evaluator hyp2f1_auto takes a float or an ndarray x and returns the same
+shape (a Python float for a float); an array is summed as one loop over the
+series index, with each element converging on its own, so every element gets
+exactly the arithmetic of the scalar sum.  All of it is pure and reentrant.
+The parameter families that matter downstream satisfy a + b = n and
+c = n + 1/2 (so c - a - b = 1/2), but the evaluator is written for generic
+real parameters.
 """
 from __future__ import annotations
 
@@ -22,10 +22,7 @@ __all__ = [
     "ln_gamma",
     "gamma_fn",
     "recip_gamma",
-    "hyp2f1",
-    "hyp2f1_near_one",
     "hyp2f1_auto",
-    "hyp2f1_dz",
     "gauss_value_at_one",
 ]
 
@@ -160,16 +157,6 @@ def _series(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
         f"{x.size} points) did not converge")
 
 
-def hyp2f1(p: Hyp2F1Params, x):
-    """Direct series sum of F(a, b; c; x), on a float or elementwise on an array.
-
-    Terminating series are summed exactly for any real x; otherwise every x
-    must lie in [0, 1) and each partial sum must meet SERIES_RTOL within
-    SERIES_TERM_BUDGET terms.
-    """
-    return _like(x, _series(p, np.asarray(x, dtype=float).ravel()))
-
-
 def gauss_value_at_one(p: Hyp2F1Params) -> float:
     """F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
     s = p.c - p.a - p.b
@@ -180,12 +167,8 @@ def gauss_value_at_one(p: Hyp2F1Params) -> float:
 
 
 def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
-    """The two-term connection formula in (1 - x) on a 1-D array."""
-    if p.terminating_index() is not None:
-        return _series(p, x)
+    """The connection formula in 1 - x on a 1-D array; c - a - b non-integer."""
     s = p.c - p.a - p.b
-    if s == math.floor(s):
-        raise ValueError(f"connection formula needs non-integer c-a-b, got {s}")
     inside = (0.0 <= x) & (x <= 1.0)
     if not inside.all():
         raise ValueError(f"need 0 <= x <= 1, got {x[~inside][0]}")
@@ -205,16 +188,6 @@ def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hyp2f1_near_one(p: Hyp2F1Params, x):
-    """F(a, b; c; x) by the two-term connection formula in (1 - x), on a float
-    or elementwise on an array.
-
-    Requires c - a - b non-integer.  Terminating parameter triples bypass the
-    transformation and go through the exact polynomial sum.
-    """
-    return _like(x, _connection(p, np.asarray(x, dtype=float).ravel()))
-
-
 def hyp2f1_auto(p: Hyp2F1Params, x):
     """Evaluate F(a, b; c; x) on [0, 1], on a float or elementwise on an
     array: the series below X_SWITCH, the connection formula from there on.
@@ -232,8 +205,3 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     out[low] = _series(p, flat[low])
     out[~low] = _connection(p, flat[~low])
     return _like(x, out)
-
-
-def hyp2f1_dz(p: Hyp2F1Params, x: float) -> float:
-    """d/dx F(a, b; c; x) = (a b / c) F(a+1, b+1; c+1; x)."""
-    return p.a * p.b / p.c * hyp2f1_auto(p.shifted(1), x)

@@ -87,8 +87,8 @@ def _mode_params(k: int, n: int) -> Hyp2F1Params:
 class RadialEigenmode:
     """Closed-form radial eigenmode of index k.
 
-    The evaluators give the restriction to the upper hemisphere; odd modes
-    change sign across the equator (value_on with hemisphere=-1).  The
+    The evaluators give the restriction to the upper hemisphere; the lower
+    one carries hemisphere_sign times it (odd modes change sign).  The
     normalization makes the L^2 norm against the H-perimeter measure of the
     full closed surface equal to 1, with a positive value at rho = 0.
     """
@@ -132,12 +132,6 @@ class RadialEigenmode:
         f2 = f1 * (h.a + 1) * (h.b + 1) / (h.c + 1)
         return self._combine(rho, [(f1, h.shifted(1), lambda r: 2.0),
                                    (f2, h.shifted(2), lambda r: 4.0 * r * r)])
-
-    def value_on(self, rho, hemisphere: int):
-        if hemisphere not in (1, -1):
-            raise ValueError("hemisphere must be +1 or -1")
-        sign = 1.0 if hemisphere == 1 else float(self.hemisphere_sign)
-        return sign * self.value(rho)
 
 
 def radial_eigenfunction(k: int, params: ProfileParams,
@@ -737,16 +731,12 @@ class _EntryTable:
 
     entries: list
 
-    def ordered(self) -> list:
-        """The entries in output order."""
-        return self.entries
-
     def csv_rows(self) -> list[str]:
         return [",".join(_csv_cell(v) for v in astuple(e))
-                for e in self.ordered()]
+                for e in self.entries]
 
     def json_obj(self) -> list[dict]:
-        return [asdict(e) for e in self.ordered()]
+        return [asdict(e) for e in self.entries]
 
 
 @dataclass
@@ -754,9 +744,6 @@ class SpectrumReport(_EntryTable):
     entries: list[SpectrumEntry] = field(default_factory=list)
 
     CSV_HEADER = ",".join(f.name for f in fields(SpectrumEntry))
-
-    def ordered(self) -> list[SpectrumEntry]:
-        return sorted(self.entries, key=lambda e: e.lambda_closed)
 
 
 @dataclass(frozen=True)

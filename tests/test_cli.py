@@ -385,6 +385,41 @@ _REFUSED = [
 ]
 
 
+# Eigensolves on both sides of the 1 GiB workspace limit (validated only;
+# the accepted ones take seconds to minutes to run).  modes adds the radial
+# solve only when k = 0 is asked for.
+_WORKSPACE_ACCEPTED = [
+    ["eig", "--parity", "odd", "--count", "500", "--grid", "2000"],
+    ["modes", "--k", "1", "--count", "1500", "--grid", "12000"],
+]
+_WORKSPACE_REFUSED = [
+    ["eig", "--parity", "odd", "--count", "5000", "--grid", "20000"],
+    ["spectrum", "--k-max", "9999", "--grid", "20000"],
+    ["modes", "--k", "0,1", "--count", "1500", "--grid", "12000"],
+]
+
+
+def _parsed(argv: list[str]) -> RunConfig:
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("argv", _WORKSPACE_ACCEPTED)
+def test_workspace_below_the_limit_is_accepted(tmp_path, argv):
+    _parsed(argv + ["--out", str(tmp_path)]).validate()
+
+
+@pytest.mark.parametrize("argv", _WORKSPACE_REFUSED)
+def test_workspace_above_the_limit_exits_2(tmp_path, capsys, argv):
+    argv = argv + ["--out", str(tmp_path)]
+    # validate alone first: a config let through would run out of memory
+    with pytest.raises(ValueError, match="eigensolver workspace"):
+        _parsed(argv).validate()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "MiB of eigensolver workspace (limit 1024 MiB)" in err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(argv, message, id=f"argv{i}")
     for i, (argv, message) in enumerate(_REFUSED)])

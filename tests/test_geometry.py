@@ -15,12 +15,11 @@ import hprofile.geometry as G
 from hprofile.geometry import (GeodesicPath, GeodesicState, ProfileParams,
                                _fd_dir, _fd_grad, _fd_hess_quadform,
                                _fd_laplacian, _random_interior_points,
-                               area_density,
                                geodesic_trace, horizontal_normal, kappa,
                                mean_curvature_check, omega_bar,
                                omega_bar_normal_deriv_check, perp,
-                               profile_geodesic_residual, profile_height,
-                               profile_height_deriv)
+                               profile_geodesic_residual, profile_height)
+from hprofile.operators import sl_coefficients
 
 
 # --- parameters -------------------------------------------------------------
@@ -69,22 +68,13 @@ def test_height_domain_error():
         profile_height(-0.1)
 
 
-def test_height_deriv_values():
-    assert profile_height_deriv(0.0) == 0.0
-    assert profile_height_deriv(0.5) == pytest.approx(
-        -0.25 / (2.0 * math.sqrt(0.75)), rel=1e-14)
-
-
-def test_height_deriv_rejects_equator():
-    with pytest.raises(ValueError):
-        profile_height_deriv(1.0)
-
-
 @pytest.mark.parametrize("rho", [0.01, 0.3, 0.7, 0.9, 0.99])
 def test_height_deriv_matches_finite_differences(rho):
+    # the meridian slope u0'(rho) = -rho^2 / (2 sqrt(1 - rho^2))
     h = 1e-6
     fd = (profile_height(rho + h) - profile_height(rho - h)) / (2.0 * h)
-    assert profile_height_deriv(rho) == pytest.approx(fd, abs=1e-7)
+    slope = -rho * rho / (2.0 * math.sqrt(1.0 - rho * rho))
+    assert slope == pytest.approx(fd, abs=1e-7)
 
 
 # --- normals ----------------------------------------------------------------
@@ -159,18 +149,21 @@ def test_omega_bar_normal_derivative_identity(n):
 
 
 # --- area density -----------------------------------------------------------
+#
+# The radial weight of the H-perimeter measure is sl_coefficients(params).w,
+# rho^{2n} / sqrt(1 - rho^2).
 
 def test_area_density_values():
-    dens, wgt = area_density(1.0 / math.sqrt(2.0), ProfileParams(1))
-    assert dens == pytest.approx(0.5, rel=1e-14)
+    wgt = sl_coefficients(ProfileParams(1)).w(1.0 / math.sqrt(2.0))
     assert wgt == pytest.approx(0.5 / math.sqrt(0.5), rel=1e-14)
 
 
 @given(st.integers(min_value=1, max_value=3), st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=100, deadline=None)
 def test_weight_density_relation(n, rho):
-    params = ProfileParams(n)
-    dens, wgt = area_density(rho, params)
+    # twice the 2n-density rho / (2 sqrt(1 - rho^2)) times rho^{2n-1}
+    dens = rho / (2.0 * math.sqrt(1.0 - rho * rho))
+    wgt = sl_coefficients(ProfileParams(n)).w(rho)
     assert wgt == pytest.approx(2.0 * dens * rho ** (2 * n - 1), rel=1e-14)
 
 
@@ -180,18 +173,10 @@ def test_weight_polynomial_moment():
     from hprofile.numerics import gauss_jacobi_rule
     leg = gauss_jacobi_rule(64, 0.0, 0.0)
     for n in (1, 2, 3):
-        params = ProfileParams(n)
-        vals = np.array([area_density(r, params)[1] * math.sqrt(1 - r * r)
-                         for r in leg.nodes])
+        w = sl_coefficients(ProfileParams(n)).w
+        vals = w(leg.nodes) * np.sqrt(1.0 - leg.nodes * leg.nodes)
         assert float(np.dot(leg.weights, vals)) == pytest.approx(
             1.0 / (2 * n + 1), rel=1e-12)
-
-
-def test_area_density_rejects_endpoints():
-    with pytest.raises(ValueError):
-        area_density(0.0, ProfileParams(1))
-    with pytest.raises(ValueError):
-        area_density(1.0, ProfileParams(1))
 
 
 # --- mean curvature ---------------------------------------------------------

@@ -13,8 +13,7 @@ from hprofile.geometry import (ProfileParams, _fd_dir, _fd_grad,
                                _random_interior_points, horizontal_normal,
                                omega_bar, perp)
 from hprofile.operators import (FullJet, PolarJet, RadialJet, apply_full,
-                                apply_full_grouped, apply_polar_h1,
-                                apply_radial, purely_angular_probe,
+                                apply_polar_h1, apply_radial,
                                 radial_surface_laplacian, sl_coefficients,
                                 verify_identities)
 from hprofile.operators import default_ambient_trials
@@ -181,6 +180,26 @@ def test_full_reduces_to_radial(n):
             apply_radial(rj, params), rel=1e-13)
 
 
+def apply_full_grouped(jet: FullJet, params: ProfileParams):
+    """Alternative grouping through the ambient Laplacian.
+
+    (1-r^2)(Lap_{R^{2n}} - f_zetazeta) - 2 r sqrt(1-r^2) f_zetarho
+    + sphere_laplacian + ((1 - 2r^2)/r) f_rho - (Q-1) sqrt(1-r^2) f_zeta.
+    Evaluates identically to apply_full.
+    """
+    n = params.n
+    Q = params.Q
+    rho = jet.rho
+    root = np.sqrt(1.0 - rho * rho)
+    ambient_lap = (jet.f_rhorho + (2 * n - 1) / rho * jet.f_rho
+                   + jet.sphere_laplacian / rho ** 2)
+    return ((1.0 - rho * rho) * (ambient_lap - jet.f_zetazeta)
+            - 2.0 * rho * root * jet.f_zetarho
+            + jet.sphere_laplacian
+            + (1.0 - 2.0 * rho * rho) / rho * jet.f_rho
+            - (Q - 1) * root * jet.f_zeta)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_groupings_evaluate_identically(n):
     params = ProfileParams(n)
@@ -327,6 +346,23 @@ def test_ambient_radial_trials_are_the_green_family():
 
 
 # --- purely angular probe ----------------------------------------------------
+
+def purely_angular_probe(value, d1, d2, lambda_grid, rho_range=(0.1, 0.9),
+                         n_rho=81, n_theta=64) -> float:
+    """Min over a lambda grid of sup |L phi + lambda phi| for angular-only phi,
+    through apply_polar_h1.
+
+    Non-constant angular profiles keep the residual bounded away from zero:
+    there is no non-trivial purely angular eigenfunction.
+    """
+    rho = np.linspace(rho_range[0], rho_range[1], n_rho)[:, None]
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)[None, :]
+    phi = np.broadcast_to(value(theta), (n_rho, n_theta))
+    jet = PolarJet(rho=rho, f_rho=0.0, f_theta=d1(theta),
+                   f_rhorho=0.0, f_thetarho=0.0, f_thetatheta=d2(theta))
+    l_phi = apply_polar_h1(jet)
+    return min(float(np.max(np.abs(l_phi + lam * phi))) for lam in lambda_grid)
+
 
 def test_cos_theta_has_no_eigenvalue():
     lam_grid = np.linspace(0.0, 100.0, 401)

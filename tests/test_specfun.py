@@ -1,8 +1,10 @@
 """Gamma family and Gauss hypergeometric evaluators.
 
+Every value goes through hyp2f1_auto, with x on the branch a test means: the
+direct series below X_SWITCH, the connection formula from there on.
 Extended-precision oracles come from mpmath; finite differences cross-check
-the parameter-shift derivative; the per-point scalar sum is the reference for
-the array evaluation.
+the parameter-shift derivatives of RadialEigenmode; the per-point scalar sum
+is the reference for the array evaluation.
 """
 import math
 
@@ -15,8 +17,7 @@ from hypothesis import strategies as st
 from hprofile.geometry import ProfileParams
 from hprofile.specfun import (SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
                               Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
-                              gauss_value_at_one, hyp2f1, hyp2f1_auto,
-                              hyp2f1_dz, hyp2f1_near_one, ln_gamma,
+                              gauss_value_at_one, hyp2f1_auto, ln_gamma,
                               recip_gamma)
 from hprofile.spectrum import radial_eigenfunction
 
@@ -103,25 +104,25 @@ def test_terminating_index_picks_smaller_magnitude():
     assert Hyp2F1Params(-0.5, 3.0, 1.5).terminating_index() is None
 
 
-# --- hyp2f1 series ----------------------------------------------------------
+# --- series branch (x < X_SWITCH, or a terminating triple) ----------------
 
 def test_series_at_origin_is_one():
     for p in (Hyp2F1Params(-1, 2, 1.5), Hyp2F1Params(0.3, 0.7, 1.1)):
-        assert hyp2f1(p, 0.0) == 1.0
+        assert hyp2f1_auto(p, 0.0) == 1.0
 
 
 def test_second_mode_polynomial():
     # F(-1, 2; 3/2; x) = 1 - (4/3) x, proportional to (3 - 4x)
     p = Hyp2F1Params(-1.0, 2.0, 1.5)
     for x in (0.0, 0.2, 0.64, 0.9):
-        assert hyp2f1(p, x) == pytest.approx(1.0 - 4.0 * x / 3.0, rel=1e-14)
+        assert hyp2f1_auto(p, x) == pytest.approx(1.0 - 4.0 * x / 3.0, rel=1e-14)
 
 
 def test_binomial_identity_sqrt():
     # F(-1/2, 3/2; 3/2; x) = (1 - x)^{1/2}
     p = Hyp2F1Params(-0.5, 1.5, 1.5)
     for x in (0.0, 0.1, 0.3, 0.49):
-        assert hyp2f1(p, x) == pytest.approx(math.sqrt(1.0 - x), rel=1e-12)
+        assert hyp2f1_auto(p, x) == pytest.approx(math.sqrt(1.0 - x), rel=1e-12)
 
 
 def test_terminating_sum_matches_extended_precision_brute_force():
@@ -138,52 +139,57 @@ def test_terminating_sum_matches_extended_precision_brute_force():
                 acc += term
                 mag += abs(term)
             bound = 1e-14 * float(max(mag, abs(acc)))
-            assert abs(hyp2f1(p, x) - float(acc)) <= bound
+            assert abs(hyp2f1_auto(p, x) - float(acc)) <= bound
 
 
 @given(st.floats(min_value=-3.2, max_value=3.2),
        st.floats(min_value=-3.2, max_value=3.2),
        st.floats(min_value=0.6, max_value=4.0),
-       st.sampled_from([0.1, 0.3, 0.7]))
+       st.sampled_from([0.1, 0.3, 0.45]))
 @settings(max_examples=50, deadline=None)
 def test_series_symmetric_in_a_b(a, b, c, x):
-    lhs = hyp2f1(Hyp2F1Params(a, b, c), x)
-    rhs = hyp2f1(Hyp2F1Params(b, a, c), x)
+    lhs = hyp2f1_auto(Hyp2F1Params(a, b, c), x)
+    rhs = hyp2f1_auto(Hyp2F1Params(b, a, c), x)
     assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 def test_series_domain_error_outside_unit_interval():
     p = Hyp2F1Params(0.3, 0.7, 1.1)
     with pytest.raises(ValueError):
-        hyp2f1(p, 1.0)
+        hyp2f1_auto(p, -0.2)
     with pytest.raises(ValueError):
-        hyp2f1(p, -0.2)
+        hyp2f1_auto(p, 1.2)
+    # c - a - b = 0.1 > 0: at x = 1 the connection formula gives the
+    # Gamma-quotient value
+    assert hyp2f1_auto(p, 1.0) == gauss_value_at_one(p)
 
 
 def test_series_budget_exhaustion_raises():
-    # x extremely close to 1 cannot meet tolerance within the budget
+    # integer c - a - b = 0 keeps the series up to 1, and x extremely close
+    # to 1 cannot meet tolerance within the budget
     p = Hyp2F1Params(0.5, 1.0, 1.5)
     with pytest.raises(Hyp2F1ConvergenceError):
-        hyp2f1(p, 1.0 - 1e-12)
+        hyp2f1_auto(p, 1.0 - 1e-12)
 
 
-# --- connection formula -----------------------------------------------------
+# --- connection branch (x >= X_SWITCH) ---------------------------------------
 
 def test_near_one_terminating_bypass():
+    # a terminating triple is the exact polynomial sum above X_SWITCH too
     p = Hyp2F1Params(-1.0, 2.0, 1.5)
-    assert hyp2f1_near_one(p, 0.9) == hyp2f1(p, 0.9)
+    assert hyp2f1_auto(p, 0.9) == _ref_series(p, 0.9)
 
 
 def test_near_one_sqrt_closed_form():
     p = Hyp2F1Params(-0.5, 1.5, 1.5)
-    assert hyp2f1_near_one(p, 0.99) == pytest.approx(math.sqrt(0.01), rel=1e-12)
+    assert hyp2f1_auto(p, 0.99) == pytest.approx(math.sqrt(0.01), rel=1e-12)
 
 
 def test_branch_continuity_at_switch():
     p = Hyp2F1Params(-0.5, 2.5, 2.5)  # = (1-x)^{1/2}, non-terminating path
     for eps in (1e-4, 1e-6, 1e-8):
-        lo = hyp2f1(p, 0.5 - eps)
-        hi = hyp2f1_near_one(p, 0.5 + eps)
+        lo = hyp2f1_auto(p, X_SWITCH - eps)
+        hi = hyp2f1_auto(p, X_SWITCH + eps)
         assert abs(lo - hi) <= 1e-10 + 4.0 * eps
 
 
@@ -196,9 +202,9 @@ def test_near_one_limit_matches_gauss_value(n):
     s = math.sqrt(n * n + lam)
     p = Hyp2F1Params((n - s) / 2.0, (n + s) / 2.0, n + 0.5)
     limit = gauss_value_at_one(p)
-    assert hyp2f1_near_one(p, 1.0) == pytest.approx(limit, rel=1e-13)
+    assert hyp2f1_auto(p, 1.0) == pytest.approx(limit, rel=1e-13)
     y = 1e-9
-    extrap = 2.0 * hyp2f1_near_one(p, 1.0 - y / 4.0) - hyp2f1_near_one(p, 1.0 - y)
+    extrap = 2.0 * hyp2f1_auto(p, 1.0 - y / 4.0) - hyp2f1_auto(p, 1.0 - y)
     assert extrap == pytest.approx(limit, abs=1e-9)
 
 
@@ -206,34 +212,51 @@ def test_near_one_limit_matches_gauss_value(n):
 def test_connection_formula_against_mpmath(x):
     p = Hyp2F1Params(-0.7, 1.9, 1.7)
     exact = float(mpmath.hyp2f1(p.a, p.b, p.c, x))
-    assert hyp2f1_near_one(p, x) == pytest.approx(exact, rel=1e-12)
+    assert hyp2f1_auto(p, x) == pytest.approx(exact, rel=1e-12)
 
 
 # --- derivative -------------------------------------------------------------
+#
+# RadialEigenmode.deriv and second_deriv apply d/dx F(a, b; c; x) =
+# (a b / c) F(a+1, b+1; c+1; x) at x = rho^2, so the normalized dF/dx is
+# deriv(rho) / (2 rho), and second_deriv(0) / 2 at the pole.
 
 def test_dz_at_origin_is_ab_over_c():
-    p = Hyp2F1Params(0.4, 1.2, 2.2)
-    assert hyp2f1_dz(p, 0.0) == pytest.approx(0.4 * 1.2 / 2.2, rel=1e-14)
+    for n in (1, 2, 3):
+        for k in range(1, 7):
+            mode = radial_eigenfunction(k, ProfileParams(n))
+            h = mode.hyp
+            assert mode.second_deriv(0.0) / 2.0 == pytest.approx(
+                mode.normalization * h.a * h.b / h.c, rel=1e-14)
 
 
 def test_dz_of_linear_polynomial_is_constant():
-    p = Hyp2F1Params(-1.0, 2.0, 1.5)
-    for x in (0.0, 0.4, 0.8):
-        assert hyp2f1_dz(p, x) == pytest.approx(-4.0 / 3.0, rel=1e-14)
+    mode = radial_eigenfunction(2, ProfileParams(1))   # F(-1, 2; 3/2; x)
+    slope = -4.0 / 3.0 * mode.normalization
+    for rho in (0.1, 0.4, 0.8):
+        assert mode.deriv(rho) / (2.0 * rho) == pytest.approx(slope, rel=1e-14)
+        assert mode.second_deriv(rho) / 2.0 == pytest.approx(slope, rel=1e-14)
 
 
 def test_dz_of_sqrt():
-    p = Hyp2F1Params(-0.5, 1.5, 1.5)
+    mode = radial_eigenfunction(1, ProfileParams(1))   # F(-1/2, 3/2; 3/2; x)
     for x in (0.1, 0.6):
-        assert hyp2f1_dz(p, x) == pytest.approx(-0.5 / math.sqrt(1.0 - x), rel=1e-11)
+        rho = math.sqrt(x)
+        assert mode.deriv(rho) / (2.0 * rho) == pytest.approx(
+            -0.5 * mode.normalization / math.sqrt(1.0 - x), rel=1e-11)
 
 
 def test_dz_matches_central_differences():
-    p = Hyp2F1Params(0.3, 1.1, 1.8)
+    # both parities, n = 1, 2, 3, rho^2 below and above X_SWITCH
     h = 1e-6
-    for x in (0.1, 0.35, 0.62):
-        fd = (hyp2f1_auto(p, x + h) - hyp2f1_auto(p, x - h)) / (2.0 * h)
-        assert hyp2f1_dz(p, x) == pytest.approx(fd, abs=1e-6)
+    for n in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            mode = radial_eigenfunction(k, ProfileParams(n))
+            for rho in (0.4, 0.85):          # rho^2 = 0.16, 0.7225
+                fd1 = (mode.value(rho + h) - mode.value(rho - h)) / (2.0 * h)
+                fd2 = (mode.deriv(rho + h) - mode.deriv(rho - h)) / (2.0 * h)
+                assert mode.deriv(rho) == pytest.approx(fd1, abs=1e-6)
+                assert mode.second_deriv(rho) == pytest.approx(fd2, abs=1e-6)
 
 
 # --- value at one -----------------------------------------------------------
@@ -337,33 +360,32 @@ def test_array_matches_the_per_point_scalar_sum(n):
 
 @pytest.mark.parametrize("p", [Hyp2F1Params(-2.0, 3.0, 1.5),
                                Hyp2F1Params(-0.5, 2.5, 1.5)])
-@pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_near_one, hyp2f1_auto])
-def test_array_shape_contract(fn, p):
-    x = 0.3 if fn is hyp2f1 else 0.7
-    scalar = fn(p, x)
+@pytest.mark.parametrize("x", [0.3, 0.7])     # series, connection branch
+def test_array_shape_contract(x, p):
+    scalar = hyp2f1_auto(p, x)
     assert type(scalar) is float
-    zero_d = fn(p, np.array(x))
+    zero_d = hyp2f1_auto(p, np.array(x))
     assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
     assert float(zero_d) == scalar
     grid = np.full((2, 3), x)
-    assert fn(p, grid).shape == (2, 3)
-    assert np.all(fn(p, grid) == scalar)
-    empty = fn(p, np.array([]))
+    assert hyp2f1_auto(p, grid).shape == (2, 3)
+    assert np.all(hyp2f1_auto(p, grid) == scalar)
+    empty = hyp2f1_auto(p, np.array([]))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
-@pytest.mark.parametrize("bad", [math.nan, 1.2])
-@pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_near_one, hyp2f1_auto])
-def test_array_with_one_bad_point_is_refused(fn, bad):
+# -0.2 is refused by the series branch, NaN and 1.2 by the connection one
+@pytest.mark.parametrize("bad", [-0.2, math.nan, 1.2])
+def test_array_with_one_bad_point_is_refused(bad):
     p = Hyp2F1Params(-0.5, 2.5, 1.5)
     with pytest.raises(ValueError):
-        fn(p, np.array([0.1, 0.2, bad, 0.4]))
+        hyp2f1_auto(p, np.array([0.1, 0.2, bad, 0.4]))
 
 
 def test_array_budget_exhaustion_raises():
-    p = Hyp2F1Params(0.5, 1.0, 1.5)
+    p = Hyp2F1Params(0.5, 1.0, 1.5)   # c - a - b = 0: the series up to 1
     with pytest.raises(Hyp2F1ConvergenceError):
-        hyp2f1(p, np.array([0.1, 1.0 - 1e-12, 0.3]))
+        hyp2f1_auto(p, np.array([0.1, 1.0 - 1e-12, 0.3]))
 
 
 def test_array_refuses_the_divergent_value_at_one():
