@@ -358,9 +358,15 @@ def test_array_matches_the_per_point_scalar_sum(n):
                     <= 4.0 * eps * np.max(np.abs(ref))), (n, k, shift)
 
 
+# The case ids name the branch each case exercises, after the evaluators that
+# used to be public for them: hyp2f1 the series (x < X_SWITCH), hyp2f1_near_one
+# the connection formula (x >= X_SWITCH), hyp2f1_auto an array over both.
+_BRANCHES = ["hyp2f1", "hyp2f1_near_one", "hyp2f1_auto"]
+
+
 @pytest.mark.parametrize("p", [Hyp2F1Params(-2.0, 3.0, 1.5),
                                Hyp2F1Params(-0.5, 2.5, 1.5)])
-@pytest.mark.parametrize("x", [0.3, 0.7])     # series, connection branch
+@pytest.mark.parametrize("x", [0.3, 0.7, X_SWITCH], ids=_BRANCHES)
 def test_array_shape_contract(x, p):
     scalar = hyp2f1_auto(p, x)
     assert type(scalar) is float
@@ -374,12 +380,15 @@ def test_array_shape_contract(x, p):
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
-# -0.2 is refused by the series branch, NaN and 1.2 by the connection one
+# -0.2 falls to the series branch, NaN and 1.2 to the connection one, whichever
+# branch the good points take
 @pytest.mark.parametrize("bad", [-0.2, math.nan, 1.2])
-def test_array_with_one_bad_point_is_refused(bad):
+@pytest.mark.parametrize("good", [(0.1, 0.2, 0.4), (0.6, 0.7, 0.9),
+                                  (0.1, 0.7, 0.4)], ids=_BRANCHES)
+def test_array_with_one_bad_point_is_refused(good, bad):
     p = Hyp2F1Params(-0.5, 2.5, 1.5)
     with pytest.raises(ValueError):
-        hyp2f1_auto(p, np.array([0.1, 0.2, bad, 0.4]))
+        hyp2f1_auto(p, np.array([good[0], good[1], bad, good[2]]))
 
 
 def test_array_budget_exhaustion_raises():
