@@ -164,6 +164,11 @@ class RunConfig:
         if self.k_range is not None and (not self.k_range
                                          or min(self.k_range) < 0):
             raise ValueError("need one or more Fourier indices k >= 0")
+        if self.command == "modes" and 3 * max(self.k_range) ** 2 > self.grid:
+            # a mode solve's error grows with k^2 / grid: measured up to
+            # 8.2e-3 relative where 3 k^2 <= grid, 5.8e-2 past it (README)
+            raise ValueError(f"Fourier index {max(self.k_range)} is too large "
+                             f"for grid {self.grid}: need 3 k^2 <= grid")
 
 
 def _gate(name: str, value: float, threshold: float) -> dict:

@@ -1,10 +1,11 @@
 """Real Gamma-family functions and the Gauss hypergeometric function on [0, 1].
 
-The Gamma functions and the value at one are scalar.  The hypergeometric
-evaluator hyp2f1_auto takes a float or an ndarray x and returns the same
-shape (a Python float for a float); an array is summed as one loop over the
-series index, with each element converging on its own, so every element gets
-exactly the arithmetic of the scalar sum.  All of it is pure and reentrant.
+Every evaluator takes a float or an ndarray and returns the same shape (a
+Python float for a float).  The Gamma functions run math's functions on a
+float and numpy's on an array, one formula each.  hyp2f1_auto sums an array
+in blocks of terms along a term axis, with each element converging on its
+own, so every element gets exactly the arithmetic of the scalar sum.  All
+of it is pure and reentrant.
 The parameter families that matter downstream satisfy a + b = n and
 c = n + 1/2 (so c - a - b = 1/2), but the evaluator is written for generic
 real parameters.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,55 +46,113 @@ _LN_SQRT_2PI = 0.91893853320467274178
 SERIES_TERM_BUDGET = 500
 SERIES_RTOL = 1e-14
 X_SWITCH = 0.5
+_SERIES_BLOCK = 16   # series terms per block of _series
 
 
 class Hyp2F1ConvergenceError(RuntimeError):
     """Raised when the hypergeometric series fails to meet tolerance in budget."""
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _is_nonpositive_integer(x):
+    """x in {0, -1, -2, ...}, the poles of Gamma; elementwise on an array."""
+    return (x <= 0.0) & (x % 1.0 == 0.0)
 
 
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (Lanczos, reflection below 1/2)."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x); x in (0, 1/2) keeps sin positive
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
+# Each formula below is written once and evaluated with math's functions on a
+# float, which keeps the scalar digits, or with numpy's on an array; numpy's
+# exp and log can differ from math's by an ulp.
+_MATH = SimpleNamespace(log=math.log, exp=math.exp, sin=math.sin, rint=round)
+
+
+def _float_or_array(x):
+    """(x, ops): a scalar with math's functions, else a float ndarray with
+    numpy's."""
+    if np.isscalar(x):
+        return x, _MATH
+    return np.asarray(x, dtype=float), np
+
+
+def _lanczos(x, ops):
+    """log Gamma(x) for x >= 1/2 by the Lanczos sum."""
     z = x - 1.0
     acc = _LANCZOS[0]
     for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
+        acc = acc + _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return _LN_SQRT_2PI + (z + 0.5) * ops.log(t) - t + ops.log(acc)
 
 
-def _sin_pi(x: float) -> float:
+def _sin_pi(x, ops):
     """sin(pi x) with exact argument reduction (accurate near integers)."""
-    k = round(x)
-    r = x - k
-    s = math.sin(math.pi * r)
-    return -s if (k % 2) else s
+    k = ops.rint(x)
+    return ops.sin(math.pi * (x - k)) * (1 - 2 * (k % 2))
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real non-pole x (reflection for x < 0.5)."""
-    if x >= 0.5:
-        return math.exp(ln_gamma(x))
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"Gamma pole at {x}")
-    return math.pi / (_sin_pi(x) * math.exp(ln_gamma(1.0 - x)))
+def _pi_over_gamma(x, ops):
+    """pi / Gamma(x) = sin(pi x) Gamma(1 - x) for x < 1/2 (reflection)."""
+    return _sin_pi(x, ops) * ops.exp(_lanczos(1.0 - x, ops))
 
 
-def recip_gamma(x: float) -> float:
-    """1/Gamma(x); entire, exactly zero at non-positive integers."""
-    if x > 0.5:
-        return math.exp(-ln_gamma(x))
-    if _is_nonpositive_integer(x):
-        return 0.0
-    return _sin_pi(x) * math.exp(ln_gamma(1.0 - x)) / math.pi
+def _first_bad(x, bad):
+    """The first element of x where bad holds, or None where it holds nowhere."""
+    if isinstance(bad, np.ndarray):
+        return float(x[bad][0]) if bad.any() else None
+    return x if bad else None
+
+
+def _ln_gamma_reflected(x, ops):
+    """log Gamma(x) for x in (0, 1/2): Gamma(x) Gamma(1-x) = pi / sin(pi x),
+    with sin positive there."""
+    return ops.log(math.pi / ops.sin(math.pi * x)) - _lanczos(1.0 - x, ops)
+
+
+def ln_gamma(x):
+    """log Gamma(x) for x > 0 (Lanczos, reflection below 1/2), on a float or
+    elementwise on an array; an array with any x <= 0 is refused."""
+    x, ops = _float_or_array(x)
+    bad = _first_bad(x, x <= 0.0)
+    if bad is not None:
+        raise ValueError(f"ln_gamma requires x > 0, got {bad}")
+    low = x < 0.5
+    if ops is _MATH:
+        return _ln_gamma_reflected(x, ops) if low else _lanczos(x, ops)
+    out = np.empty_like(x)
+    out[low] = _ln_gamma_reflected(x[low], np)
+    out[~low] = _lanczos(x[~low], np)
+    return out
+
+
+def gamma_fn(x):
+    """Gamma(x) for real non-pole x (reflection for x < 0.5), on a float or
+    elementwise on an array; an array with any pole is refused."""
+    x, ops = _float_or_array(x)
+    pole = _first_bad(x, _is_nonpositive_integer(x))
+    if pole is not None:
+        raise ValueError(f"Gamma pole at {pole}")
+    up = x >= 0.5
+    if ops is _MATH:
+        return math.exp(_lanczos(x, ops)) if up else math.pi / _pi_over_gamma(x, ops)
+    out = np.empty_like(x)
+    out[up] = np.exp(_lanczos(x[up], np))
+    out[~up] = math.pi / _pi_over_gamma(x[~up], np)
+    return out
+
+
+def recip_gamma(x):
+    """1/Gamma(x) on a float or elementwise on an array; entire, exactly zero
+    at non-positive integers."""
+    x, ops = _float_or_array(x)
+    up = x > 0.5
+    pole = _is_nonpositive_integer(x)
+    if ops is _MATH:
+        if up:
+            return math.exp(-_lanczos(x, ops))
+        return 0.0 if pole else _pi_over_gamma(x, ops) / math.pi
+    out = np.zeros_like(x)
+    out[up] = np.exp(-_lanczos(x[up], np))
+    low = ~up & ~pole
+    out[low] = _pi_over_gamma(x[low], np) / math.pi
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,7 +188,13 @@ def _like(x, out: np.ndarray):
 
 
 def _series(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
-    """The Gauss series on a 1-D array, one loop over k for every element."""
+    """The Gauss series on a 1-D array, summed _SERIES_BLOCK terms at a time.
+
+    Terms and partial sums run along a term axis by sequential products and
+    sums, so every element gets exactly the arithmetic of its scalar sum,
+    and stops where that sum would: at its second consecutive term below
+    SERIES_RTOL of the sum.
+    """
     term = np.ones_like(x)
     acc = np.ones_like(x)
     m = p.terminating_index()
@@ -141,27 +207,43 @@ def _series(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
     if not inside.all():
         raise ValueError("non-terminating series needs 0 <= x < 1, "
                          f"got {x[~inside][0]}")
-    # Each element counts its own run of small terms and freezes its acc
-    # after two, so it stops where a sum over that element alone would.
-    small = np.zeros(x.shape, dtype=int)
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(SERIES_TERM_BUDGET):
-        term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
-        np.add(acc, term, out=acc, where=live)
-        small = np.where(np.abs(term) <= SERIES_RTOL * np.abs(acc), small + 1, 0)
-        live &= small < 2
-        if not live.any():
-            return acc
-    raise Hyp2F1ConvergenceError(
-        f"series for {p} at x={x[live][0]} ({np.count_nonzero(live)} of "
-        f"{x.size} points) did not converge")
+    out = np.empty_like(x)
+    # the elements still summing, with their last term and partial sum and
+    # whether that term was small
+    live = np.arange(x.size)
+    small = np.zeros(x.size, dtype=bool)
+    k0 = 0
+    while live.size:
+        if k0 >= SERIES_TERM_BUDGET:
+            raise Hyp2F1ConvergenceError(
+                f"series for {p} at x={x[live[0]]} ({live.size} of "
+                f"{x.size} points) did not converge")
+        k = np.arange(k0, min(k0 + _SERIES_BLOCK, SERIES_TERM_BUDGET), dtype=float)
+        terms = ((p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)))[:, None] * x[live]
+        terms[0] *= term
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        sums = terms.copy()
+        sums[0] += acc
+        np.add.accumulate(sums, axis=0, out=sums)
+        smalls = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
+        stop = smalls & np.vstack([small, smalls[:-1]])
+        done = stop.any(axis=0)
+        out[live[done]] = sums[stop[:, done].argmax(axis=0), done]
+        live, term, acc, small = (live[~done], terms[-1, ~done],
+                                  sums[-1, ~done], smalls[-1, ~done])
+        k0 += _SERIES_BLOCK
+    return out
 
 
-def gauss_value_at_one(p: Hyp2F1Params) -> float:
-    """F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
+def gauss_value_at_one(p: Hyp2F1Params):
+    """F(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).
+
+    a and b may be arrays of one shape, for a value per element.
+    """
     s = p.c - p.a - p.b
-    if s <= 0.0:
-        raise ValueError(f"F(a,b;c;1) needs c-a-b > 0, got {s}")
+    bad = _first_bad(s, s <= 0.0)
+    if bad is not None:
+        raise ValueError(f"F(a,b;c;1) needs c-a-b > 0, got {bad}")
     return (gamma_fn(p.c) * gamma_fn(s)
             * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
 

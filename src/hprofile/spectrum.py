@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 ROOT_SCAN_STEP = 0.5
+_SCAN_CHUNK = 4096   # grid points per array evaluation of a root scan
 ROOT_TOL = 1e-10
 RICHARDSON_ORDER = 2.0  # convergence order of the lumped P1 pencil
 
@@ -154,54 +155,71 @@ def radial_eigenfunction(k: int, params: ProfileParams,
 
 # --- Gamma-condition root finders -------------------------------------------
 
-def even_condition_value(lam: float, params: ProfileParams) -> float:
+def _condition_s(lam, n: int):
+    """s = sqrt(n^2 + lam), for a float or elementwise for an array."""
+    if np.isscalar(lam):
+        return math.sqrt(n * n + lam)
+    return np.sqrt(n * n + np.asarray(lam, dtype=float))
+
+
+def even_condition_value(lam, params: ProfileParams):
     """Weighted mean of the regular solution: zero exactly at even eigenvalues.
 
     sqrt(pi) Gamma(n+1/2) / (2 Gamma((2+n-s)/2) Gamma((2+n+s)/2)),
-    s = sqrt(n^2 + lam).
+    s = sqrt(n^2 + lam), for a float or elementwise for an array.
     """
     n = params.n
-    s = math.sqrt(n * n + lam)
+    s = _condition_s(lam, n)
     return (math.sqrt(math.pi) * gamma_fn(n + 0.5) / 2.0
             * recip_gamma((2.0 + n - s) / 2.0)
             * recip_gamma((2.0 + n + s) / 2.0))
 
 
-def odd_condition_value(lam: float, params: ProfileParams) -> float:
-    """Equator value of the regular solution: zero exactly at odd eigenvalues."""
+def odd_condition_value(lam, params: ProfileParams):
+    """Equator value of the regular solution: zero exactly at odd eigenvalues;
+    for a float or elementwise for an array."""
     n = params.n
-    s = math.sqrt(n * n + lam)
+    s = _condition_s(lam, n)
     p = Hyp2F1Params((n - s) / 2.0, (n + s) / 2.0, n + 0.5)
     return gauss_value_at_one(p)
 
 
-def _scan_roots(f: Callable[[float], float], lam_max: float) -> list[float]:
+def _scan_roots(f: Callable, lam_max: float) -> list[float]:
+    """Zeros of f in (0, lam_max], ascending.
+
+    f is evaluated as an array on the grid 0.25 + j ROOT_SCAN_STEP clipped
+    at lam_max, _SCAN_CHUNK points at a time so that memory stays bounded.
+    Every grid point where f is exactly zero is a root, the last one
+    included, and every step where f changes sign is bisected on floats.
+    """
+    if not 0.0 < lam_max < math.inf:
+        raise ValueError("lambda_max must be positive and finite")
+    steps = max(0, math.ceil((lam_max - 0.25) / ROOT_SCAN_STEP))
     roots = []
-    lo = 0.25
-    flo = f(lo)
-    lam = lo
-    while lam < lam_max:
-        hi = min(lam + ROOT_SCAN_STEP, lam_max)
-        fhi = f(hi)
-        if flo == 0.0:
-            roots.append(lam)
-        elif flo * fhi < 0.0:
-            roots.append(bisect_root(f, lam, hi, ROOT_TOL))
-        lam, flo = hi, fhi
-    return roots
+    for j0 in range(0, steps + 1, _SCAN_CHUNK):
+        # this chunk's grid points, led by the previous chunk's last point
+        # so that the step between the two is scanned too
+        j = np.arange(max(j0 - 1, 0), min(j0 + _SCAN_CHUNK, steps + 1))
+        grid = np.minimum(0.25 + ROOT_SCAN_STEP * j, lam_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = f(grid)
+        if not np.isfinite(vals).all():
+            # a silently skipped step would drop its root from the list
+            raise OverflowError("the eigenvalue condition leaves float range "
+                                f"at lambda = {grid[~np.isfinite(vals)][0]}")
+        roots += [float(lam) for lam in grid[(vals == 0.0) & (j >= j0)]]
+        roots += [bisect_root(f, float(grid[i]), float(grid[i + 1]), ROOT_TOL)
+                  for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    return sorted(roots)
 
 
 def eigencondition_even_roots(lambda_max: float, params: ProfileParams) -> list[float]:
     """Zeros of the even eigenvalue condition in (0, lambda_max]."""
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
     return _scan_roots(lambda lam: even_condition_value(lam, params), lambda_max)
 
 
 def eigencondition_odd_roots(lambda_max: float, params: ProfileParams) -> list[float]:
     """Zeros of the odd (equator) eigenvalue condition in (0, lambda_max]."""
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
     return _scan_roots(lambda lam: odd_condition_value(lam, params), lambda_max)
 
 

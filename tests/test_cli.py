@@ -382,7 +382,23 @@ _REFUSED = [
     (["modes", "--tol", "0"], "--tol must be > 0"),
     (["verify", "--tol", "-0.0"], "--tol must be > 0"),
     (["poincare", "--tol=-inf"], "--tol must be > 0"),
+    # a Fourier index the grid cannot resolve: 3 k^2 > grid
+    (["modes", "--k", "100000", "--grid", "400"],
+     "Fourier index 100000 is too large for grid 400"),
+    (["modes", "--k", "0..12", "--grid", "400"],
+     "Fourier index 12 is too large for grid 400"),
+    (["modes", "--k", "5", "--grid", "60"],
+     "Fourier index 5 is too large for grid 60"),
 ]
+
+
+# The largest Fourier index each grid resolves (3 k^2 <= grid), among them
+# the study's k <= 4 at grid 400 and the benchmark's reduced grid 60.
+@pytest.mark.parametrize("argv", [["modes", "--k", "0..11", "--grid", "400"],
+                                  ["modes", "--k", "0..4", "--grid", "60"],
+                                  ["modes", "--k", "5", "--grid", "75"]])
+def test_modes_k_at_the_grid_limit_is_accepted(tmp_path, argv):
+    _parsed(argv + ["--out", str(tmp_path)]).validate()
 
 
 # Eigensolves on both sides of the 1 GiB workspace limit (validated only;

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hprofile.geometry import ProfileParams
-from hprofile.specfun import (SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
+from hprofile.specfun import (_LANCZOS, _LANCZOS_G, _LN_SQRT_2PI,
+                              SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
                               Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
                               gauss_value_at_one, hyp2f1_auto, ln_gamma,
                               recip_gamma)
@@ -401,3 +402,104 @@ def test_array_refuses_the_divergent_value_at_one():
     p = Hyp2F1Params(0.5, 1.5, 1.5)   # c - a - b = -1/2
     with pytest.raises(ValueError):
         hyp2f1_auto(p, np.array([0.2, 0.7, 1.0]))
+
+
+# --- the Gamma family on arrays ------------------------------------------------
+#
+# The reference is the float-only Gamma family the array forms replaced, kept
+# here verbatim: on a float the new forms must return its values bit for bit.
+
+def _ref_ln_gamma(x):
+    if x <= 0.0:
+        raise ValueError(x)
+    if x < 0.5:
+        return math.log(math.pi / math.sin(math.pi * x)) - _ref_ln_gamma(1.0 - x)
+    z = x - 1.0
+    acc = _LANCZOS[0]
+    for i in range(1, 9):
+        acc += _LANCZOS[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+
+
+def _ref_sin_pi(x):
+    k = round(x)
+    r = x - k
+    s = math.sin(math.pi * r)
+    return -s if (k % 2) else s
+
+
+def _ref_gamma_fn(x):
+    if x >= 0.5:
+        return math.exp(_ref_ln_gamma(x))
+    if x <= 0.0 and x == math.floor(x):
+        raise ValueError(x)
+    return math.pi / (_ref_sin_pi(x) * math.exp(_ref_ln_gamma(1.0 - x)))
+
+
+def _ref_recip_gamma(x):
+    if x > 0.5:
+        return math.exp(-_ref_ln_gamma(x))
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return _ref_sin_pi(x) * math.exp(_ref_ln_gamma(1.0 - x)) / math.pi
+
+
+# off the poles, with the branch points 1/2 and near-integers
+_GAMMA_X = np.concatenate([
+    np.random.default_rng(2011).uniform(-50.0, 60.0, 4000),
+    [0.5, 0.5 + 1e-16, 0.5 - 1e-16, 1.0, 2.0, -3.0 + 1e-7, -3.0 - 1e-7, 1e-300]])
+_GAMMA_FAMILY = [(ln_gamma, _ref_ln_gamma, _GAMMA_X[_GAMMA_X > 0.0]),
+                 (gamma_fn, _ref_gamma_fn, _GAMMA_X),
+                 (recip_gamma, _ref_recip_gamma, _GAMMA_X)]
+_GAMMA_IDS = ["ln_gamma", "gamma_fn", "recip_gamma"]
+
+
+@pytest.mark.parametrize("f,ref,xs", _GAMMA_FAMILY, ids=_GAMMA_IDS)
+def test_gamma_family_float_is_the_scalar_value(f, ref, xs):
+    for x in xs:
+        got = f(float(x))
+        assert type(got) is float
+        assert got == ref(float(x)), x
+
+
+@pytest.mark.parametrize("f,ref,xs", _GAMMA_FAMILY, ids=_GAMMA_IDS)
+def test_gamma_family_array_matches_the_float_path(f, ref, xs):
+    got = f(xs)
+    want = np.array([f(float(x)) for x in xs])
+    # numpy's exp and log differ from math's by an ulp on some inputs, which
+    # exp turns into an ulp of ln|Gamma| (up to 2.8e-14 relative measured
+    # over x in [-50, 60]); log Gamma itself differs by an ulp of its size.
+    if f is ln_gamma:
+        bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+    else:
+        bound = 1e-13 * np.abs(want)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("f", [ln_gamma, gamma_fn, recip_gamma], ids=_GAMMA_IDS)
+@pytest.mark.parametrize("x", [0.3, 0.5, 2.5, 41.7])
+def test_gamma_family_shape_contract(f, x):
+    scalar = f(x)
+    zero_d = f(np.array(x))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert float(zero_d) == pytest.approx(scalar, rel=1e-13)
+    grid = f(np.full((2, 3), x))
+    assert grid.shape == (2, 3) and np.all(grid == grid[0, 0])
+    empty = f(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_recip_gamma_array_is_exactly_zero_at_the_poles():
+    poles = -np.arange(51.0)
+    x = np.concatenate([poles, poles - 0.5])
+    got = recip_gamma(x)
+    assert np.all(got[:51] == 0.0)
+    assert np.all(got[51:] != 0.0)
+
+
+@pytest.mark.parametrize("f,bad", [(ln_gamma, 0.0), (ln_gamma, -2.5),
+                                   (gamma_fn, 0.0), (gamma_fn, -7.0)])
+def test_gamma_family_array_with_one_bad_point_is_refused(f, bad):
+    with pytest.raises(ValueError, match=str(bad)):
+        f(np.array([1.5, 0.25, bad, 3.0]))

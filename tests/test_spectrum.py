@@ -15,8 +15,10 @@ import pytest
 
 from hprofile import spectrum
 from hprofile.geometry import ProfileParams
-from hprofile.numerics import gauss_jacobi_rule, profile_rule, sym_tridiag_eigen
-from hprofile.spectrum import (RadialTrial, build_mode_operator,
+from hprofile.numerics import (bisect_root, gauss_jacobi_rule, profile_rule,
+                               sym_tridiag_eigen)
+from hprofile.spectrum import (ROOT_SCAN_STEP, ROOT_TOL, RadialTrial,
+                               build_mode_operator,
                                build_radial_discretization,
                                default_green_polar_trials,
                                default_green_radial_trials,
@@ -171,6 +173,85 @@ def test_root_families_match_closed_form_for_m_up_to_4():
             assert abs(even[m - 1] - 2 * m * (2 * m + 2 * n)) <= 1e-8
         for m in range(5):
             assert abs(odd[m] - (2 * m + 1) * (2 * m + 1 + 2 * n)) <= 1e-8
+
+
+@pytest.mark.parametrize("roots,n,lmax", [
+    (eigencondition_even_roots, 2, 12.0),    # lambda_2 = 12
+    (eigencondition_odd_roots, 1, 3.0),      # lambda_1 = 3
+    (eigencondition_odd_roots, 2, 5.0),      # lambda_1 = 5
+])
+def test_a_root_at_lambda_max_is_kept(roots, n, lmax):
+    assert roots(lmax, ProfileParams(n)) == [lmax]
+
+
+@pytest.mark.parametrize("lmax", [0.0, -1.0, math.inf, math.nan])
+def test_root_scan_refuses_a_bad_lambda_max(lmax):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eigencondition_even_roots(lmax, ProfileParams(1))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_root_scan_chunks_share_their_end_points(monkeypatch, chunk):
+    # a zero or a sign change on a chunk boundary is found exactly once
+    params = ProfileParams(2)
+    want = [scan(300.0, params) for scan in (eigencondition_even_roots,
+                                             eigencondition_odd_roots)]
+    monkeypatch.setattr(spectrum, "_SCAN_CHUNK", chunk)
+    for scan, roots in zip((eigencondition_even_roots,
+                            eigencondition_odd_roots), want):
+        assert scan(300.0, params) == roots
+        assert scan(12.0, params) == [r for r in roots if r <= 12.0]
+
+
+def test_root_scan_past_float_range_raises():
+    # 1/Gamma((2 + n - s)/2) overflows near lambda = 1.2e5 (n = 1); a scan
+    # past it refuses rather than dropping the steps it cannot evaluate
+    with pytest.raises(OverflowError, match="leaves float range"):
+        eigencondition_even_roots(1e9, ProfileParams(1))
+
+
+# The per-point scan the array scan replaced, verbatim, as the reference for
+# the roots below lambda_max.  It never looks for an exact zero at its last
+# grid point, so a root at lambda_max itself is missing from its list.
+def _ref_scan_roots(f, lam_max):
+    roots = []
+    lo = 0.25
+    flo = f(lo)
+    lam = lo
+    while lam < lam_max:
+        hi = min(lam + ROOT_SCAN_STEP, lam_max)
+        fhi = f(hi)
+        if flo == 0.0:
+            roots.append(lam)
+        elif flo * fhi < 0.0:
+            roots.append(bisect_root(f, lam, hi, ROOT_TOL))
+        lam, flo = hi, fhi
+    return roots
+
+
+_SCANS = {"even": (even_condition_value, eigencondition_even_roots),
+          "odd": (odd_condition_value, eigencondition_odd_roots)}
+
+
+# every root with k <= 40, and a lambda_max that cuts the last step short
+# of the grid spacing, inside the bracket of lambda_2 = 12 (n = 2)
+@pytest.mark.parametrize("n,lmax", [(n, 40 * (40 + 2 * n) + 1.0)
+                                    for n in (*range(1, 13), 40)] + [(2, 12.1)])
+@pytest.mark.parametrize("family", ["even", "odd"])
+def test_array_scan_matches_the_per_point_scan(family, n, lmax):
+    value, scan = _SCANS[family]
+    params = ProfileParams(n)
+    ref = _ref_scan_roots(lambda lam: value(lam, params), lmax)
+    assert scan(lmax, params) == ref
+    # the array values pick the same brackets: each grid point has the sign
+    # of its float value (they differ by up to 5.7e-14 relative, measured)
+    grid = [0.25]
+    while grid[-1] < lmax:
+        grid.append(min(grid[-1] + ROOT_SCAN_STEP, lmax))
+    floats = np.array([value(lam, params) for lam in grid])
+    array = value(np.array(grid), params)
+    assert np.array_equal(np.sign(array), np.sign(floats))
+    assert np.all(np.abs(array - floats) <= 2e-13 * np.abs(floats))
 
 
 # --- discrete pencil ----------------------------------------------------------
