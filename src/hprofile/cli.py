@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,37 +28,27 @@ from .geometry import (GeodesicState, ProfileParams, _random_interior_points,
                        profile_geodesic_residual)
 from .numerics import profile_rule
 from .operators import verify_identities
-from .spectrum import (_MODE_EXTRA, ModeEntry, ModeReport, PoincareEntry,
-                       PoincareReport, SpectrumReport, build_spectrum_report,
+from .spectrum import (ModeEntry, ModeReport, PoincareEntry, PoincareReport,
+                       SpectrumReport, build_spectrum_report,
+                       check_mode_solve, check_radial_solve,
                        default_green_polar_trials,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
                        mode_spectrum, parity_spectrum_entries,
-                       poincare_constant_estimate, pole_mass,
-                       radial_eigenfunction)
+                       poincare_constant_estimate, radial_eigenfunction)
 
 __all__ = ["RunConfig", "run", "main"]
 
 # Default gate tolerance of each verify suite.
 _SUITE_TOL = {"identities": 1e-5, "green": 1e-6, "orthogonality": 1e-8,
               "geometry": 1e-6}
-# Largest eigensolver workspace (_solve_bytes) a config may ask for.
-_WORKSPACE_LIMIT = 2 ** 30
 
 
-def _solve_bytes(grid: int, k: int, itemsize: int, extra: int = 0) -> int:
-    """Upper estimate of the memory of an ARPACK solve for k values on `grid`
-    elements: ncv = max(2k + 1, 20) vectors of the grid's length, about
-    3 ncv^2 work entries, and `extra` more vectors of the grid's length."""
-    ncv = max(2 * k + 1, 20)
-    return itemsize * ((grid + 1) * (ncv + extra) + 3 * ncv * ncv)
-
-
-
-def _parse_k_range(text: str) -> tuple[int, ...]:
+# "lo..hi" as a range, never built: validate reads its bounds in O(1) memory
+def _parse_k_range(text: str) -> Sequence[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -85,7 +75,7 @@ class RunConfig:
     grid: int | None = _flag("--grid", low=50, type=int)
     grid2: int | None = _flag("--grid2", type=int)   # 0 -> 2 * grid
     parity: str | None = _flag("--parity", choices=("even", "odd"))
-    k_range: tuple[int, ...] | None = _flag("--k", type=_parse_k_range)
+    k_range: Sequence[int] | None = _flag("--k", type=_parse_k_range)
     matching: str | None = _flag("--matching",
                                  choices=("continuity", "antisymmetry"))
     suite: str | None = _flag("--suite", choices=tuple(_SUITE_TOL))
@@ -135,40 +125,23 @@ class RunConfig:
             raise ValueError("poincare --full is not gated and takes no --tol")
         if self.command == "modes" and self.n != 1:
             raise ValueError("mode studies are only defined on H^1 (n = 1)")
-        # grid2 defaults to 2 * grid; modes and poincare read none
-        grids = ((self.grid, self.grid2 or 2 * self.grid)
-                 if self.command in ("spectrum", "eig") else (self.grid,))
-        if self.command in ("spectrum", "eig", "modes"):
-            # count: eigenvalues per solve, for spectrum the larger odd family
+        params, ks = ProfileParams(self.n), self.k_range
+        # each solve the command runs; spectrum's larger family is the odd one
+        if self.command in ("spectrum", "eig"):
             count = self.count or (self.k_max + 1) // 2
-            if any(g < 50 or not 1 <= count <= g // 4 for g in grids):
-                raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
-            # a radial solve per grid, whose eigenpair check holds about
-            # five count-wide arrays; modes solves it only for k = 0, and
-            # its complex mode solves ask for 1 + _MODE_EXTRA values more
-            need = max(_solve_bytes(g, count, 8, 5 * count) for g in grids)
-            if self.command == "modes":
-                need = max(need * (0 in self.k_range), _solve_bytes(
-                    self.grid, count + 1 + _MODE_EXTRA, 16))
-            if need > _WORKSPACE_LIMIT:
-                raise ValueError(f"{count} eigenvalues on grid {max(grids)} "
-                                 f"need about {need >> 20} MiB of eigensolver "
-                                 f"workspace (limit {_WORKSPACE_LIMIT >> 20} MiB)")
-        if self.command in ("spectrum", "eig", "poincare"):
-            for g in grids:
-                if pole_mass(ProfileParams(self.n), g) == 0.0:
-                    raise ValueError(f"n = {self.n} is too large for grid {g}:"
-                                     " the pole vertex's mass underflows")
+            for g in (self.grid, self.grid2 or 2 * self.grid):
+                check_radial_solve(params, g, count)
+        if self.command == "poincare" or self.command == "modes" and 0 in ks:
+            check_radial_solve(params, self.grid, self.count or 1)
+        if self.command == "modes":
+            if not ks:
+                raise ValueError("need one or more Fourier indices k >= 0")
+            # a range's bounds: min and max would iterate it
+            for k in ((ks[0], ks[-1]) if isinstance(ks, range)
+                      else (min(ks), max(ks))):
+                check_mode_solve(k, self.grid, self.count)
         if not os.path.isdir(self.out_dir):
             raise ValueError(f"--out {self.out_dir} is not a directory")
-        if self.k_range is not None and (not self.k_range
-                                         or min(self.k_range) < 0):
-            raise ValueError("need one or more Fourier indices k >= 0")
-        if self.command == "modes" and 3 * max(self.k_range) ** 2 > self.grid:
-            # a mode solve's error grows with k^2 / grid: measured up to
-            # 8.2e-3 relative where 3 k^2 <= grid, 5.8e-2 past it (README)
-            raise ValueError(f"Fourier index {max(self.k_range)} is too large "
-                             f"for grid {self.grid}: need 3 k^2 <= grid")
 
 
 def _gate(name: str, value: float, threshold: float) -> dict:

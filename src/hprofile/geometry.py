@@ -166,7 +166,7 @@ def _fd_hess_quadform(f, z: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def mean_curvature_check(params: ProfileParams, sample_count: int,
-                         seed: int = 0, h: float = 1e-5) -> float:
+                         seed: int = 0) -> float:
     """Max |div(z + kappa z^perp) - 2n| over random interior points.
 
     The divergence of the extended normal field is exactly 2n, i.e. the
@@ -176,13 +176,13 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     pts = _random_interior_points(params.n, sample_count, seed)
-    div = sum(_fd_dir(lambda y: horizontal_normal(y, +1), pts, e, h)[:, i]
+    div = sum(_fd_dir(lambda y: horizontal_normal(y, +1), pts, e, 1e-5)[:, i]
               for i, e in enumerate(np.eye(2 * params.n)))
     return float(np.max(np.abs(div - 2.0 * params.n)))
 
 
 def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
-                                 seed: int = 1, h: float = 1e-6) -> float:
+                                 seed: int = 1) -> float:
     """Max |d(omega_bar)/d(nu_H^perp) - 2/rho^2| over random interior points."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -190,7 +190,7 @@ def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
     rho = np.linalg.norm(pts, axis=-1)
     u = perp(horizontal_normal(pts, +1))
     deriv = _fd_dir(lambda y: omega_bar(np.linalg.norm(y, axis=-1), +1),
-                    pts, u, h)
+                    pts, u, 1e-6)
     return float(np.max(np.abs(deriv - 2.0 / rho ** 2)))
 
 

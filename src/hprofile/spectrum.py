@@ -45,10 +45,11 @@ __all__ = [
     "eigencondition_even_roots",
     "eigencondition_odd_roots",
     "build_radial_discretization",
-    "pole_mass",
+    "check_radial_solve",
     "discrete_radial_spectrum",
     "richardson",
     "build_mode_operator",
+    "check_mode_solve",
     "mode_spectrum",
     "rayleigh_quotient",
     "poincare_constant_estimate",
@@ -239,7 +240,7 @@ def _half_masses(n: int, edges: np.ndarray) -> np.ndarray:
         edges[:-1], edges[1:])
 
 
-def pole_mass(params: ProfileParams, n_points: int) -> float:
+def _pole_mass(params: ProfileParams, n_points: int) -> float:
     """Lumped mass of the pole vertex on the whole-hemisphere mesh of
     `n_points` elements, about h^{2n+1} / ((2n+1)(2n+2)); it underflows to 0
     once n is too large for the grid.  Integrated on the first element as
@@ -435,27 +436,57 @@ def _check_constant_mode(value, norm: float) -> None:
                            f"(tolerance {tol:.3g})")
 
 
+# --- solve admission --------------------------------------------------------
+
+_WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
+
+
+def _check_size(grid: int, count: int, values: int, itemsize: int,
+                extra: int) -> None:
+    """Refuse `count` values on `grid` elements unless grid >= 50 and
+    1 <= count <= grid / 4, and an upper estimate of the solve's memory is
+    within _WORKSPACE_LIMIT: ncv = max(2 values + 1, 20) ARPACK vectors and
+    3 ncv^2 work entries of `itemsize` bytes, `extra` vectors more, and the
+    (elements, 12) nodes and (2, elements, 12) hats of _half_masses."""
+    if grid < 50 or not 1 <= count <= grid // 4:
+        raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
+    ncv = max(2 * values + 1, 20)
+    need = (itemsize * ((grid + 1) * (ncv + extra) + 3 * ncv * ncv)
+            + 8 * 36 * grid)
+    if need > _WORKSPACE_LIMIT:
+        raise ValueError(f"{count} eigenvalues on grid {grid} need about "
+                         f"{need >> 20} MiB of eigensolver workspace "
+                         f"(limit {_WORKSPACE_LIMIT >> 20} MiB)")
+
+
+def check_radial_solve(params: ProfileParams, grid: int, count: int) -> None:
+    """ValueError unless discrete_radial_spectrum can solve this: the sizes
+    of _check_size, whose `extra` is the eigenpair check's five count-wide
+    arrays, and a pole vertex mass that does not underflow."""
+    _check_size(grid, count, count, 8, 5 * count)
+    if _pole_mass(params, grid) == 0.0:
+        raise ValueError(f"n = {params.n} is too large for grid {grid}:"
+                         " the pole vertex's mass underflows")
+
+
 def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
                              count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of the radial problem.
 
     bc='natural' realizes the zero-weighted-mean (even) family, without the
     trivial constant mode.  bc='dirichlet' pins the equator value and
-    realizes the odd family.
+    realizes the odd family.  Sizes are refused as check_radial_solve does.
     """
-    if n_points < 50:
-        raise ValueError("n_points must be >= 50")
-    if count > n_points // 4:
-        raise ValueError("count must be <= n_points / 4")
+    check_radial_solve(params, n_points, count)
     if bc not in ("natural", "dirichlet"):
         raise ValueError("bc must be 'natural' or 'dirichlet'")
     return build_radial_discretization(params, n_points,
                                        bc_right=bc).lowest(count)
 
 
-def richardson(coarse, fine, order: float = RICHARDSON_ORDER):
-    """Eliminate the h^order error term from a grid pair (N, 2N)."""
-    f = 2.0 ** order
+def richardson(coarse, fine):
+    """Eliminate the h^RICHARDSON_ORDER error term from a grid pair (N, 2N)."""
+    f = 2.0 ** RICHARDSON_ORDER
     return (f * np.asarray(fine) - np.asarray(coarse)) / (f - 1.0)
 
 
@@ -465,6 +496,8 @@ MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
                     # operator has its constant mode
 _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
                     # nearest to the shift need not be the lowest by real part
+_MODE_LU = 28       # complex vectors for SuperLU's factors and storage:
+                    # peak RSS at count 1 (grids 2e4 to 1e6) needs 23.3
 
 
 @dataclass(frozen=True)
@@ -521,6 +554,18 @@ def build_mode_operator(k: int, n_points: int,
                         matrix=T, mass=disc.mass)
 
 
+def check_mode_solve(k: int, grid: int, count: int) -> None:
+    """ValueError unless mode_spectrum can solve this: _check_size for
+    count + 1 + _MODE_EXTRA complex values, k >= 0 and 3 k^2 <= grid (past
+    it the error of a solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
+    _check_size(grid, count, count + 1 + _MODE_EXTRA, 16, _MODE_LU)
+    if k < 0:
+        raise ValueError("need one or more Fourier indices k >= 0")
+    if 3 * k * k > grid:
+        raise ValueError(f"Fourier index {k} is too large for grid {grid}: "
+                         "need 3 k^2 <= grid")
+
+
 def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
                   matching: str = "continuity",
                   return_vectors: bool = False):
@@ -531,12 +576,7 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     the spectrum coincides with the radial pencil; the constant mode of the
     continuity class is checked to sit at zero and dropped there.
     """
-    if k < 0:
-        raise ValueError("Fourier index must be >= 0")
-    if n_points < 50:
-        raise ValueError("n_points must be >= 50")
-    if not 1 <= count <= n_points // 4:
-        raise ValueError("count must be in 1..n_points/4")
+    check_mode_solve(k, n_points, count)
     op = build_mode_operator(k, n_points, matching)
     # loaded here: only the mode study needs ARPACK (+2 MB, ~35 ms to import)
     from scipy.sparse.linalg import eigs, norm
@@ -574,13 +614,12 @@ def rayleigh_quotient(f: Callable, df: Callable, rule: QuadratureRule) -> float:
 
 def poincare_constant_estimate(params: ProfileParams, n_points: int = 1000,
                                include_modes: bool = False,
-                               mode_k_max: int = 4,
                                mode_grid: int = 300) -> tuple[float, float]:
     """Estimate (mu, C_P = 1/mu) from the discretized spectra.
 
     The radial-only estimate takes the smaller of the lowest non-constant
     natural eigenvalue and the lowest Dirichlet eigenvalue.  With
-    include_modes (H^1 only) the k >= 1 Fourier minima join the candidate
+    include_modes (H^1 only) the k = 1..4 Fourier minima join the candidate
     set; that extension is exploratory.
     """
     cands = [float(discrete_radial_spectrum(params, "natural", n_points, 1)[0]),
@@ -588,7 +627,7 @@ def poincare_constant_estimate(params: ProfileParams, n_points: int = 1000,
     if include_modes:
         if params.n != 1:
             raise ValueError("mode study only available on H^1")
-        for k in range(1, mode_k_max + 1):
+        for k in range(1, 5):
             for matching in ("continuity", "antisymmetry"):
                 vals = mode_spectrum(k, mode_grid, 1, matching)
                 cands.append(float(vals[0].real))
@@ -610,8 +649,8 @@ def subdomain_bound_check(interval: tuple[float, float], bound: float,
 def gram_matrix(modes: Sequence[RadialEigenmode],
                 rule: QuadratureRule) -> np.ndarray:
     """L^2 Gram matrix over the full closed surface (hemisphere signs included)."""
-    params = ProfileParams(_infer_n(modes[0]))
-    area = params.sphere_area
+    # c = n + 1/2 for every family member
+    area = ProfileParams(round(modes[0].hyp.c - 0.5)).sphere_area
     m = len(modes)
     # each mode once, at the rule's nodes in rho
     vals = [mode.value(np.sqrt(rule.nodes)) for mode in modes]
@@ -628,11 +667,6 @@ def gram_matrix(modes: Sequence[RadialEigenmode],
     return G
 
 
-def _infer_n(mode: RadialEigenmode) -> int:
-    # c = n + 1/2 for every family member
-    return int(round(mode.hyp.c - 0.5))
-
-
 # --- Green-formula checks -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -645,9 +679,7 @@ class PolarTrial:
 _GREEN_RHO_RULE = gauss_jacobi_rule(64, -0.5, 0.0)
 
 
-def green_check(trial, params: ProfileParams,
-                rule: QuadratureRule | None = None,
-                n_theta: int = 64) -> float:
+def green_check(trial, params: ProfileParams) -> float:
     """|integral of L phi over the closed surface|; zero for smooth trials.
 
     Radial trials integrate over both hemispheres with the weighted rule;
@@ -655,16 +687,14 @@ def green_check(trial, params: ProfileParams,
     flipped on the lower hemisphere.
     """
     if isinstance(trial, RadialTrial):
-        if rule is None:
-            rule = profile_rule(params, 64)
         return abs(params.sphere_area * integrate_profile_radial(
-            lambda r: trial.applied(r, params), rule))
+            lambda r: trial.applied(r, params), profile_rule(params, 64)))
     if isinstance(trial, PolarTrial):
         if params.n != 1:
             raise ValueError("2-D trials are only supported on H^1")
         rho = _GREEN_RHO_RULE.nodes[:, None]
         wts = _GREEN_RHO_RULE.weights
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        theta = 2.0 * math.pi * np.arange(64) / 64
         f, fr, ft, frr, ftr, ftt = trial.jets(rho, theta[None, :])
         # density w / 2 = (1-rho)^{-1/2} * reg(rho), reg on the rule's weight
         r = rho[:, 0]
@@ -674,7 +704,7 @@ def green_check(trial, params: ProfileParams,
             jet = PolarJet(rho=rho, f_rho=fr, f_theta=ft,
                            f_rhorho=frr, f_thetarho=ftr, f_thetatheta=ftt)
             lphi = np.broadcast_to(apply_polar_h1(jet, hemi),
-                                   (rho.size, n_theta))
+                                   (rho.size, 64))
             radial = lphi.mean(axis=1) * 2.0 * math.pi
             total += float(np.dot(wts, reg * radial))
         return abs(total)
@@ -711,17 +741,14 @@ def default_green_polar_trials() -> list[PolarTrial]:
 
 
 def green_symmetry_residual(t1: RadialTrial, t2: RadialTrial,
-                            params: ProfileParams,
-                            rule: QuadratureRule | None = None) -> float:
+                            params: ProfileParams) -> float:
     """|integral of (psi L phi - phi L psi)| over the surface, radial pair."""
-    if rule is None:
-        rule = profile_rule(params, 64)
 
     def integrand(r):
         return t1.f(r) * t2.applied(r, params) - t2.f(r) * t1.applied(r, params)
 
     return abs(params.sphere_area
-               * integrate_profile_radial(integrand, rule))
+               * integrate_profile_radial(integrand, profile_rule(params, 64)))
 
 
 # --- report ----------------------------------------------------------------

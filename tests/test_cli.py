@@ -403,7 +403,7 @@ def test_modes_k_at_the_grid_limit_is_accepted(tmp_path, argv):
 
 # Eigensolves on both sides of the 1 GiB workspace limit (validated only;
 # the accepted ones take seconds to minutes to run).  modes adds the radial
-# solve only when k = 0 is asked for.
+# solve only when k = 0 is asked for; poincare solves on its one grid.
 _WORKSPACE_ACCEPTED = [
     ["eig", "--parity", "odd", "--count", "500", "--grid", "2000"],
     ["modes", "--k", "1", "--count", "1500", "--grid", "12000"],
@@ -412,6 +412,7 @@ _WORKSPACE_REFUSED = [
     ["eig", "--parity", "odd", "--count", "5000", "--grid", "20000"],
     ["spectrum", "--k-max", "9999", "--grid", "20000"],
     ["modes", "--k", "0,1", "--count", "1500", "--grid", "12000"],
+    ["poincare", "--grid", "100000000"],
 ]
 
 
@@ -586,5 +587,23 @@ def test_validate_refuses_with_value_error_only(tmp_path, capsys, data):
 
 def test_mode_k_range_parsing():
     from hprofile.cli import _parse_k_range
-    assert _parse_k_range("0..4") == (0, 1, 2, 3, 4)
+    assert tuple(_parse_k_range("0..4")) == (0, 1, 2, 3, 4)
     assert _parse_k_range("0,2,5") == (0, 2, 5)
+
+
+def test_wide_k_range_is_refused_from_its_bounds(tmp_path):
+    # the indices of a lo..hi range are never built: about 110 MB here
+    # when they were
+    import tracemalloc
+    parser = _build_parser()
+    tracemalloc.start()
+    try:
+        cfg = RunConfig(**vars(parser.parse_args(
+            ["modes", "--k", "0..3000000", "--grid", "400",
+             "--out", str(tmp_path)])))
+        with pytest.raises(ValueError, match="Fourier index 3000000 is too"):
+            cfg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

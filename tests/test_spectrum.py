@@ -18,7 +18,7 @@ from hprofile.geometry import ProfileParams
 from hprofile.numerics import (bisect_root, gauss_jacobi_rule, profile_rule,
                                sym_tridiag_eigen)
 from hprofile.spectrum import (ROOT_SCAN_STEP, ROOT_TOL, RadialTrial,
-                               build_mode_operator,
+                               _pole_mass, build_mode_operator,
                                build_radial_discretization,
                                default_green_polar_trials,
                                default_green_radial_trials,
@@ -29,7 +29,7 @@ from hprofile.spectrum import (ROOT_SCAN_STEP, ROOT_TOL, RadialTrial,
                                green_symmetry_residual, mode_spectrum,
                                odd_condition_value, poincare_constant_estimate,
                                radial_eigenfunction, radial_eigenvalue,
-                               pole_mass, rayleigh_quotient, richardson,
+                               rayleigh_quotient, richardson,
                                subdomain_bound_check)
 
 
@@ -376,7 +376,7 @@ def test_pencil_conductances_carry_the_weight_integral(n_points):
 def test_pole_mass_is_the_assembled_one(n, n_points):
     # n = 60 underflows from grid 1000 on: then both are 0
     disc = build_radial_discretization(ProfileParams(n), n_points)
-    got = pole_mass(ProfileParams(n), n_points)
+    got = _pole_mass(ProfileParams(n), n_points)
     assert got == pytest.approx(float(disc.mass[0]), rel=1e-14, abs=0.0)
     assert (got == 0.0) == (n == 60 and n_points >= 1000)
 
@@ -778,6 +778,32 @@ def test_mode_spectrum_validation():
         mode_spectrum(1, 200, 51)
 
 
+# Library calls get the refusals of the CLI, with the same messages: before,
+# the first two died in ARPACK and the third returned values near 9.95e9.
+@pytest.mark.parametrize("solve,message", [
+    pytest.param(lambda: discrete_radial_spectrum(ProfileParams(60),
+                                                  "natural", 1000, 4),
+                 "n = 60 is too large for grid 1000", id="radial"),
+    pytest.param(lambda: poincare_constant_estimate(ProfileParams(60), 1000),
+                 "n = 60 is too large for grid 1000", id="poincare"),
+    pytest.param(lambda: mode_spectrum(100000, 400, 6),
+                 "Fourier index 100000 is too large for grid 400", id="modes"),
+])
+def test_library_solves_refuse_what_the_cli_refuses(solve, message):
+    with pytest.raises(ValueError, match=message):
+        solve()
+
+
+def test_radial_workspace_is_refused_before_assembling(monkeypatch):
+    # a solve that got this far would take about 13 GB
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled a pencil past the workspace limit")
+
+    monkeypatch.setattr(spectrum, "build_radial_discretization", assemble)
+    with pytest.raises(ValueError, match="MiB of eigensolver workspace"):
+        discrete_radial_spectrum(ProfileParams(1), "dirichlet", 20000, 5000)
+
+
 # --- Rayleigh quotient and Poincare -------------------------------------------
 
 def test_rayleigh_equality_on_eigenmodes():
@@ -841,8 +867,7 @@ def test_poincare_radial_n2():
 
 def test_poincare_full_is_exploratory_only():
     mu, cp = poincare_constant_estimate(ProfileParams(1), 400,
-                                        include_modes=True, mode_k_max=2,
-                                        mode_grid=200)
+                                        include_modes=True, mode_grid=200)
     assert mu > 0.0 and cp == pytest.approx(1.0 / mu)
     with pytest.raises(ValueError):
         poincare_constant_estimate(ProfileParams(2), 400, include_modes=True)
