@@ -225,8 +225,13 @@ def _block_momenta(px: float, py: float, p_last: float, h: float,
     Returns a (4 steps + 1, 2) array: row 4i is P after i steps and rows
     4i + 1 .. 4i + 3 are that step's stage momenta U1, U2, U3.  Each stage
     does the arithmetic that RK4 on the whole flat state does elementwise,
-    in the same order.
+    in the same order.  A block that starts at zero (of either sign) stays
+    at zero, or at nan, and from the second step on repeats that step's
+    rows bit for bit: it runs two steps and tiles the second.
     """
+    if px == 0.0 and py == 0.0 and steps > 2:
+        head = _block_momenta(px, py, p_last, h, 2)
+        return np.concatenate([head, np.tile(head[5:], (steps - 2, 1))])
     half, sixth = 0.5 * h, h / 6.0
     lo, hi = -1.0 * p_last, 1.0 * p_last       # p_last P^perp = (lo y, hi x)
     out = [px, py]

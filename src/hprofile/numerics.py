@@ -38,16 +38,6 @@ class QuadratureRule:
     alpha: float          # exponent at x = 1
     beta: float           # exponent at x = 0
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray],
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """int_lo^hi f(x) (hi-x)^alpha (x-lo)^beta dx for each interval.
-
-        f gets the nodes of all intervals at once, one row per interval.
-        """
-        width = hi - lo
-        x = lo[:, None] + width[:, None] * self.nodes
-        return width ** (1.0 + self.alpha + self.beta) * (f(x) @ self.weights)
-
 
 def ln_beta(p: float, q: float) -> float:
     return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)

@@ -227,17 +227,39 @@ def eigencondition_odd_roots(lambda_max: float, params: ProfileParams) -> list[f
 # --- P1 finite elements in arc length ------------------------------------
 
 _SEG_SMOOTH = gauss_jacobi_rule(12, 0.0, 0.0)
+# (2, 12): the rule's weights times the element's two hats, 1 - t and t
+_HAT_WEIGHTS = _SEG_SMOOTH.weights * np.stack([1.0 - _SEG_SMOOTH.nodes,
+                                               _SEG_SMOOTH.nodes])
 
 
-def _half_masses(n: int, edges: np.ndarray) -> np.ndarray:
-    """(2, elements): int W (1 - t) and int W t over each element, W =
-    sin^{2n} sigma and t the element's local coordinate."""
-    t = _SEG_SMOOTH.nodes
-    hats = np.stack([1.0 - t, t])[:, None]
-    # W overwrites the nodes array, which the rule builds for this call only
-    return _SEG_SMOOTH.integrate(
-        lambda s: np.power(np.sin(s, out=s), 2 * n, out=s) * hats,
-        edges[:-1], edges[1:])
+def _power(x: np.ndarray, p: int) -> np.ndarray:
+    """x ** p for an integer p >= 1 by repeated squaring.  The squares
+    overwrite x, which is returned itself when p is a power of two."""
+    while p % 2 == 0:
+        x *= x
+        p //= 2
+    out = x if p == 1 else x.copy()
+    while p > 1:
+        p //= 2
+        x *= x
+        if p % 2:
+            out *= x
+    return out
+
+
+def _half_masses(n: int, start: np.ndarray, h: float) -> np.ndarray:
+    """(2, elements): int W (1 - t) and int W t over each element
+    [start, start + h], W = sin^{2n} sigma and t the element's local
+    coordinate, for start in [0, pi/2 - h].
+
+    sin(start + h t_j) = sin(start) cos(h t_j) + cos(start) sin(h t_j) at
+    the rule's nodes t_j, one (elements, 2) x (2, 12) product from the
+    vertex values: both terms are >= 0, so nothing cancels at the pole.
+    """
+    ht = h * _SEG_SMOOTH.nodes
+    w = (np.stack([np.sin(start), np.cos(start)], axis=1)
+         @ np.stack([np.cos(ht), np.sin(ht)]))
+    return (h * _HAT_WEIGHTS) @ _power(w, 2 * n).T
 
 
 def _pole_mass(params: ProfileParams, n_points: int) -> float:
@@ -245,8 +267,8 @@ def _pole_mass(params: ProfileParams, n_points: int) -> float:
     `n_points` elements, about h^{2n+1} / ((2n+1)(2n+2)); it underflows to 0
     once n is too large for the grid.  Integrated on the first element as
     build_radial_discretization does."""
-    edges = np.array([0.0, (math.pi / 2) / n_points])
-    return float(_half_masses(params.n, edges)[0, 0])
+    h = (math.pi / 2) / n_points
+    return float(_half_masses(params.n, np.zeros(1), h)[0, 0])
 
 
 # The Green's operator is applied with the resistances 1/cond scaled by
@@ -409,7 +431,7 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
         raise ValueError("n_points must be >= 2")
     edges = np.linspace(math.asin(a), math.asin(b), n_points + 1)
     h = (edges[-1] - edges[0]) / n_points
-    half = _half_masses(params.n, edges)
+    half = _half_masses(params.n, edges[:-1], h)
     cond = half.sum(axis=0) / (h * h)
     mass = np.r_[half[0], 0.0] + np.r_[0.0, half[1]]
     diag = np.r_[cond, 0.0] + np.r_[0.0, cond]
@@ -439,6 +461,11 @@ def _check_constant_mode(value, norm: float) -> None:
 # --- solve admission --------------------------------------------------------
 
 _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
+# Floats an element that build_radial_discretization holds at its peak: two
+# (elements, 12) arrays of W when 2n is not a power of two, and the pencil.
+# tracemalloc measured 27 an element plus under 2 kB (n = 3, 5, 12, 40 and
+# grids 1e5 and 1e6; 15 at n = 1 and 2).
+_ASSEMBLY_FLOATS = 28
 
 
 def _check_size(grid: int, count: int, values: int, itemsize: int,
@@ -447,12 +474,12 @@ def _check_size(grid: int, count: int, values: int, itemsize: int,
     1 <= count <= grid / 4, and an upper estimate of the solve's memory is
     within _WORKSPACE_LIMIT: ncv = max(2 values + 1, 20) ARPACK vectors and
     3 ncv^2 work entries of `itemsize` bytes, `extra` vectors more, and the
-    (elements, 12) nodes and (2, elements, 12) hats of _half_masses."""
+    _ASSEMBLY_FLOATS of the assembly."""
     if grid < 50 or not 1 <= count <= grid // 4:
         raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
     ncv = max(2 * values + 1, 20)
     need = (itemsize * ((grid + 1) * (ncv + extra) + 3 * ncv * ncv)
-            + 8 * 36 * grid)
+            + 8 * _ASSEMBLY_FLOATS * grid)
     if need > _WORKSPACE_LIMIT:
         raise ValueError(f"{count} eigenvalues on grid {grid} need about "
                          f"{need >> 20} MiB of eigensolver workspace "

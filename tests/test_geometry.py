@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import hprofile.geometry as G
 from hprofile.geometry import (GeodesicPath, GeodesicState, ProfileParams,
-                               _fd_dir, _fd_grad, _fd_hess_quadform,
-                               _fd_laplacian, _random_interior_points,
-                               geodesic_trace, horizontal_normal, kappa,
+                               _block_momenta, _fd_dir, _fd_grad,
+                               _fd_hess_quadform, _fd_laplacian,
+                               _random_interior_points, geodesic_trace,
+                               horizontal_normal, kappa,
                                mean_curvature_check, omega_bar,
                                omega_bar_normal_deriv_check, perp,
                                profile_geodesic_residual, profile_height)
@@ -362,6 +363,25 @@ def test_flat_trace_matches_per_state_loop(n, kind):
     assert np.array_equal(path.t, [st.t for st in ref])
     assert np.array_equal(path.p_h, [st.p_h for st in ref])
     assert path.p_h.tobytes() == np.array([st.p_h for st in ref]).tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1024])
+@pytest.mark.parametrize("p_last", [2.0, -2.0, 0.0, 1e308, math.inf,
+                                    math.nan])
+@pytest.mark.parametrize("px,py", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                                   (-0.0, -0.0)])
+def test_zero_block_repeats_its_second_step(px, py, p_last, steps):
+    # a zero block runs two steps and tiles the second; the reference runs
+    # every step, one call a step from the previous call's momentum
+    h = math.pi / 1000
+    rows, p = [[px, py]], (px, py)
+    for _ in range(steps):
+        step = _block_momenta(*p, p_last, h, 1)
+        rows += step[1:].tolist()
+        p = tuple(step[-1].tolist())
+    got = _block_momenta(px, py, p_last, h, steps)
+    assert got.shape == (4 * steps + 1, 2)
+    assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
 
 
 def test_geodesic_path_contract():

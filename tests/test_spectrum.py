@@ -8,6 +8,7 @@ a natural problem with polynomial eigenfunctions and eigenvalues shifted by
 """
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,7 +19,8 @@ from hprofile.geometry import ProfileParams
 from hprofile.numerics import (bisect_root, gauss_jacobi_rule, profile_rule,
                                sym_tridiag_eigen)
 from hprofile.spectrum import (ROOT_SCAN_STEP, ROOT_TOL, RadialTrial,
-                               _pole_mass, build_mode_operator,
+                               _ASSEMBLY_FLOATS, _pole_mass,
+                               build_mode_operator,
                                build_radial_discretization,
                                default_green_polar_trials,
                                default_green_radial_trials,
@@ -323,13 +325,16 @@ def _per_element_pencil(n, m, bc_right, interval, bc_left):
     return diag[first:last + 1], off[first:last], mass[first:last + 1]
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 12, 40])
 @pytest.mark.parametrize("bc_right", ["natural", "dirichlet"])
 @pytest.mark.parametrize("interval,bc_left", [((0.0, 1.0), "natural"),
                                               ((0.3, 1.0), "dirichlet"),
                                               ((0.2, 0.9), "dirichlet")])
 def test_pencil_matches_per_cell_assembly(n, bc_right, interval, bc_left):
-    # the batched rule sees the same nodes; only summation order differs
+    # the assembly takes its node sines from the vertices by angle addition
+    # and powers them by squaring; the reference calls sin and pow at each
+    # node of each element.  At n = 40 the pole elements' W spans hundreds
+    # of decades, where a cancelling node sine would show first.
     m = 1000
     disc = build_radial_discretization(ProfileParams(n), m, bc_right,
                                        interval, bc_left)
@@ -379,6 +384,22 @@ def test_pole_mass_is_the_assembled_one(n, n_points):
     got = _pole_mass(ProfileParams(n), n_points)
     assert got == pytest.approx(float(disc.mass[0]), rel=1e-14, abs=0.0)
     assert (got == 0.0) == (n == 60 and n_points >= 1000)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_assembly_memory_is_within_the_workspace_model(n):
+    # the admission estimate counts _ASSEMBLY_FLOATS an element for the
+    # assembly; where 2n is not a power of two (n = 3, 12) it holds two
+    # (elements, 12) arrays of W at once
+    grid = 100_000
+    build_radial_discretization(ProfileParams(n), 50)
+    tracemalloc.start()
+    try:
+        build_radial_discretization(ProfileParams(n), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _ASSEMBLY_FLOATS * grid
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 40])
