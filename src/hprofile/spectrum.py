@@ -281,10 +281,24 @@ _MASS_SCALE = 1.0 / math.sqrt(_RESIST_SCALE)
 # Largest relative deviation of a computed eigenvalue from the edge-form
 # Rayleigh quotient of its own vector, and largest cosine, in the mass inner
 # product, between a natural-family vector and the constants.  Measured at
-# most 3.1e-14 and 6.5e-15 (n <= 50, grids up to 320000, counts up to
-# grid / 4, subintervals included); one resistance 1% off in mid-mesh reads
-# 1e-5 at grid 2000 and 2.5e-7 at grid 80000.
+# most 3.7e-14 and 6.1e-15 under the LANCZOS_TOL stop (n <= 50, grids up to
+# 320000, counts 1, 4 and up to grid / 4, subintervals included; 5.6e-14
+# and 6.1e-15 at ARPACK's default size and stop); one resistance 1% off in
+# mid-mesh reads 1e-5 at grid 2000 and 2.5e-7 at grid 80000.
 EIGENPAIR_TOL = 1e-12
+# ARPACK's stop for the radial Lanczos solve: Ritz residuals below this
+# times the Ritz value.  The Green's operator is symmetric, so a Ritz value
+# is then off by about LANCZOS_TOL^2 theta^2 / gap, still roundoff, and
+# _check_eigenpairs rules on every pair at EIGENPAIR_TOL as before.
+LANCZOS_TOL = 1e-8
+
+
+def _ncv(values: int, dim: int) -> int:
+    """ARPACK's Krylov basis size for `values` eigenvalues of a dim x dim
+    operator: 2 values + 1 (the ARPACK Users' Guide asks ncv >= 2 values),
+    capped at dim.  SciPy's default, max(2 values + 1, 20), builds and
+    re-orthogonalizes 20 vectors for one value."""
+    return min(2 * values + 1, dim)
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
@@ -356,8 +370,9 @@ class SLDiscretization:
         """Lowest `count` eigenvalues, ascending; a natural pencil's
         constant mode is not one of them.
 
-        Lanczos (ARPACK, fixed start vector) for the top of the Green's
-        operator M^{1/2} K^{-1} M^{1/2}, whose entries are all positive, so
+        Lanczos (ARPACK on 2 count + 1 vectors, fixed start vector, stopped
+        at residuals of LANCZOS_TOL) for the top of the Green's operator
+        M^{1/2} K^{-1} M^{1/2}, whose entries are all positive, so
         lambda_k comes out to eps lambda_k / lambda_1 relative, however fine
         the grid.  A pencil with both ends natural is solved grounded at its
         last vertex and projected off the constants, which removes the
@@ -387,7 +402,8 @@ class SLDiscretization:
 
         m = len(s)
         mu, vecs = eigsh(LinearOperator((m, m), matvec=matvec, dtype=float),
-                         k=count, which="LA", v0=np.ones(m))
+                         k=count, which="LA", v0=np.ones(m),
+                         ncv=_ncv(count, m), tol=LANCZOS_TOL)
         lam, vecs = 1.0 / mu[::-1], vecs[:, ::-1]
         self._check_eigenpairs(lam, vecs / s[:, None],
                                q @ vecs if natural else None)
@@ -464,21 +480,32 @@ _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
 # Floats an element that build_radial_discretization holds at its peak: two
 # (elements, 12) arrays of W when 2n is not a power of two, and the pencil.
 # tracemalloc measured 27 an element plus under 2 kB (n = 3, 5, 12, 40 and
-# grids 1e5 and 1e6; 15 at n = 1 and 2).
+# grids 1e5 and 1e6; 15 at n = 1 and 2).  The assembly's temporaries are
+# freed before ARPACK starts, so the same term also covers what the solve
+# keeps of its operator: the pencil, or the mode matrix and its mesh.
 _ASSEMBLY_FLOATS = 28
+# Vectors of the grid's length that ARPACK holds besides its basis: the
+# residual, three work vectors, the start vector, and the operator's input
+# and output in each matvec.  Beyond the basis, peak RSS measured about 14
+# floats an element for a count-1 radial solve (22 in all, n = 1, grids
+# 2.5e5 to 2e6) and up to 20 complex vectors for a mode solve (counts 10
+# to 50, grid 250000), which this, _MODE_FACTOR and _ASSEMBLY_FLOATS cover
+# with 8 to spare.
+_ARPACK_FIXED = 8
 
 
 def _check_size(grid: int, count: int, values: int, itemsize: int,
                 extra: int) -> None:
     """Refuse `count` values on `grid` elements unless grid >= 50 and
     1 <= count <= grid / 4, and an upper estimate of the solve's memory is
-    within _WORKSPACE_LIMIT: ncv = max(2 values + 1, 20) ARPACK vectors and
-    3 ncv^2 work entries of `itemsize` bytes, `extra` vectors more, and the
-    _ASSEMBLY_FLOATS of the assembly."""
+    within _WORKSPACE_LIMIT: the solver's ncv = _ncv(values) basis vectors,
+    _ARPACK_FIXED and `extra` vectors more and 3 ncv^2 work entries, all of
+    `itemsize` bytes, and the _ASSEMBLY_FLOATS of the assembly."""
     if grid < 50 or not 1 <= count <= grid // 4:
         raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
-    ncv = max(2 * values + 1, 20)
-    need = (itemsize * ((grid + 1) * (ncv + extra) + 3 * ncv * ncv)
+    ncv = _ncv(values, grid + 1)
+    need = (itemsize * ((grid + 1) * (ncv + _ARPACK_FIXED + extra)
+                        + 3 * ncv * ncv)
             + 8 * _ASSEMBLY_FLOATS * grid)
     if need > _WORKSPACE_LIMIT:
         raise ValueError(f"{count} eigenvalues on grid {grid} need about "
@@ -523,8 +550,9 @@ MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
                     # operator has its constant mode
 _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
                     # nearest to the shift need not be the lowest by real part
-_MODE_LU = 28       # complex vectors for SuperLU's factors and storage:
-                    # peak RSS at count 1 (grids 2e4 to 1e6) needs 23.3
+_MODE_FACTOR = 6    # complex vectors of the shifted operator's gttrf
+                    # factors (dl, d, du, du2, the pivots) and of the copy
+                    # gttrs solves in
 
 
 @dataclass(frozen=True)
@@ -583,9 +611,10 @@ def build_mode_operator(k: int, n_points: int,
 
 def check_mode_solve(k: int, grid: int, count: int) -> None:
     """ValueError unless mode_spectrum can solve this: _check_size for
-    count + 1 + _MODE_EXTRA complex values, k >= 0 and 3 k^2 <= grid (past
-    it the error of a solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
-    _check_size(grid, count, count + 1 + _MODE_EXTRA, 16, _MODE_LU)
+    count + 1 + _MODE_EXTRA complex values, with the LU's _MODE_FACTOR
+    vectors as `extra`, k >= 0 and 3 k^2 <= grid (past it the error of a
+    solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
+    _check_size(grid, count, count + 1 + _MODE_EXTRA, 16, _MODE_FACTOR)
     if k < 0:
         raise ValueError("need one or more Fourier indices k >= 0")
     if 3 * k * k > grid:
@@ -598,18 +627,34 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
                   return_vectors: bool = False):
     """Lowest `count` eigenvalues of the mode-k problem (complex, by real part).
 
-    Shift-invert Arnoldi (ARPACK) about MODE_SHIFT from a fixed start
-    vector, so repeated solves of one matrix agree bit for bit.  For k = 0
-    the spectrum coincides with the radial pencil; the constant mode of the
-    continuity class is checked to sit at zero and dropped there.
+    Shift-invert Arnoldi (ARPACK on 2 nev + 1 vectors for nev Ritz values)
+    about MODE_SHIFT from a fixed start vector, so repeated solves of one
+    matrix agree bit for bit.  The shifted tridiagonal operator is factored
+    once by LAPACK's gttrf (RuntimeError if that fails) and each step solves
+    with gttrs.  For k = 0 the spectrum coincides with the radial pencil;
+    the constant mode of the continuity class is checked to sit at zero and
+    dropped there.
     """
     check_mode_solve(k, n_points, count)
     op = build_mode_operator(k, n_points, matching)
     # loaded here: only the mode study needs ARPACK (+2 MB, ~35 ms to import)
-    from scipy.sparse.linalg import eigs, norm
+    from scipy.linalg.lapack import get_lapack_funcs
+    from scipy.sparse.linalg import LinearOperator, eigs, norm
+    a, m = op.matrix, op.matrix.shape[0]
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+    *lu, info = gttrf(a.diagonal(-1), a.diagonal() - MODE_SHIFT, a.diagonal(1),
+                      overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    if info != 0:
+        raise RuntimeError(f"LU factorization of the shifted mode-{k} "
+                           f"operator failed (LAPACK gttrf info = {info})")
+    shift_inverse = LinearOperator((m, m), dtype=complex,
+                                   matvec=lambda x: gttrs(*lu, x)[0])
     drop = 1 if k == 0 and matching == "continuity" else 0
-    out = eigs(op.matrix, k=count + drop + _MODE_EXTRA, sigma=MODE_SHIFT,
-               v0=np.ones(op.matrix.shape[0]),
+    nev = count + drop + _MODE_EXTRA
+    # ARPACK's default stop, machine precision: the operators are not
+    # normal, so a Ritz value is only as accurate as its residual
+    out = eigs(a, k=nev, sigma=MODE_SHIFT, OPinv=shift_inverse,
+               ncv=_ncv(nev, m), v0=np.ones(m),
                return_eigenvectors=return_vectors)
     vals, vecs = out if return_vectors else (out, None)
     order = np.lexsort((vals.imag, vals.real))

@@ -402,6 +402,27 @@ def test_assembly_memory_is_within_the_workspace_model(n):
     assert peak < 8 * _ASSEMBLY_FLOATS * grid
 
 
+@pytest.mark.parametrize("k,matching,count", [(0, "continuity", 1),
+                                               (1, "antisymmetry", 4)])
+def test_mode_solve_memory_is_within_the_workspace_model(monkeypatch, k,
+                                                         matching, count):
+    # check_mode_solve's estimate counts the operator's assembly, the gttrf
+    # factor, ARPACK's basis and its fixed vectors; tracemalloc sees all of
+    # them, ARPACK's Ritz-vector array included
+    grid = 100_000
+    mode_spectrum(k, 400, count, matching)
+    tracemalloc.start()
+    try:
+        mode_spectrum(k, grid, count, matching)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the estimate is at least the peak: a limit just below the peak refuses
+    monkeypatch.setattr(spectrum, "_WORKSPACE_LIMIT", peak - 1)
+    with pytest.raises(ValueError, match="eigensolver workspace"):
+        spectrum.check_mode_solve(k, grid, count)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 16, 40])
 @pytest.mark.parametrize("bc", ["natural", "dirichlet"])
 def test_lumped_values_lie_below_the_closed_form(n, bc):
@@ -600,17 +621,39 @@ def _sturm_eigenvalue(index, guess, cond, mass):
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_radial_solve_against_a_30_digit_reference(n):
     # measured at most 1.3e-15; bisection's eps ||A|| missed the 1e-12
-    # bracket at grid 400
+    # bracket at grid 400.  Count 1 runs Lanczos on its shortest basis,
+    # ncv = 3.
     m = 400
     with localcontext() as ctx:
         ctx.prec = 30
         cond, mass = _mp_pencil(n, m)
         for bc, first in (("natural", 1), ("dirichlet", 0)):
-            vals = discrete_radial_spectrum(ProfileParams(n), bc, m, 4)
             kept = mass if bc == "natural" else mass[:-1]
-            for i, v in enumerate(vals):
-                ref = _sturm_eigenvalue(first + i, v, cond, kept)
-                assert abs(Decimal(v) - ref) / ref <= Decimal("1e-14")
+            for count in (1, 4):
+                vals = discrete_radial_spectrum(ProfileParams(n), bc, m, count)
+                for i, v in enumerate(vals):
+                    ref = _sturm_eigenvalue(first + i, v, cond, kept)
+                    assert abs(Decimal(v) - ref) / ref <= Decimal("1e-14")
+
+
+# The values each solve asks ARPACK for, as check_radial_solve and
+# check_mode_solve count them; k = 0 under continuity solves for the most.
+@pytest.mark.parametrize("count", [1, 4, 100])     # 100: grid / 4
+def test_solves_run_on_the_basis_the_workspace_model_counts(monkeypatch,
+                                                            count):
+    import scipy.sparse.linalg
+    grid, passed = 400, []
+    for name in ("eigsh", "eigs"):
+        def record(*args, solver=getattr(scipy.sparse.linalg, name),
+                   **kwargs):
+            passed.append(kwargs.get("ncv"))
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, name, record)
+    for bc in ("natural", "dirichlet"):
+        discrete_radial_spectrum(ProfileParams(2), bc, grid, count)
+    mode_spectrum(0, grid, count, "continuity")
+    values = [count, count, count + 1 + spectrum._MODE_EXTRA]
+    assert passed == [spectrum._ncv(v, grid + 1) for v in values]
 
 
 @pytest.mark.parametrize("interval", [(0.05, 0.95), (0.3, 0.99), (0.5, 1.0)])
@@ -682,6 +725,23 @@ def test_mode_constant_mode_check_catches_a_shifted_mode(monkeypatch, factor,
             mode_spectrum(0, 4000, 2)
     else:
         mode_spectrum(0, 4000, 2)
+
+
+def test_mode_solve_refuses_a_singular_shifted_operator(monkeypatch):
+    # -I shifted by MODE_SHIFT = -1 is the zero matrix: gttrf reports its
+    # first zero pivot, and no solve may run on that factor
+    import scipy.sparse
+    build = spectrum.build_mode_operator
+
+    def singular(k, n_points, matching):
+        op = build(k, n_points, matching)
+        eye = scipy.sparse.identity(op.matrix.shape[0], dtype=complex,
+                                    format="csc")
+        return dataclasses.replace(op, matrix=-eye)
+
+    monkeypatch.setattr(spectrum, "build_mode_operator", singular)
+    with pytest.raises(RuntimeError, match="gttrf info = 1"):
+        mode_spectrum(1, 200, 2)
 
 
 # --- Fourier modes ---------------------------------------------------------
