@@ -73,7 +73,6 @@ class RunConfig:
     k_max: int | None = _flag("--k-max", low=1, type=int)
     count: int | None = _flag("--count", low=1, type=int)
     grid: int | None = _flag("--grid", low=50, type=int)
-    grid2: int | None = _flag("--grid2", type=int)   # 0 -> 2 * grid
     parity: str | None = _flag("--parity", choices=("even", "odd"))
     k_range: Sequence[int] | None = _flag("--k", type=_parse_k_range)
     matching: str | None = _flag("--matching",
@@ -123,13 +122,14 @@ class RunConfig:
                 raise ValueError(f"{flag} must be <= {sys.maxsize}")
         if self.command == "poincare" and self.full and self.tol is not None:
             raise ValueError("poincare --full is not gated and takes no --tol")
-        if self.command == "modes" and self.n != 1:
+        # poincare --full adds the Fourier-mode minima to the radial ones
+        if self.n != 1 and (self.command == "modes" or self.full):
             raise ValueError("mode studies are only defined on H^1 (n = 1)")
         params, ks = ProfileParams(self.n), self.k_range
         # each solve the command runs; spectrum's larger family is the odd one
         if self.command in ("spectrum", "eig"):
             count = self.count or (self.k_max + 1) // 2
-            for g in (self.grid, self.grid2 or 2 * self.grid):
+            for g in (self.grid, 2 * self.grid):
                 check_radial_solve(params, g, count)
         if self.command == "poincare" or self.command == "modes" and 0 in ks:
             check_radial_solve(params, self.grid, self.count or 1)
@@ -203,21 +203,20 @@ def _rel_err_gates(cfg: RunConfig, report: SpectrumReport):
 
 def _run_spectrum(cfg: RunConfig):
     return _rel_err_gates(cfg, build_spectrum_report(
-        ProfileParams(cfg.n), cfg.k_max, cfg.grid, cfg.grid2 or 2 * cfg.grid))
+        ProfileParams(cfg.n), cfg.k_max, cfg.grid))
 
 
 def _run_eig(cfg: RunConfig):
     return _rel_err_gates(cfg, SpectrumReport(parity_spectrum_entries(
-        ProfileParams(cfg.n), cfg.parity, cfg.count, cfg.grid,
-        cfg.grid2 or 2 * cfg.grid)))
+        ProfileParams(cfg.n), cfg.parity, cfg.count, cfg.grid)))
 
 
 def _run_modes(cfg: RunConfig):
     params = ProfileParams(1)
-    # The roundoff of the k = 0 comparison, the sparse mode solve against
-    # the radial Lanczos one, grows like ||A||_2, about 1.9 grid^2: measured
-    # at most 1.9e-12 max(1, (grid / 400)^2) over grids 100..8000, both
-    # matching classes, counts 1 and 6.
+    # The roundoff of the k = 0 comparison, the tridiagonal mode solve
+    # against the radial Lanczos one, grows like ||A||_2, about 1.9 grid^2:
+    # measured at most 1.9e-12 max(1, (grid / 400)^2) over grids 100..8000,
+    # both matching classes, counts 1 and 6.
     tol = (cfg.tol if cfg.tol is not None
            else 1e-11 * max(1, (cfg.grid / 400) ** 2))
     report, gates = ModeReport(), []
@@ -334,10 +333,10 @@ class _Command:
 COMMANDS = {
     "spectrum": _Command(
         _run_spectrum, "closed-form vs discrete spectrum table",
-        {"k_max": 5, "grid": 1000, "grid2": 0, "tol": None, "plot": False}),
+        {"k_max": 5, "grid": 1000, "tol": None, "plot": False}),
     "eig": _Command(
         _run_eig, "discrete eigenvalues for one parity class",
-        {"parity": "even", "count": 4, "grid": 1000, "grid2": 0, "tol": None,
+        {"parity": "even", "count": 4, "grid": 1000, "tol": None,
          "plot": False}),
     "modes": _Command(
         _run_modes, "Fourier-mode eigenvalue tables (H^1)",

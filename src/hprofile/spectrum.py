@@ -459,21 +459,6 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
                             bc=(bc_left, bc_right))
 
 
-# The computed constant mode of the k = 0 mode operator is zero only up to
-# roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
-# (grids up to 160000).
-CONSTANT_MODE_EPS = 16.0   # tolerance of the check, in units of eps ||A||_inf
-
-
-def _check_constant_mode(value, norm: float) -> None:
-    """Raise unless `value`, the eigenvalue nearest 0 of a matrix with
-    inf-norm `norm`, is zero to within CONSTANT_MODE_EPS eps norm."""
-    tol = CONSTANT_MODE_EPS * np.finfo(float).eps * norm
-    if abs(value) > tol:
-        raise RuntimeError(f"mode operator lost its constant mode: {value} "
-                           f"(tolerance {tol:.3g})")
-
-
 # --- solve admission --------------------------------------------------------
 
 _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
@@ -482,7 +467,8 @@ _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
 # tracemalloc measured 27 an element plus under 2 kB (n = 3, 5, 12, 40 and
 # grids 1e5 and 1e6; 15 at n = 1 and 2).  The assembly's temporaries are
 # freed before ARPACK starts, so the same term also covers what the solve
-# keeps of its operator: the pencil, or the mode matrix and its mesh.
+# keeps of its operator: the pencil, or the mode operator's three diagonals
+# and vertex masses (7 floats an element).
 _ASSEMBLY_FLOATS = 28
 # Vectors of the grid's length that ARPACK holds besides its basis: the
 # residual, three work vectors, the start vector, and the operator's input
@@ -553,11 +539,15 @@ _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
 _MODE_FACTOR = 6    # complex vectors of the shifted operator's gttrf
                     # factors (dl, d, du, du2, the pivots) and of the copy
                     # gttrs solves in
+# The computed constant mode of the k = 0 mode operator is zero only up to
+# roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
+# (grids up to 160000).
+CONSTANT_MODE_EPS = 16.0   # tolerance of the check, in units of eps ||A||_inf
 
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Sparse discretization of the angular-mode reduction on H^1.
+    """The angular-mode reduction on H^1 as its three diagonals.
 
     Substituting phi = f e^{i k theta} into the polar operator yields, in
     the arc length sigma (rho = sin sigma, W = sin^2 sigma),
@@ -566,15 +556,20 @@ class ModeOperator:
 
     On the radial P1 mesh this is K + 2ik C + 3ik D + k^2 M with
     C_ij = int W phi_i phi_j' and the lumped D_i = int W cot(sigma) phi_i,
-    stored (complex CSC, tridiagonal) in the similarity form M^{-1/2} ...
-    M^{-1/2}, so that k = 0 is the symmetrized radial pencil entrywise.
+    held in the similarity form M^{-1/2} ... M^{-1/2} by its sub-, main and
+    super-diagonal (complex; for k = 0 real, the symmetrized radial pencil
+    entrywise, with `lower` and `upper` one array) and the vertex `mass`.
     """
 
-    k: int
-    matching: str
-    nodes: np.ndarray
-    matrix: "scipy.sparse.csc_matrix"
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
     mass: np.ndarray
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """real + 1j imag, each part written once into one complex array."""
+    return np.column_stack((real, imag)).view(complex)[:, 0]
 
 
 def build_mode_operator(k: int, n_points: int,
@@ -582,31 +577,28 @@ def build_mode_operator(k: int, n_points: int,
     """Assemble the H^1 mode-k operator for -L_k f = lambda f."""
     if matching not in ("continuity", "antisymmetry"):
         raise ValueError("matching must be 'continuity' or 'antisymmetry'")
-    # loaded here: the radial paths never build a mode operator
-    import scipy.sparse
     bc = "natural" if matching == "continuity" else "dirichlet"
     disc = build_radial_discretization(ProfileParams(1), n_points, bc_right=bc)
     d, e = disc.symmetrized()
-    lower = upper = e
-    if k != 0:
-        m, h = len(d), disc.h
-        left, right = disc.half
-        s = 1.0 / np.sqrt(disc.mass)
-        # C_ij is +-(half mass) / h.  D_i = int W' phi_i / 2 (W' = 2 W cot
-        # for n = 1) is by parts h/2 times the right minus the left
-        # stiffness, plus W phi_i / 2 = 1/2 at a kept equator vertex.
-        c_diag = (np.r_[0.0, right] - np.r_[left, 0.0])[:m] / h
-        whole = left + right
-        dd = (np.r_[whole, 0.0] - np.r_[0.0, whole])[:m] / (2.0 * h)
-        dd[-1] += 0.5 * (bc == "natural")
-        d = d + k * k + 1j * k * (2.0 * c_diag + 3.0 * dd) * s * s
-        ss = s[:-1] * s[1:]
-        upper = e + 2j * k * (left[:m - 1] / h) * ss
-        lower = e - 2j * k * (right[:m - 1] / h) * ss
-    T = scipy.sparse.diags([lower, d, upper], [-1, 0, 1], format="csc",
-                           dtype=complex)
-    return ModeOperator(k=k, matching=matching, nodes=disc.nodes,
-                        matrix=T, mass=disc.mass)
+    if k == 0:
+        return ModeOperator(lower=e, diag=d, upper=e, mass=disc.mass)
+    m, h, mass = len(d), disc.h, disc.mass
+    left, right = disc.half
+    del disc    # frees the pencil arrays that the diagonals do not read
+    s = 1.0 / np.sqrt(mass)
+    # C_ij is +-(half mass) / h.  D_i = int W' phi_i / 2 (W' = 2 W cot
+    # for n = 1) is by parts h/2 times the right minus the left
+    # stiffness, plus W phi_i / 2 = 1/2 at a kept equator vertex.
+    c_diag = (np.r_[0.0, right] - np.r_[left, 0.0])[:m] / h
+    whole = left + right
+    dd = (np.r_[whole, 0.0] - np.r_[0.0, whole])[:m] / (2.0 * h)
+    dd[-1] += 0.5 * (bc == "natural")
+    diag = _complex(d + k * k, k * (2.0 * c_diag + 3.0 * dd) * s * s)
+    del d, c_diag, whole, dd
+    ss = s[:-1] * s[1:]
+    upper = _complex(e, 2 * k * (left[:m - 1] / h) * ss)
+    lower = _complex(e, -(2 * k * (right[:m - 1] / h) * ss))
+    return ModeOperator(lower=lower, diag=diag, upper=upper, mass=mass)
 
 
 def check_mode_solve(k: int, grid: int, count: int) -> None:
@@ -625,46 +617,52 @@ def check_mode_solve(k: int, grid: int, count: int) -> None:
 def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
                   matching: str = "continuity",
                   return_vectors: bool = False):
-    """Lowest `count` eigenvalues of the mode-k problem (complex, by real part).
+    """Lowest `count` eigenvalues of the mode-k problem (complex, by real
+    part); with return_vectors, (values, vertex values of their vectors).
 
     Shift-invert Arnoldi (ARPACK on 2 nev + 1 vectors for nev Ritz values)
     about MODE_SHIFT from a fixed start vector, so repeated solves of one
-    matrix agree bit for bit.  The shifted tridiagonal operator is factored
-    once by LAPACK's gttrf (RuntimeError if that fails) and each step solves
-    with gttrs.  For k = 0 the spectrum coincides with the radial pencil;
-    the constant mode of the continuity class is checked to sit at zero and
-    dropped there.
+    matrix agree bit for bit.  The shifted diagonals are factored once by
+    LAPACK's gttrf (RuntimeError if that fails); ARPACK sees the operator
+    only through gttrs solves.  For k = 0 the spectrum coincides with the
+    radial pencil; the constant mode of the continuity class is checked to
+    sit at zero and dropped there.
     """
     check_mode_solve(k, n_points, count)
     op = build_mode_operator(k, n_points, matching)
     # loaded here: only the mode study needs ARPACK (+2 MB, ~35 ms to import)
     from scipy.linalg.lapack import get_lapack_funcs
-    from scipy.sparse.linalg import LinearOperator, eigs, norm
-    a, m = op.matrix, op.matrix.shape[0]
+    from scipy.sparse.linalg import LinearOperator, eigs
+    m = len(op.diag)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
-    *lu, info = gttrf(a.diagonal(-1), a.diagonal() - MODE_SHIFT, a.diagonal(1),
-                      overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    *lu, info = gttrf(op.lower, op.diag - MODE_SHIFT, op.upper)
     if info != 0:
         raise RuntimeError(f"LU factorization of the shifted mode-{k} "
                            f"operator failed (LAPACK gttrf info = {info})")
+    # in shift-invert mode eigs reads only the shape and dtype of its A
     shift_inverse = LinearOperator((m, m), dtype=complex,
                                    matvec=lambda x: gttrs(*lu, x)[0])
     drop = 1 if k == 0 and matching == "continuity" else 0
     nev = count + drop + _MODE_EXTRA
     # ARPACK's default stop, machine precision: the operators are not
     # normal, so a Ritz value is only as accurate as its residual
-    out = eigs(a, k=nev, sigma=MODE_SHIFT, OPinv=shift_inverse,
+    out = eigs(shift_inverse, k=nev, sigma=MODE_SHIFT, OPinv=shift_inverse,
                ncv=_ncv(nev, m), v0=np.ones(m),
                return_eigenvectors=return_vectors)
     vals, vecs = out if return_vectors else (out, None)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    if drop:
-        _check_constant_mode(vals[0], norm(op.matrix, np.inf))
+    if drop:    # ||A||_inf is the largest row sum of absolute values
+        norm = np.max(np.abs(op.diag) + np.r_[np.abs(op.upper), 0.0]
+                      + np.r_[0.0, np.abs(op.lower)])
+        tol = CONSTANT_MODE_EPS * np.finfo(float).eps * norm
+        if abs(vals[0]) > tol:
+            raise RuntimeError("mode operator lost its constant mode: "
+                               f"{vals[0]} (tolerance {tol:.3g})")
     vals = vals[drop:drop + count]
     if return_vectors:
         vecs = vecs[:, order[drop:drop + count]] / np.sqrt(op.mass)[:, None]
-        return vals, vecs, op.nodes
+        return vals, vecs
     return vals
 
 
@@ -898,15 +896,15 @@ class PoincareReport(_EntryTable):
 
 
 def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,
-                            grid1: int, grid2: int) -> list[SpectrumEntry]:
-    """Closed-form vs two-grid rows for the lowest `count` modes of a parity:
-    even k = 2, 4, ... from the natural pencil, odd k = 1, 3, ... from the
-    Dirichlet one."""
+                            grid: int) -> list[SpectrumEntry]:
+    """Closed-form vs two-grid rows (grids `grid` and 2 `grid`, as richardson
+    assumes) for the lowest `count` modes of a parity: even k = 2, 4, ...
+    from the natural pencil, odd k = 1, 3, ... from the Dirichlet one."""
     if count < 1:
         return []
     bc = "natural" if parity == "even" else "dirichlet"
-    l1 = discrete_radial_spectrum(params, bc, grid1, count)
-    l2 = discrete_radial_spectrum(params, bc, grid2, count)
+    l1 = discrete_radial_spectrum(params, bc, grid, count)
+    l2 = discrete_radial_spectrum(params, bc, 2 * grid, count)
     entries = []
     for i in range(count):
         k = 2 * i + 2 if parity == "even" else 2 * i + 1
@@ -920,11 +918,10 @@ def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,
 
 
 def build_spectrum_report(params: ProfileParams, k_max: int,
-                          grid1: int = 1000,
-                          grid2: int = 2000) -> SpectrumReport:
+                          grid: int = 1000) -> SpectrumReport:
     """Closed-form vs two-grid discrete spectrum for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    odd = parity_spectrum_entries(params, "odd", (k_max + 1) // 2, grid1, grid2)
-    even = parity_spectrum_entries(params, "even", k_max // 2, grid1, grid2)
+    odd = parity_spectrum_entries(params, "odd", (k_max + 1) // 2, grid)
+    even = parity_spectrum_entries(params, "even", k_max // 2, grid)
     return SpectrumReport(sorted(odd + even, key=lambda e: e.k))

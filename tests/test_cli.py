@@ -343,9 +343,11 @@ def test_invalid_config_never_computes():
 # subcommand takes no flag that it does not read
 _REFUSED = [
     (["eig", "--count", "400", "--grid", "1000"], "configuration error"),
-    (["eig", "--grid2", "30"], "configuration error"),
+    # the second grid is always 2 x grid, the pair richardson assumes
+    (["eig", "--grid2", "4000"], "unrecognized arguments: --grid2 4000"),
     (["eig", "--count", "0"], "configuration error"),
-    (["spectrum", "--grid2", "10"], "configuration error"),
+    # the Fourier-mode minima exist on H^1 only
+    (["poincare", "--full", "--n", "2"], "only defined on H^1 (n = 1)"),
     (["spectrum", "--k-max", "500", "--grid", "200"], "configuration error"),
     (["modes", "--k", "1", "--count", "60", "--grid", "200"],
      "configuration error"),
@@ -477,17 +479,17 @@ def test_subcommands_take_only_the_flags_they_read():
              for name, p in sub.items()}
     shared = {"--n", "--out"}
     assert flags == {
-        "spectrum": shared | {"--grid", "--grid2", "--k-max", "--format",
-                              "--plot", "--tol"},
-        "eig": shared | {"--grid", "--grid2", "--parity", "--count",
-                         "--format", "--plot", "--tol"},
+        "spectrum": shared | {"--grid", "--k-max", "--format", "--plot",
+                              "--tol"},
+        "eig": shared | {"--grid", "--parity", "--count", "--format",
+                         "--plot", "--tol"},
         "modes": shared | {"--grid", "--k", "--matching", "--count",
                            "--format", "--tol"},
         "verify": shared | {"--suite", "--tol"},
         "poincare": shared | {"--grid", "--full", "--format", "--tol"},
         "geodesic": shared | {"--plast", "--steps", "--smax"},
     }
-    assert sum(len(f) for f in flags.values()) == 40
+    assert sum(len(f) for f in flags.values()) == 38
 
 
 def test_api_defaults_are_the_cli_defaults():

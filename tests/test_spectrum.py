@@ -402,6 +402,23 @@ def test_assembly_memory_is_within_the_workspace_model(n):
     assert peak < 8 * _ASSEMBLY_FLOATS * grid
 
 
+@pytest.mark.parametrize("k", [0, 1, 4])
+@pytest.mark.parametrize("matching", ["continuity", "antisymmetry"])
+def test_mode_build_holds_at_most_24_floats_an_element(k, matching):
+    # the radial assembly's own peak is 15 floats an element at n = 1; the
+    # complex diagonals are written once each, after the pencil's arrays
+    # that they do not read are freed
+    grid = 100_000
+    build_mode_operator(k, 400, matching)
+    tracemalloc.start()
+    try:
+        build_mode_operator(k, grid, matching)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 24 * grid
+
+
 @pytest.mark.parametrize("k,matching,count", [(0, "continuity", 1),
                                                (1, "antisymmetry", 4)])
 def test_mode_solve_memory_is_within_the_workspace_model(monkeypatch, k,
@@ -709,15 +726,12 @@ def test_eigenpair_check_catches_a_dropped_projection(monkeypatch, n):
 @pytest.mark.parametrize("factor,raises", [(0.5, False), (10.0, True)])
 def test_mode_constant_mode_check_catches_a_shifted_mode(monkeypatch, factor,
                                                          raises):
-    import scipy.sparse
     build = spectrum.build_mode_operator
 
     def shifted(k, n_points, matching):
         op = build(k, n_points, matching)
-        d, e = op.matrix.diagonal(), op.matrix.diagonal(1)
-        shift = factor * _constant_mode_tol(_inf_norm(d, e))
-        eye = scipy.sparse.identity(op.matrix.shape[0], format="csc")
-        return dataclasses.replace(op, matrix=op.matrix + shift * eye)
+        shift = factor * _constant_mode_tol(_inf_norm(op.diag, op.upper))
+        return dataclasses.replace(op, diag=op.diag + shift)
 
     monkeypatch.setattr(spectrum, "build_mode_operator", shifted)
     if raises:
@@ -730,14 +744,13 @@ def test_mode_constant_mode_check_catches_a_shifted_mode(monkeypatch, factor,
 def test_mode_solve_refuses_a_singular_shifted_operator(monkeypatch):
     # -I shifted by MODE_SHIFT = -1 is the zero matrix: gttrf reports its
     # first zero pivot, and no solve may run on that factor
-    import scipy.sparse
     build = spectrum.build_mode_operator
 
     def singular(k, n_points, matching):
         op = build(k, n_points, matching)
-        eye = scipy.sparse.identity(op.matrix.shape[0], dtype=complex,
-                                    format="csc")
-        return dataclasses.replace(op, matrix=-eye)
+        return dataclasses.replace(op, lower=np.zeros_like(op.lower),
+                                   diag=-np.ones_like(op.diag),
+                                   upper=np.zeros_like(op.upper))
 
     monkeypatch.setattr(spectrum, "build_mode_operator", singular)
     with pytest.raises(RuntimeError, match="gttrf info = 1"):
@@ -745,6 +758,12 @@ def test_mode_solve_refuses_a_singular_shifted_operator(monkeypatch):
 
 
 # --- Fourier modes ---------------------------------------------------------
+
+def _as_dense(op):
+    """A mode operator's three diagonals as one dense complex matrix."""
+    return (np.diag(op.diag) + np.diag(op.upper, 1)
+            + np.diag(op.lower, -1)).astype(complex)
+
 
 def test_mode_zero_continuity_equals_natural_radial():
     vals = mode_spectrum(0, 200, 4, "continuity")
@@ -771,8 +790,9 @@ def test_mode_operator_k0_is_radial_matrix():
     disc = build_radial_discretization(ProfileParams(1), 120, bc_right="natural")
     d, e = disc.symmetrized()
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.max(np.abs(op.matrix.toarray() - T)) == 0.0
-    assert np.max(np.abs(op.matrix.toarray().imag)) == 0.0
+    assert op.lower is op.upper
+    assert np.max(np.abs(_as_dense(op) - T)) == 0.0
+    assert np.max(np.abs(_as_dense(op).imag)) == 0.0
 
 
 @pytest.mark.parametrize("grid", [60, 100, 200, 300, 400])
@@ -782,7 +802,7 @@ def test_mode_spectrum_matches_dense_eigvals(grid, matching):
     # poincare --full and the tests solve; 1.7e-11 measured
     for k in range(5):
         op = build_mode_operator(k, grid, matching)
-        dense = np.linalg.eigvals(op.matrix.toarray())
+        dense = np.linalg.eigvals(_as_dense(op))
         dense = dense[np.lexsort((dense.imag, dense.real))]
         if k == 0 and matching == "continuity":
             dense = dense[1:]             # the constant mode
@@ -824,10 +844,10 @@ def test_mode_operator_matches_dense_assembly(matching):
     size = m + 1 if matching == "continuity" else m
     for k in (0, 1, 2, 4):
         op = build_mode_operator(k, m, matching)
-        assert op.matrix.shape == (size, size)
-        assert op.matrix.nnz == 3 * size - 2
+        assert len(op.diag) == size
+        assert len(op.lower) == len(op.upper) == size - 1
         want = _dense_mode_matrix(k, m, matching)
-        got = op.matrix.toarray()
+        got = _as_dense(op)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
