@@ -8,7 +8,12 @@ own, so every element gets exactly the arithmetic of the scalar sum.  All
 of it is pure and reentrant.
 The parameter families that matter downstream satisfy a + b = n and
 c = n + 1/2 (so c - a - b = 1/2), but the evaluator is written for generic
-real parameters.
+real parameters.  At the radial eigenvalues one of a, c - b is a
+non-positive integer, and hyp2f1_auto then sums a terminating series on
+both sides of X_SWITCH: the direct one, or Euler's transformation below
+X_SWITCH and the connection formula's second term above it.  Euler's
+prefactor (1 - x)^s is built from sqrt and products when 2s is odd, so it
+too rounds the same on a float as in any array.
 """
 from __future__ import annotations
 
@@ -47,6 +52,7 @@ SERIES_TERM_BUDGET = 500
 SERIES_RTOL = 1e-14
 X_SWITCH = 0.5
 _SERIES_BLOCK = 16   # series terms per block of _series
+_HALF_POWER_PRODUCTS = 32   # largest half-integer |s| taken by products
 
 
 class Hyp2F1ConvergenceError(RuntimeError):
@@ -248,6 +254,38 @@ def gauss_value_at_one(p: Hyp2F1Params):
             * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
 
 
+def _euler_terminates(p: Hyp2F1Params) -> bool:
+    """c - a or c - b in {0, -1, ...}: F(c - a, c - b; c; x) in Euler's
+    transformation is a polynomial, and Gamma(c - a) Gamma(c - b) a pole."""
+    return (_is_nonpositive_integer(p.c - p.a)
+            or _is_nonpositive_integer(p.c - p.b))
+
+
+def _euler_prefactor(y: np.ndarray, s: float) -> np.ndarray:
+    """y^s.  For s = +-(j + 1/2) with |s| <= _HALF_POWER_PRODUCTS it is
+    sqrt(y) times j factors of y, inverted for s < 0: each step is
+    correctly rounded, so every element rounds as math's functions round
+    its float (numpy's ** can differ from Python's by an ulp).  Any other s
+    is y ** s."""
+    if s % 1.0 != 0.5 or abs(s) > _HALF_POWER_PRODUCTS:
+        return y ** s
+    out = np.sqrt(y)
+    for _ in range(int(abs(s))):
+        out = out * y
+    return out if s > 0.0 else 1.0 / out
+
+
+def _euler(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
+    """Euler's transformation F(a, b; c; x) = (1 - x)^(c-a-b)
+    F(c - a, c - b; c; x) on a 1-D array of x < 1; the right-hand series
+    must terminate (_euler_terminates)."""
+    bad = ~(x >= 0.0)
+    if bad.any():
+        raise ValueError(f"need 0 <= x <= 1, got {x[bad][0]}")
+    return (_euler_prefactor(1.0 - x, p.c - p.a - p.b)
+            * _series(Hyp2F1Params(p.c - p.a, p.c - p.b, p.c), x))
+
+
 def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
     """The connection formula in 1 - x on a 1-D array; c - a - b non-integer."""
     s = p.c - p.a - p.b
@@ -255,8 +293,10 @@ def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
     if not inside.all():
         raise ValueError(f"need 0 <= x <= 1, got {x[~inside][0]}")
     y = 1.0 - x
-    c1 = (gamma_fn(p.c) * gamma_fn(s)
-          * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
+    # recip_gamma would make c1 exactly 0 at such a triple
+    c1 = 0.0 if _euler_terminates(p) else (
+        gamma_fn(p.c) * gamma_fn(s)
+        * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
     c2 = (gamma_fn(p.c) * gamma_fn(-s)
           * recip_gamma(p.a) * recip_gamma(p.b))
     out = np.zeros_like(x)
@@ -272,10 +312,14 @@ def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
 
 def hyp2f1_auto(p: Hyp2F1Params, x):
     """Evaluate F(a, b; c; x) on [0, 1], on a float or elementwise on an
-    array: the series below X_SWITCH, the connection formula from there on.
+    array: a series below X_SWITCH, the connection formula from there on.
 
-    Integer c - a - b (never the case for the in-scope families) falls back
-    to the direct series, which still converges for x < 1.
+    Below X_SWITCH the series is the direct one, or Euler's transformation
+    where c - a or c - b is a non-positive integer, whose series terminates
+    (every odd radial mode and its derivatives).  Then the connection
+    formula's 1 - x series terminates too.  Integer c - a - b (never the
+    case for the in-scope families) falls back to the direct series, which
+    still converges for x < 1.
     """
     flat = np.asarray(x, dtype=float).ravel()
     s = p.c - p.a - p.b
@@ -284,6 +328,6 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     # NaN fails x < X_SWITCH and is refused by the connection formula
     low = flat < X_SWITCH
     out = np.empty_like(flat)
-    out[low] = _series(p, flat[low])
+    out[low] = (_euler if _euler_terminates(p) else _series)(p, flat[low])
     out[~low] = _connection(p, flat[~low])
     return _like(x, out)

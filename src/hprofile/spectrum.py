@@ -354,7 +354,6 @@ class SLDiscretization:
     """
 
     h: float
-    nodes: np.ndarray          # rho = sin(sigma) at the kept vertices
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
     mass: np.ndarray
@@ -452,8 +451,7 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
     mass = np.r_[half[0], 0.0] + np.r_[0.0, half[1]]
     diag = np.r_[cond, 0.0] + np.r_[0.0, cond]
     first, last = bc_left == "dirichlet", n_points - (bc_right == "dirichlet")
-    return SLDiscretization(h=h, nodes=np.sin(edges[first:last + 1]),
-                            stiff_diag=diag[first:last + 1],
+    return SLDiscretization(h=h, stiff_diag=diag[first:last + 1],
                             stiff_off=-cond[first:last],
                             mass=mass[first:last + 1], half=half, cond=cond,
                             bc=(bc_left, bc_right))

@@ -1,7 +1,8 @@
 """Gamma family and Gauss hypergeometric evaluators.
 
 Every value goes through hyp2f1_auto, with x on the branch a test means: the
-direct series below X_SWITCH, the connection formula from there on.
+direct series or Euler's transformation below X_SWITCH, the connection
+formula from there on.
 Extended-precision oracles come from mpmath; finite differences cross-check
 the parameter-shift derivatives of RadialEigenmode; the per-point scalar sum
 is the reference for the array evaluation.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hprofile import specfun
 from hprofile.geometry import ProfileParams
 from hprofile.specfun import (_LANCZOS, _LANCZOS_G, _LN_SQRT_2PI,
                               SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
@@ -173,6 +175,68 @@ def test_series_budget_exhaustion_raises():
         hyp2f1_auto(p, 1.0 - 1e-12)
 
 
+# --- Euler branch (x < X_SWITCH, c - a or c - b in {0, -1, ...}) -----------
+#
+# F(a, b; c; x) = (1 - x)^(c-a-b) F(c - a, c - b; c; x), whose series
+# terminates.  The odd radial triples F(-(m + 1/2), n + m + 1/2; n + 1/2)
+# and their two shifts have c - b = -m.
+
+def _odd_triples(ns, ks):
+    return [radial_eigenfunction(k, ProfileParams(n)).hyp.shifted(shift)
+            for n in ns for k in ks if k % 2 for shift in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("p", _odd_triples((1, 2, 12), (1, 5, 15))
+                         + [Hyp2F1Params(-0.7, 3.7, 1.7),    # c - b = -2
+                            Hyp2F1Params(3.7, -0.7, 1.7)])   # c - a = -2
+def test_euler_branch_matches_extended_precision(p):
+    # the bound of the terminating-sum test above, 1e-14 sum|t_k|, times
+    # the prefactor; the last two triples have c - a - b = -1.3, not a
+    # half-integer
+    s = p.c - p.a - p.b
+    q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
+    for x in (0.0, 0.1, 0.3, 0.45, 0.4999):
+        mag = sum(abs(mpmath.rf(q.a, k) * mpmath.rf(q.b, k)
+                      / (mpmath.factorial(k) * mpmath.rf(q.c, k))
+                      * mpmath.mpf(x) ** k)
+                  for k in range(q.terminating_index() + 1))
+        exact = mpmath.hyp2f1(p.a, p.b, p.c, x)
+        bound = 1e-14 * float(mag * (1 - mpmath.mpf(x)) ** s)
+        assert abs(hyp2f1_auto(p, x) - float(exact)) <= bound, x
+
+
+def test_euler_branch_within_1e_13_of_max_f():
+    # every odd mode's triple for n in {1, 2, 3, 12}, k <= 16, shifts 0-2;
+    # F vanishes at some dyadic x, where mpmath needs zeroprec to stop
+    x = np.linspace(0.0, X_SWITCH, 26)[:-1]
+    for p in _odd_triples((1, 2, 3, 12), range(1, 17)):
+        exact = np.array([float(mpmath.hyp2f1(p.a, p.b, p.c, v, zeroprec=400))
+                          for v in x])
+        err = np.max(np.abs(hyp2f1_auto(p, x) - exact))
+        assert err <= 1e-13 * np.max(np.abs(exact)), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_every_radial_evaluation_sums_a_terminating_series(n, monkeypatch):
+    summed = []
+    series = specfun._series
+
+    def recording(p, x):
+        summed.append(p)
+        return series(p, x)
+
+    monkeypatch.setattr(specfun, "_series", recording)
+    rho = np.sqrt(np.r_[np.linspace(0.0, 0.99, 34), X_SWITCH])
+    for k in range(1, 17):
+        mode = radial_eigenfunction(k, ProfileParams(n))
+        for f in (mode.value, mode.deriv, mode.second_deriv):
+            f(rho)
+            f(0.6)
+    assert summed
+    endless = [p for p in summed if p.terminating_index() is None]
+    assert not endless, endless[:3]
+
+
 # --- connection branch (x >= X_SWITCH) ---------------------------------------
 
 def test_near_one_terminating_bypass():
@@ -291,7 +355,8 @@ def test_gauss_value_domain_error():
 # --- arrays against the per-point scalar sum --------------------------------
 #
 # The reference is the scalar evaluator the array path replaced, kept here
-# verbatim on Python floats and called once per point.
+# on Python floats and called once per point, with Euler's transformation
+# below X_SWITCH where its series terminates.
 
 def _ref_series(p, x):
     m = p.terminating_index()
@@ -316,10 +381,26 @@ def _ref_series(p, x):
     raise Hyp2F1ConvergenceError(x)
 
 
+def _ref_euler_prefactor(y, s):
+    # (1 - x)^s with 2s odd, as every radial triple has: sqrt, then products
+    out = math.sqrt(y)
+    for _ in range(int(abs(s))):
+        out *= y
+    return out if s > 0.0 else 1.0 / out
+
+
 def _ref_auto(p, x):
     s = p.c - p.a - p.b
-    if p.terminating_index() is not None or x < X_SWITCH or s == math.floor(s):
+    if p.terminating_index() is not None or s == math.floor(s):
         return _ref_series(p, x)
+    if x < X_SWITCH:
+        if not any(v <= 0.0 and v == math.floor(v) for v in (p.c - p.a, p.c - p.b)):
+            return _ref_series(p, x)
+        if x < 0.0:
+            raise ValueError(x)
+        # Euler's transformation, whose series terminates
+        return _ref_euler_prefactor(1.0 - x, s) * _ref_series(
+            Hyp2F1Params(p.c - p.a, p.c - p.b, p.c), x)
     y = 1.0 - x
     c1 = (gamma_fn(p.c) * gamma_fn(s)
           * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))

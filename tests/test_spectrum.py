@@ -344,9 +344,8 @@ def test_pencil_matches_per_cell_assembly(n, bc_right, interval, bc_left):
         assert g.shape == r.shape
         assert np.max(np.abs(g - r) / np.abs(r)) <= 8 * m * np.finfo(float).eps
     kept = m + 1 - (bc_left == "dirichlet") - (bc_right == "dirichlet")
-    sigma = np.arcsin(disc.nodes)
-    assert len(disc.nodes) == kept
-    assert np.max(np.abs(np.diff(sigma) - disc.h)) <= 1e-12
+    assert len(disc.mass) == kept
+    assert disc.h == (math.asin(interval[1]) - math.asin(interval[0])) / m
 
 
 def _weight_integral(n):
