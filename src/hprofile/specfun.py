@@ -2,18 +2,13 @@
 
 Every evaluator takes a float or an ndarray and returns the same shape (a
 Python float for a float).  The Gamma functions run math's functions on a
-float and numpy's on an array, one formula each.  hyp2f1_auto sums an array
-in blocks of terms along a term axis, with each element converging on its
-own, so every element gets exactly the arithmetic of the scalar sum.  All
-of it is pure and reentrant.
-The parameter families that matter downstream satisfy a + b = n and
-c = n + 1/2 (so c - a - b = 1/2), but the evaluator is written for generic
-real parameters.  At the radial eigenvalues one of a, c - b is a
-non-positive integer, and hyp2f1_auto then sums a terminating series on
-both sides of X_SWITCH: the direct one, or Euler's transformation below
-X_SWITCH and the connection formula's second term above it.  Euler's
-prefactor (1 - x)^s is built from sqrt and products when 2s is odd, so it
-too rounds the same on a float as in any array.
+float and numpy's on an array, one formula each.  All of it is pure and
+reentrant.
+The hypergeometric functions that matter downstream are the radial
+eigenfunctions and their derivatives, each a terminating series: F(-m,
+m + kappa; c; x), or Euler's (1 - x)^s times one.  hyp2f1_auto evaluates
+exactly those triples, as a Jacobi polynomial summed by its three-term
+recurrence in the degree, and refuses every other triple.
 """
 from __future__ import annotations
 
@@ -24,7 +19,6 @@ from types import SimpleNamespace
 import numpy as np
 
 __all__ = [
-    "Hyp2F1ConvergenceError",
     "Hyp2F1Params",
     "ln_gamma",
     "gamma_fn",
@@ -48,16 +42,6 @@ _LANCZOS = (
 )
 _LN_SQRT_2PI = 0.91893853320467274178
 
-SERIES_TERM_BUDGET = 500
-SERIES_RTOL = 1e-14
-X_SWITCH = 0.5
-_SERIES_BLOCK = 16   # series terms per block of _series
-_HALF_POWER_PRODUCTS = 32   # largest half-integer |s| taken by products
-
-
-class Hyp2F1ConvergenceError(RuntimeError):
-    """Raised when the hypergeometric series fails to meet tolerance in budget."""
-
 
 def _is_nonpositive_integer(x):
     """x in {0, -1, -2, ...}, the poles of Gamma; elementwise on an array."""
@@ -67,7 +51,8 @@ def _is_nonpositive_integer(x):
 # Each formula below is written once and evaluated with math's functions on a
 # float, which keeps the scalar digits, or with numpy's on an array; numpy's
 # exp and log can differ from math's by an ulp.
-_MATH = SimpleNamespace(log=math.log, exp=math.exp, sin=math.sin, rint=round)
+_MATH = SimpleNamespace(log=math.log, exp=math.exp, sin=math.sin, rint=round,
+                        where=lambda cond, a, b: a if cond else b)
 
 
 def _float_or_array(x):
@@ -193,52 +178,24 @@ def _like(x, out: np.ndarray):
     return float(out) if np.isscalar(x) else out
 
 
-def _series(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
-    """The Gauss series on a 1-D array, summed _SERIES_BLOCK terms at a time.
+def _recip_gamma_pair(x, y):
+    """1 / (Gamma(x) Gamma(y)) as one ratio, for floats or elementwise for
+    arrays of one shape.
 
-    Terms and partial sums run along a term axis by sequential products and
-    sums, so every element gets exactly the arithmetic of its scalar sum,
-    and stops where that sum would: at its second consecutive term below
-    SERIES_RTOL of the sum.
+    An argument u < 1/2 is reflected, 1/Gamma(u) = sin(pi u) Gamma(1 - u)
+    / pi, and the two log-Gammas meet in one exp, so the value stays in
+    float range wherever it lies there, though a factor alone may not.
+    The sines keep the exact zeros at the poles.
     """
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    m = p.terminating_index()
-    if m is not None:
-        for k in range(m):
-            term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
-            acc += term
-        return acc
-    inside = (0.0 <= x) & (x < 1.0)   # False at NaN
-    if not inside.all():
-        raise ValueError("non-terminating series needs 0 <= x < 1, "
-                         f"got {x[~inside][0]}")
-    out = np.empty_like(x)
-    # the elements still summing, with their last term and partial sum and
-    # whether that term was small
-    live = np.arange(x.size)
-    small = np.zeros(x.size, dtype=bool)
-    k0 = 0
-    while live.size:
-        if k0 >= SERIES_TERM_BUDGET:
-            raise Hyp2F1ConvergenceError(
-                f"series for {p} at x={x[live[0]]} ({live.size} of "
-                f"{x.size} points) did not converge")
-        k = np.arange(k0, min(k0 + _SERIES_BLOCK, SERIES_TERM_BUDGET), dtype=float)
-        terms = ((p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)))[:, None] * x[live]
-        terms[0] *= term
-        np.multiply.accumulate(terms, axis=0, out=terms)
-        sums = terms.copy()
-        sums[0] += acc
-        np.add.accumulate(sums, axis=0, out=sums)
-        smalls = np.abs(terms) <= SERIES_RTOL * np.abs(sums)
-        stop = smalls & np.vstack([small, smalls[:-1]])
-        done = stop.any(axis=0)
-        out[live[done]] = sums[stop[:, done].argmax(axis=0), done]
-        live, term, acc, small = (live[~done], terms[-1, ~done],
-                                  sums[-1, ~done], smalls[-1, ~done])
-        k0 += _SERIES_BLOCK
-    return out
+    x, ops = _float_or_array(x)
+    y, _ = _float_or_array(y)
+    scale, log = 1.0, 0.0
+    for u in (x, y):
+        low = u < 0.5
+        ln = _lanczos(ops.where(low, 1.0 - u, u), ops)
+        scale = scale * ops.where(low, _sin_pi(u, ops) / math.pi, 1.0)
+        log = log + ops.where(low, ln, -ln)
+    return scale * ops.exp(log)
 
 
 def gauss_value_at_one(p: Hyp2F1Params):
@@ -250,84 +207,63 @@ def gauss_value_at_one(p: Hyp2F1Params):
     bad = _first_bad(s, s <= 0.0)
     if bad is not None:
         raise ValueError(f"F(a,b;c;1) needs c-a-b > 0, got {bad}")
-    return (gamma_fn(p.c) * gamma_fn(s)
-            * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
+    return gamma_fn(p.c) * gamma_fn(s) * _recip_gamma_pair(p.c - p.a, p.c - p.b)
 
 
-def _euler_terminates(p: Hyp2F1Params) -> bool:
-    """c - a or c - b in {0, -1, ...}: F(c - a, c - b; c; x) in Euler's
-    transformation is a polynomial, and Gamma(c - a) Gamma(c - b) a pole."""
-    return (_is_nonpositive_integer(p.c - p.a)
-            or _is_nonpositive_integer(p.c - p.b))
+def _jacobi(m: int, kappa: float, c: float, x: np.ndarray) -> np.ndarray:
+    """F(-m, m + kappa; c; x) on a 1-D array by the recurrence in the degree.
 
-
-def _euler_prefactor(y: np.ndarray, s: float) -> np.ndarray:
-    """y^s.  For s = +-(j + 1/2) with |s| <= _HALF_POWER_PRODUCTS it is
-    sqrt(y) times j factors of y, inverted for s < 0: each step is
-    correctly rounded, so every element rounds as math's functions round
-    its float (numpy's ** can differ from Python's by an ulp).  Any other s
-    is y ** s."""
-    if s % 1.0 != 0.5 or abs(s) > _HALF_POWER_PRODUCTS:
-        return y ** s
-    out = np.sqrt(y)
-    for _ in range(int(abs(s))):
-        out = out * y
-    return out if s > 0.0 else 1.0 / out
-
-
-def _euler(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
-    """Euler's transformation F(a, b; c; x) = (1 - x)^(c-a-b)
-    F(c - a, c - b; c; x) on a 1-D array of x < 1; the right-hand series
-    must terminate (_euler_terminates)."""
-    bad = ~(x >= 0.0)
-    if bad.any():
-        raise ValueError(f"need 0 <= x <= 1, got {x[bad][0]}")
-    return (_euler_prefactor(1.0 - x, p.c - p.a - p.b)
-            * _series(Hyp2F1Params(p.c - p.a, p.c - p.b, p.c), x))
-
-
-def _connection(p: Hyp2F1Params, x: np.ndarray) -> np.ndarray:
-    """The connection formula in 1 - x on a 1-D array; c - a - b non-integer."""
-    s = p.c - p.a - p.b
-    inside = (0.0 <= x) & (x <= 1.0)
-    if not inside.all():
-        raise ValueError(f"need 0 <= x <= 1, got {x[~inside][0]}")
-    y = 1.0 - x
-    # recip_gamma would make c1 exactly 0 at such a triple
-    c1 = 0.0 if _euler_terminates(p) else (
-        gamma_fn(p.c) * gamma_fn(s)
-        * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
-    c2 = (gamma_fn(p.c) * gamma_fn(-s)
-          * recip_gamma(p.a) * recip_gamma(p.b))
-    out = np.zeros_like(x)
-    if c1 != 0.0:
-        out += c1 * _series(Hyp2F1Params(p.a, p.b, p.a + p.b - p.c + 1.0), y)
-    if c2 != 0.0:
-        if s < 0.0 and np.any(y == 0.0):
-            raise ValueError(f"F{p} diverges at x=1 (c-a-b={s} < 0)")
-        # at y = 0 (s > 0) the term is exactly zero
-        out += c2 * y ** s * _series(Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0), y)
-    return out
+    F(-j, j + kappa; c; x) = j! / (c)_j P_j^(c-1, kappa-c)(1 - 2x) (DLMF
+    18.5.7), so DLMF 18.9.1 becomes, with g = 2j + kappa,
+      2 (j + kappa)(j + c)(g - 1) F_{j+1}
+        = g [(g + 1)(g - 1)(1 - 2x) + (2c - 1 - kappa)(kappa - 1)] F_j
+          - 2j (j + kappa - c)(g + 1) F_{j-1},
+    from F_0 = 1 and F_1 = 1 - (kappa + 1) x / c.
+    """
+    if m == 0:
+        return np.ones_like(x)
+    prev, cur = 1.0, 1.0 - (kappa + 1.0) / c * x
+    for j in range(1, m):
+        g = 2.0 * j + kappa
+        lead = 2.0 * (j + kappa) * (j + c) * (g - 1.0)
+        if lead == 0.0:
+            raise ValueError(f"the degree recurrence of F(-{m}, {m + kappa}; {c}; x) "
+                             f"is singular at degree {j}")
+        slope = -2.0 * g * (g + 1.0) * (g - 1.0) / lead
+        const = g * ((g + 1.0) * (g - 1.0)
+                     + (2.0 * c - 1.0 - kappa) * (kappa - 1.0)) / lead
+        back = 2.0 * j * (j + kappa - c) * (g + 1.0) / lead
+        prev, cur = cur, (slope * x + const) * cur - back * prev
+    return cur
 
 
 def hyp2f1_auto(p: Hyp2F1Params, x):
-    """Evaluate F(a, b; c; x) on [0, 1], on a float or elementwise on an
-    array: a series below X_SWITCH, the connection formula from there on.
+    """F(a, b; c; x) for x in [0, 1], on a float or elementwise on an array,
+    for a triple whose series terminates: directly, where a or b is -m with
+    m in {0, 1, ...}, or after Euler's transformation F(a, b; c; x) =
+    (1 - x)^(c-a-b) F(c - a, c - b; c; x), where c - a or c - b is.
 
-    Below X_SWITCH the series is the direct one, or Euler's transformation
-    where c - a or c - b is a non-positive integer, whose series terminates
-    (every odd radial mode and its derivatives).  Then the connection
-    formula's 1 - x series terminates too.  Integer c - a - b (never the
-    case for the in-scope families) falls back to the direct series, which
-    still converges for x < 1.
+    Either way F = (1 - x)^s F(-m, m + kappa; c; x), with s = 0 or c - a - b,
+    and the polynomial is summed by _jacobi on the whole array at once.
+    Any other triple, NaN, x outside [0, 1] and x = 1 with s < 0 (where F
+    is unbounded) raise ValueError.
     """
     flat = np.asarray(x, dtype=float).ravel()
-    s = p.c - p.a - p.b
-    if p.terminating_index() is not None or s == math.floor(s):
-        return _like(x, _series(p, flat))
-    # NaN fails x < X_SWITCH and is refused by the connection formula
-    low = flat < X_SWITCH
-    out = np.empty_like(flat)
-    out[low] = (_euler if _euler_terminates(p) else _series)(p, flat[low])
-    out[~low] = _connection(p, flat[~low])
+    outside = ~((0.0 <= flat) & (flat <= 1.0))   # True at NaN
+    if outside.any():
+        raise ValueError(f"need 0 <= x <= 1, got {flat[outside][0]}")
+    s = 0.0
+    q = p
+    if p.terminating_index() is None:
+        s = p.c - p.a - p.b
+        q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
+    m = q.terminating_index()
+    if m is None:
+        raise ValueError(f"F{p} terminates neither directly nor after "
+                         "Euler's transformation")
+    if s < 0.0 and (flat == 1.0).any():
+        raise ValueError(f"F{p} is unbounded at x = 1 (c-a-b = {s} < 0)")
+    out = _jacobi(m, q.a + q.b, q.c, flat)
+    if s != 0.0:
+        out *= (1.0 - flat) ** s
     return _like(x, out)

@@ -25,6 +25,8 @@ from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
 # RadialTrial and default_green_radial_trials stay importable from here.
 from .operators import (PolarJet, RadialTrial, apply_polar_h1,
                         default_green_radial_trials, sl_coefficients)
+# gamma_fn and recip_gamma are unused here but stay importable:
+# perfbench/tracing.py wraps them under this module's name.
 from .specfun import (Hyp2F1Params, gauss_value_at_one, gamma_fn, hyp2f1_auto,
                       recip_gamma)
 
@@ -138,11 +140,19 @@ class RadialEigenmode:
 
 def radial_eigenfunction(k: int, params: ProfileParams,
                          rule: QuadratureRule | None = None) -> RadialEigenmode:
-    """Normalized closed-form eigenmode for index k >= 1."""
+    """Normalized closed-form eigenmode for index k >= 1.
+
+    The squared mode is a polynomial of degree k in rho^2 times the profile
+    weight, so the N-node rule normalizes it exactly up to k = 2N - 1 and
+    a larger k is refused.
+    """
     if k < 1:
         raise ValueError("mode index k must be >= 1")
     if rule is None:
         rule = profile_rule(params, 64)
+    if k > 2 * len(rule.nodes) - 1:
+        raise ValueError(f"a {len(rule.nodes)}-node rule normalizes modes up "
+                         f"to k = {2 * len(rule.nodes) - 1}, got k = {k}")
     hyp = _mode_params(k, params.n)
     parity = "even" if k % 2 == 0 else "odd"
     raw = RadialEigenmode(k=k, parity=parity,
@@ -167,13 +177,13 @@ def even_condition_value(lam, params: ProfileParams):
     """Weighted mean of the regular solution: zero exactly at even eigenvalues.
 
     sqrt(pi) Gamma(n+1/2) / (2 Gamma((2+n-s)/2) Gamma((2+n+s)/2)),
-    s = sqrt(n^2 + lam), for a float or elementwise for an array.
+    s = sqrt(n^2 + lam), which is F((n-1+s)/2, (n-1-s)/2; n+1/2; 1); for a
+    float or elementwise for an array.
     """
     n = params.n
     s = _condition_s(lam, n)
-    return (math.sqrt(math.pi) * gamma_fn(n + 0.5) / 2.0
-            * recip_gamma((2.0 + n - s) / 2.0)
-            * recip_gamma((2.0 + n + s) / 2.0))
+    return gauss_value_at_one(Hyp2F1Params((n - 1.0 + s) / 2.0,
+                                           (n - 1.0 - s) / 2.0, n + 0.5))
 
 
 def odd_condition_value(lam, params: ProfileParams):
@@ -716,23 +726,17 @@ def subdomain_bound_check(interval: tuple[float, float], bound: float,
 
 def gram_matrix(modes: Sequence[RadialEigenmode],
                 rule: QuadratureRule) -> np.ndarray:
-    """L^2 Gram matrix over the full closed surface (hemisphere signs included)."""
+    """L^2 Gram matrix over the full closed surface, as one weighted
+    (modes x nodes) product: a pair whose hemisphere signs differ cancels
+    to exactly 0."""
     # c = n + 1/2 for every family member
     area = ProfileParams(round(modes[0].hyp.c - 0.5)).sphere_area
-    m = len(modes)
-    # each mode once, at the rule's nodes in rho
-    vals = [mode.value(np.sqrt(rule.nodes)) for mode in modes]
-    G = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            si = modes[i].hemisphere_sign
-            sj = modes[j].hemisphere_sign
-            pair = 1.0 + si * sj
-            if pair != 0.0:
-                val = integrate_profile_radial(lambda _: vals[i] * vals[j],
-                                               rule)
-                G[i, j] = G[j, i] = 0.5 * area * pair * val
-    return G
+    sign = np.array([mode.hemisphere_sign for mode in modes])
+    # each mode at the rule's nodes in rho, times the root of the weight
+    # integrate_profile_radial applies, 0.5 w
+    vals = (np.array([mode.value(np.sqrt(rule.nodes)) for mode in modes])
+            * np.sqrt(0.5 * rule.weights))
+    return area * ((1 + np.outer(sign, sign)) // 2) * (vals @ vals.T)
 
 
 # --- Green-formula checks -------------------------------------------------

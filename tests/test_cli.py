@@ -178,6 +178,15 @@ def test_verify_suites_pass(tmp_path, suite):
     assert doc["gates"] and all(g["pass"] for g in doc["gates"])
 
 
+def test_orthogonality_at_large_n_is_exact_to_roundoff(tmp_path):
+    # the Jacobi recurrence keeps every mode to roundoff at c = 100.5
+    cfg = RunConfig(command="verify", n=100, suite="orthogonality",
+                    out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    [gate] = json.loads(_read(tmp_path / "verify_100.json"))["gates"]
+    assert gate["name"] == "gram_identity" and gate["value"] <= 1e-13
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_algebraic_geometry_gates_reach_the_equator(monkeypatch, n):
     import hprofile.cli as cli

@@ -1,11 +1,10 @@
 """Gamma family and Gauss hypergeometric evaluators.
 
-Every value goes through hyp2f1_auto, with x on the branch a test means: the
-direct series or Euler's transformation below X_SWITCH, the connection
-formula from there on.
+hyp2f1_auto takes the triples whose series terminates, directly or after
+Euler's transformation, and sums each as a Jacobi polynomial by the
+recurrence in the degree; every other triple is refused.
 Extended-precision oracles come from mpmath; finite differences cross-check
-the parameter-shift derivatives of RadialEigenmode; the per-point scalar sum
-is the reference for the array evaluation.
+the parameter-shift derivatives of RadialEigenmode.
 """
 import math
 
@@ -18,10 +17,8 @@ from hypothesis import strategies as st
 from hprofile import specfun
 from hprofile.geometry import ProfileParams
 from hprofile.specfun import (_LANCZOS, _LANCZOS_G, _LN_SQRT_2PI,
-                              SERIES_RTOL, SERIES_TERM_BUDGET, X_SWITCH,
-                              Hyp2F1ConvergenceError, Hyp2F1Params, gamma_fn,
-                              gauss_value_at_one, hyp2f1_auto, ln_gamma,
-                              recip_gamma)
+                              Hyp2F1Params, gamma_fn, gauss_value_at_one,
+                              hyp2f1_auto, ln_gamma, recip_gamma)
 from hprofile.spectrum import radial_eigenfunction
 
 mpmath.mp.dps = 50
@@ -107,10 +104,10 @@ def test_terminating_index_picks_smaller_magnitude():
     assert Hyp2F1Params(-0.5, 3.0, 1.5).terminating_index() is None
 
 
-# --- series branch (x < X_SWITCH, or a terminating triple) ----------------
+# --- terminating series ------------------------------------------------------
 
 def test_series_at_origin_is_one():
-    for p in (Hyp2F1Params(-1, 2, 1.5), Hyp2F1Params(0.3, 0.7, 1.1)):
+    for p in (Hyp2F1Params(-1, 2, 1.5), Hyp2F1Params(-0.5, 2.5, 1.5)):
         assert hyp2f1_auto(p, 0.0) == 1.0
 
 
@@ -145,37 +142,50 @@ def test_terminating_sum_matches_extended_precision_brute_force():
             assert abs(hyp2f1_auto(p, x) - float(acc)) <= bound
 
 
-@given(st.floats(min_value=-3.2, max_value=3.2),
+@given(st.integers(min_value=0, max_value=8),
        st.floats(min_value=-3.2, max_value=3.2),
        st.floats(min_value=0.6, max_value=4.0),
-       st.sampled_from([0.1, 0.3, 0.45]))
+       st.sampled_from([0.1, 0.3, 0.45, 0.8, 1.0]))
 @settings(max_examples=50, deadline=None)
-def test_series_symmetric_in_a_b(a, b, c, x):
-    lhs = hyp2f1_auto(Hyp2F1Params(a, b, c), x)
-    rhs = hyp2f1_auto(Hyp2F1Params(b, a, c), x)
+def test_series_symmetric_in_a_b(m, b, c, x):
+    # both orders are summed alike, or both refused where the degree
+    # recurrence is singular (m + kappa = b - m rounds to such a value)
+    try:
+        lhs = hyp2f1_auto(Hyp2F1Params(-m, b, c), x)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            hyp2f1_auto(Hyp2F1Params(b, -m, c), x)
+        return
+    rhs = hyp2f1_auto(Hyp2F1Params(b, -m, c), x)
     assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 def test_series_domain_error_outside_unit_interval():
-    p = Hyp2F1Params(0.3, 0.7, 1.1)
-    with pytest.raises(ValueError):
-        hyp2f1_auto(p, -0.2)
-    with pytest.raises(ValueError):
-        hyp2f1_auto(p, 1.2)
-    # c - a - b = 0.1 > 0: at x = 1 the connection formula gives the
-    # Gamma-quotient value
-    assert hyp2f1_auto(p, 1.0) == gauss_value_at_one(p)
+    p = Hyp2F1Params(-2.0, 3.0, 2.5)
+    for bad in (-0.2, 1.2, math.nan):
+        with pytest.raises(ValueError, match="need 0 <= x <= 1"):
+            hyp2f1_auto(p, bad)
+    # c - a - b = 1/2 > 0: at x = 1 the sum is the Gamma-quotient value
+    assert hyp2f1_auto(p, 1.0) == pytest.approx(gauss_value_at_one(p), rel=1e-13)
 
 
-def test_series_budget_exhaustion_raises():
-    # integer c - a - b = 0 keeps the series up to 1, and x extremely close
-    # to 1 cannot meet tolerance within the budget
-    p = Hyp2F1Params(0.5, 1.0, 1.5)
-    with pytest.raises(Hyp2F1ConvergenceError):
-        hyp2f1_auto(p, 1.0 - 1e-12)
+@pytest.mark.parametrize("p", [Hyp2F1Params(0.3, 0.7, 1.1),
+                               Hyp2F1Params(-0.7, 1.9, 1.7),
+                               Hyp2F1Params(0.5, 1.0, 1.5)])
+def test_non_terminating_triples_are_refused(p):
+    with pytest.raises(ValueError, match="terminates neither"):
+        hyp2f1_auto(p, 0.3)
+    with pytest.raises(ValueError, match="terminates neither"):
+        hyp2f1_auto(p, np.array([0.1, 0.3]))
 
 
-# --- Euler branch (x < X_SWITCH, c - a or c - b in {0, -1, ...}) -----------
+def test_singular_degree_recurrence_is_refused():
+    # F(-3, 1; 3/2; x): m + kappa = 1 makes a leading coefficient vanish
+    with pytest.raises(ValueError, match="singular"):
+        hyp2f1_auto(Hyp2F1Params(-3.0, 1.0, 1.5), 0.3)
+
+
+# --- Euler's transformation -------------------------------------------------
 #
 # F(a, b; c; x) = (1 - x)^(c-a-b) F(c - a, c - b; c; x), whose series
 # terminates.  The odd radial triples F(-(m + 1/2), n + m + 1/2; n + 1/2)
@@ -195,7 +205,7 @@ def test_euler_branch_matches_extended_precision(p):
     # half-integer
     s = p.c - p.a - p.b
     q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
-    for x in (0.0, 0.1, 0.3, 0.45, 0.4999):
+    for x in (0.0, 0.1, 0.3, 0.45, 0.4999, 0.7, 0.95):
         mag = sum(abs(mpmath.rf(q.a, k) * mpmath.rf(q.b, k)
                       / (mpmath.factorial(k) * mpmath.rf(q.c, k))
                       * mpmath.mpf(x) ** k)
@@ -208,7 +218,7 @@ def test_euler_branch_matches_extended_precision(p):
 def test_euler_branch_within_1e_13_of_max_f():
     # every odd mode's triple for n in {1, 2, 3, 12}, k <= 16, shifts 0-2;
     # F vanishes at some dyadic x, where mpmath needs zeroprec to stop
-    x = np.linspace(0.0, X_SWITCH, 26)[:-1]
+    x = np.linspace(0.0, 0.5, 26)[:-1]
     for p in _odd_triples((1, 2, 3, 12), range(1, 17)):
         exact = np.array([float(mpmath.hyp2f1(p.a, p.b, p.c, v, zeroprec=400))
                           for v in x])
@@ -218,31 +228,32 @@ def test_euler_branch_within_1e_13_of_max_f():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12])
 def test_every_radial_evaluation_sums_a_terminating_series(n, monkeypatch):
-    summed = []
-    series = specfun._series
+    # of degree k // 2: m - shift for the even modes, m for the odd ones
+    # (Euler's transformation, whose c - b = -m no shift moves)
+    degrees = []
+    jacobi = specfun._jacobi
 
-    def recording(p, x):
-        summed.append(p)
-        return series(p, x)
+    def recording(m, kappa, c, x):
+        degrees.append(m)
+        return jacobi(m, kappa, c, x)
 
-    monkeypatch.setattr(specfun, "_series", recording)
-    rho = np.sqrt(np.r_[np.linspace(0.0, 0.99, 34), X_SWITCH])
+    monkeypatch.setattr(specfun, "_jacobi", recording)
+    rho = np.sqrt(np.linspace(0.0, 0.99, 35))
     for k in range(1, 17):
         mode = radial_eigenfunction(k, ProfileParams(n))
         for f in (mode.value, mode.deriv, mode.second_deriv):
+            degrees.clear()
             f(rho)
             f(0.6)
-    assert summed
-    endless = [p for p in summed if p.terminating_index() is None]
-    assert not endless, endless[:3]
+            assert degrees and max(degrees) <= k // 2, (k, degrees)
 
 
-# --- connection branch (x >= X_SWITCH) ---------------------------------------
+# --- near x = 1 -------------------------------------------------------------------
 
 def test_near_one_terminating_bypass():
-    # a terminating triple is the exact polynomial sum above X_SWITCH too
+    # a terminating triple near 1 is its polynomial
     p = Hyp2F1Params(-1.0, 2.0, 1.5)
-    assert hyp2f1_auto(p, 0.9) == _ref_series(p, 0.9)
+    assert hyp2f1_auto(p, 0.9) == pytest.approx(1.0 - 1.2, rel=1e-14)
 
 
 def test_near_one_sqrt_closed_form():
@@ -251,33 +262,25 @@ def test_near_one_sqrt_closed_form():
 
 
 def test_branch_continuity_at_switch():
-    p = Hyp2F1Params(-0.5, 2.5, 2.5)  # = (1-x)^{1/2}, non-terminating path
+    # (1-x)^{1/2} through x = 1/2
+    p = Hyp2F1Params(-0.5, 2.5, 2.5)
     for eps in (1e-4, 1e-6, 1e-8):
-        lo = hyp2f1_auto(p, X_SWITCH - eps)
-        hi = hyp2f1_auto(p, X_SWITCH + eps)
+        lo = hyp2f1_auto(p, 0.5 - eps)
+        hi = hyp2f1_auto(p, 0.5 + eps)
         assert abs(lo - hi) <= 1e-10 + 4.0 * eps
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_near_one_limit_matches_gauss_value(n):
-    # c - a - b = 1/2 family: the x -> 1 limit equals the Gamma-quotient value.
-    # The approach is O(sqrt(1-x)), so the sqrt term is eliminated by the
-    # two-point extrapolation 2 F(1-y/4) - F(1-y) before comparing.
-    lam = 7.3  # generic non-eigenvalue
+    # the even triple of lambda_4 = 4 (4 + 2n), F(-2, n + 2; n + 1/2; x):
+    # its value at 1 is the Gamma quotient, and its values approach it
+    lam = 4.0 * (4.0 + 2 * n)
     s = math.sqrt(n * n + lam)
     p = Hyp2F1Params((n - s) / 2.0, (n + s) / 2.0, n + 0.5)
     limit = gauss_value_at_one(p)
     assert hyp2f1_auto(p, 1.0) == pytest.approx(limit, rel=1e-13)
     y = 1e-9
-    extrap = 2.0 * hyp2f1_auto(p, 1.0 - y / 4.0) - hyp2f1_auto(p, 1.0 - y)
-    assert extrap == pytest.approx(limit, abs=1e-9)
-
-
-@pytest.mark.parametrize("x", [0.55, 0.75, 0.95])
-def test_connection_formula_against_mpmath(x):
-    p = Hyp2F1Params(-0.7, 1.9, 1.7)
-    exact = float(mpmath.hyp2f1(p.a, p.b, p.c, x))
-    assert hyp2f1_auto(p, x) == pytest.approx(exact, rel=1e-12)
+    assert hyp2f1_auto(p, 1.0 - y) == pytest.approx(limit, abs=1e-7)
 
 
 # --- derivative -------------------------------------------------------------
@@ -312,7 +315,7 @@ def test_dz_of_sqrt():
 
 
 def test_dz_matches_central_differences():
-    # both parities, n = 1, 2, 3, rho^2 below and above X_SWITCH
+    # both parities, n = 1, 2, 3, rho^2 below and above 1/2
     h = 1e-6
     for n in (1, 2, 3):
         for k in (1, 2, 3, 4):
@@ -352,103 +355,54 @@ def test_gauss_value_domain_error():
         gauss_value_at_one(Hyp2F1Params(1.0, 1.0, 1.5))
 
 
-# --- arrays against the per-point scalar sum --------------------------------
-#
-# The reference is the scalar evaluator the array path replaced, kept here
-# on Python floats and called once per point, with Euler's transformation
-# below X_SWITCH where its series terminates.
+# --- every radial triple on [0, 1] -------------------------------------------
 
-def _ref_series(p, x):
-    m = p.terminating_index()
-    term = acc = 1.0
-    if m is not None:
-        for k in range(m):
-            term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
-            acc += term
-        return acc
-    if not 0.0 <= x < 1.0:
-        raise ValueError(x)
-    small = 0
-    for k in range(SERIES_TERM_BUDGET):
-        term *= (p.a + k) * (p.b + k) / ((k + 1.0) * (p.c + k)) * x
-        acc += term
-        if abs(term) <= SERIES_RTOL * abs(acc):
-            small += 1
-            if small >= 2:
-                return acc
-        else:
-            small = 0
-    raise Hyp2F1ConvergenceError(x)
-
-
-def _ref_euler_prefactor(y, s):
-    # (1 - x)^s with 2s odd, as every radial triple has: sqrt, then products
-    out = math.sqrt(y)
-    for _ in range(int(abs(s))):
-        out *= y
-    return out if s > 0.0 else 1.0 / out
-
-
-def _ref_auto(p, x):
-    s = p.c - p.a - p.b
-    if p.terminating_index() is not None or s == math.floor(s):
-        return _ref_series(p, x)
-    if x < X_SWITCH:
-        if not any(v <= 0.0 and v == math.floor(v) for v in (p.c - p.a, p.c - p.b)):
-            return _ref_series(p, x)
-        if x < 0.0:
-            raise ValueError(x)
-        # Euler's transformation, whose series terminates
-        return _ref_euler_prefactor(1.0 - x, s) * _ref_series(
-            Hyp2F1Params(p.c - p.a, p.c - p.b, p.c), x)
-    y = 1.0 - x
-    c1 = (gamma_fn(p.c) * gamma_fn(s)
-          * recip_gamma(p.c - p.a) * recip_gamma(p.c - p.b))
-    c2 = gamma_fn(p.c) * gamma_fn(-s) * recip_gamma(p.a) * recip_gamma(p.b)
-    out = 0.0
-    if c1 != 0.0:
-        out += c1 * _ref_series(Hyp2F1Params(p.a, p.b, p.a + p.b - p.c + 1.0), y)
-    if c2 != 0.0:
-        if y == 0.0:
-            if s < 0.0:
-                raise ValueError(x)
-        else:
-            out += c2 * y ** s * _ref_series(
-                Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0), y)
-    return out
-
-
-_X = np.concatenate([np.random.default_rng(2011).uniform(0.0, 1.0, 2000),
-                     [0.0, 0.5, 1.0]])
+def _exact(p, x):
+    """F(a, b; c; x) at 40 digits: the terminating sum by Horner, times
+    Euler's prefactor where c - a or c - b makes it terminate."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(0)
+        q = p
+        if p.terminating_index() is None:
+            s = mpmath.mpf(p.c) - p.a - p.b
+            q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
+        coef = [mpmath.mpf(1)]
+        for j in range(q.terminating_index()):
+            coef.append(coef[-1] * (q.a + j) * (q.b + j)
+                        / ((j + 1) * (mpmath.mpf(q.c) + j)))
+        out = []
+        for v in map(mpmath.mpf, x):
+            acc = mpmath.mpf(0)
+            for t in reversed(coef):
+                acc = acc * v + t
+            out.append(float(acc * (1 - v) ** s))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12])
-def test_array_matches_the_per_point_scalar_sum(n):
-    eps = np.finfo(float).eps
-    for k in range(1, 17):
+def test_every_radial_triple_within_1e_12_of_max_f(n):
+    # k <= 40, shifts 0-2 (k = 2's shift 2 has coefficient 0 and is never
+    # evaluated), on 201 points of [0, 1]; x = 1 only where F is bounded
+    x = np.linspace(0.0, 1.0, 201)
+    for k in range(1, 41):
         for shift in (0, 1, 2):
+            if (k, shift) == (2, 2):
+                continue
             p = radial_eigenfunction(k, ProfileParams(n)).hyp.shifted(shift)
-            x = _X
-            if p.terminating_index() is None and p.c - p.a - p.b < 0.0:
-                x = _X[_X < 1.0]   # F diverges at 1; refused below
-            ref = np.array([_ref_auto(p, float(v)) for v in x])
-            got = hyp2f1_auto(p, x)
-            exact = (slice(None) if p.terminating_index() is not None
-                     else x < X_SWITCH)
-            assert np.array_equal(got[exact], ref[exact]), (n, k, shift)
-            assert (np.max(np.abs(got - ref))
-                    <= 4.0 * eps * np.max(np.abs(ref))), (n, k, shift)
+            xs = x[:-1] if p.c - p.a - p.b < 0.0 else x
+            exact = _exact(p, xs)
+            err = np.max(np.abs(hyp2f1_auto(p, xs) - exact))
+            assert err <= 1e-12 * np.max(np.abs(exact)), (k, shift)
 
 
-# The case ids name the branch each case exercises, after the evaluators that
-# used to be public for them: hyp2f1 the series (x < X_SWITCH), hyp2f1_near_one
-# the connection formula (x >= X_SWITCH), hyp2f1_auto an array over both.
+# The case ids name the range of x each case takes: hyp2f1 below 1/2,
+# hyp2f1_near_one above, hyp2f1_auto 1/2 itself.
 _BRANCHES = ["hyp2f1", "hyp2f1_near_one", "hyp2f1_auto"]
 
 
 @pytest.mark.parametrize("p", [Hyp2F1Params(-2.0, 3.0, 1.5),
                                Hyp2F1Params(-0.5, 2.5, 1.5)])
-@pytest.mark.parametrize("x", [0.3, 0.7, X_SWITCH], ids=_BRANCHES)
+@pytest.mark.parametrize("x", [0.3, 0.7, 0.5], ids=_BRANCHES)
 def test_array_shape_contract(x, p):
     scalar = hyp2f1_auto(p, x)
     assert type(scalar) is float
@@ -462,8 +416,7 @@ def test_array_shape_contract(x, p):
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
-# -0.2 falls to the series branch, NaN and 1.2 to the connection one, whichever
-# branch the good points take
+# one bad point among good ones below 1/2, above it, or on both sides
 @pytest.mark.parametrize("bad", [-0.2, math.nan, 1.2])
 @pytest.mark.parametrize("good", [(0.1, 0.2, 0.4), (0.6, 0.7, 0.9),
                                   (0.1, 0.7, 0.4)], ids=_BRANCHES)
@@ -471,12 +424,6 @@ def test_array_with_one_bad_point_is_refused(good, bad):
     p = Hyp2F1Params(-0.5, 2.5, 1.5)
     with pytest.raises(ValueError):
         hyp2f1_auto(p, np.array([good[0], good[1], bad, good[2]]))
-
-
-def test_array_budget_exhaustion_raises():
-    p = Hyp2F1Params(0.5, 1.0, 1.5)   # c - a - b = 0: the series up to 1
-    with pytest.raises(Hyp2F1ConvergenceError):
-        hyp2f1_auto(p, np.array([0.1, 1.0 - 1e-12, 0.3]))
 
 
 def test_array_refuses_the_divergent_value_at_one():

@@ -16,7 +16,8 @@ import pytest
 
 from hprofile import spectrum
 from hprofile.geometry import ProfileParams
-from hprofile.numerics import (bisect_root, gauss_jacobi_rule, profile_rule,
+from hprofile.numerics import (bisect_root, gauss_jacobi_rule,
+                               integrate_profile_radial, profile_rule,
                                sym_tridiag_eigen)
 from hprofile.spectrum import (ROOT_SCAN_STEP, ROOT_TOL, RadialTrial,
                                _ASSEMBLY_FLOATS, _pole_mass,
@@ -94,6 +95,22 @@ def test_odd_mode_derivatives_refuse_the_equator(k):
         mode.deriv(np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_modes_are_normalized_as_far_as_the_rule_is_exact(n):
+    # the 64-node rule integrates |F|^2, of degree k in rho^2, exactly up
+    # to k = 127; at k = 128 its norm^2 reads 2.36 (n = 1) on a finer rule
+    params = ProfileParams(n)
+    mode = radial_eigenfunction(127, params, profile_rule(params, 64))
+    fine = profile_rule(params, 400)
+    norm2 = params.sphere_area * integrate_profile_radial(
+        lambda r: mode.value(r) ** 2, fine)
+    assert abs(norm2 - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="normalizes modes up to k = 127"):
+        radial_eigenfunction(128, params, profile_rule(params, 64))
+    with pytest.raises(ValueError, match="normalizes modes up to k = 127"):
+        radial_eigenfunction(128, params)
+
+
 def test_mode_parameter_relations():
     # a + b = n and -4ab = lambda for every family member
     for n in (1, 2, 3):
@@ -121,7 +138,6 @@ def test_odd_modes_vanish_at_equator():
 
 
 def test_even_modes_have_zero_weighted_mean():
-    from hprofile.numerics import integrate_profile_radial
     for n in (1, 2):
         params = ProfileParams(n)
         rule = profile_rule(params, 64)
@@ -206,10 +222,24 @@ def test_root_scan_chunks_share_their_end_points(monkeypatch, chunk):
 
 
 def test_root_scan_past_float_range_raises():
-    # 1/Gamma((2 + n - s)/2) overflows near lambda = 1.2e5 (n = 1); a scan
-    # past it refuses rather than dropping the steps it cannot evaluate
-    with pytest.raises(OverflowError, match="leaves float range"):
-        eigencondition_even_roots(1e9, ProfileParams(1))
+    # a scan that meets a value out of float range refuses rather than
+    # dropping the steps it cannot evaluate
+    def condition(lam):
+        return np.where(lam > 100.0, np.inf, np.sin(lam))
+    with pytest.raises(OverflowError, match="leaves float range at lambda = 100.25"):
+        spectrum._scan_roots(condition, 200.0)
+
+
+@pytest.mark.parametrize("scan,first", [(eigencondition_even_roots, 2),
+                                        (eigencondition_odd_roots, 1)])
+def test_root_scans_reach_large_lambda(scan, first):
+    # each reciprocal Gamma alone leaves float range near lambda = 1.2e5
+    # (n = 1); their log-Gamma ratio does not
+    roots = scan(1.5e5, ProfileParams(1))
+    closed = [k * (k + 2.0) for k in range(first, 400, 2)
+              if k * (k + 2) <= 1.5e5]
+    assert len(roots) == len(closed) == 193
+    assert max(abs(r - c) for r, c in zip(roots, closed)) <= ROOT_TOL
 
 
 # The per-point scan the array scan replaced, verbatim, as the reference for
@@ -1020,6 +1050,23 @@ def test_gram_single_mode():
     G = gram_matrix([radial_eigenfunction(1, params, rule)], rule)
     assert G.shape == (1, 1)
     assert G[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gram_matrix_matches_the_per_pair_integrals():
+    # the reference: each pair integrated on its own, doubled where the
+    # hemisphere signs agree and 0 where they differ
+    params = ProfileParams(2)
+    rule = profile_rule(params, 64)
+    modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
+    ref = np.zeros((8, 8))
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            pair = 1.0 + mi.hemisphere_sign * mj.hemisphere_sign
+            ref[i, j] = 0.5 * params.sphere_area * pair * integrate_profile_radial(
+                lambda r: mi.value(r) * mj.value(r), rule)
+    G = gram_matrix(modes, rule)
+    assert np.array_equal(G == 0.0, ref == 0.0)
+    assert np.max(np.abs(G - ref)) <= 8 * np.finfo(float).eps
 
 
 def test_odd_even_pairs_cancel_exactly():
