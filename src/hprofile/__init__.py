@@ -8,16 +8,14 @@ from .geometry import (GeodesicPath, GeodesicState, ProfileParams,
                        mean_curvature_check, omega_bar,
                        profile_geodesic_residual, profile_height)
 from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
-                       hessenberg_qr_eigenvalues, integrate_profile_radial,
-                       profile_rule, sym_tridiag_eigen)
+                       integrate_profile_radial, profile_rule)
 from .operators import (FullJet, PolarJet, RadialJet, SLCoefficients,
                         apply_full, apply_polar_h1, apply_radial,
                         sl_coefficients, verify_identities)
 from .specfun import (Hyp2F1Params, gauss_value_at_one, hyp2f1_auto, ln_gamma,
                       recip_gamma)
 from .spectrum import (ModeOperator, RadialEigenmode, SLDiscretization,
-                       SpectrumEntry, SpectrumReport, build_mode_operator,
-                       build_radial_discretization, build_spectrum_report,
+                       build_mode_operator, build_radial_discretization,
                        discrete_radial_spectrum, eigencondition_even_roots,
                        eigencondition_odd_roots, even_condition_value,
                        gram_matrix, green_check, green_symmetry_residual,

@@ -4,7 +4,8 @@ Poincare estimates and geodesic traces, with CSV/JSON/gnuplot output.
 Each subcommand is one entry of COMMANDS: its runner, the RunConfig fields
 it reads with their defaults, and the formats it writes.  The argparse
 subcommands, RunConfig's defaults and RunConfig.validate are all built from
-that table, so a subcommand takes exactly the flags it reads.
+that table, so a subcommand takes exactly the flags it reads.  Every runner
+returns one _Table, its artifact, and run alone writes it.
 
 Exit codes: 0 success, 1 failed verification gate (each failed gate is
 named on stderr), 2 configuration error, 3 I/O error.  All output is
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,14 +29,12 @@ from .geometry import (GeodesicState, ProfileParams, _random_interior_points,
                        profile_geodesic_residual)
 from .numerics import profile_rule
 from .operators import verify_identities
-from .spectrum import (ModeEntry, ModeReport, PoincareEntry, PoincareReport,
-                       SpectrumReport, build_spectrum_report,
-                       check_mode_solve, check_radial_solve,
+from .spectrum import (check_mode_solve, check_radial_solve,
                        default_green_polar_trials,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
-                       mode_spectrum, parity_spectrum_entries,
-                       poincare_constant_estimate, radial_eigenfunction)
+                       mode_spectrum, poincare_constant_estimate,
+                       radial_eigenfunction, radial_eigenvalue, richardson)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -131,6 +130,8 @@ class RunConfig:
             count = self.count or (self.k_max + 1) // 2
             for g in (self.grid, 2 * self.grid):
                 check_radial_solve(params, g, count)
+        if self.suite in ("green", "orthogonality"):
+            params.sphere_area   # weighs their integrals; refuses n > 171
         if self.command == "poincare" or self.command == "modes" and 0 in ks:
             check_radial_solve(params, self.grid, self.count or 1)
         if self.command == "modes":
@@ -161,16 +162,37 @@ pause -1
 """
 
 
-def _emit_report(cfg: RunConfig, fmt: str, report, gates: list[dict]) -> None:
+@dataclass(frozen=True)
+class _Table:
+    """A command's artifact: CSV header line and rows, and JSON results."""
+
+    header: str
+    csv: list[str]
+    json: list
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _entry_table(kind: type, entries: list) -> _Table:
+    """One column per field of the dataclass kind, one row per entry."""
+    return _Table(",".join(f.name for f in fields(kind)),
+                  [",".join(_cell(v) for v in astuple(e)) for e in entries],
+                  [asdict(e) for e in entries])
+
+
+def _emit_report(cfg: RunConfig, fmt: str, table: _Table, gates: list) -> None:
     """Write the table as fmt, and as CSV with a gnuplot script under plot."""
     stem = f"{cfg.command}_{cfg.n}"
     files = {}
     if fmt == "csv" or cfg.plot:
-        lines = [report.CSV_HEADER] + report.csv_rows()
-        files["csv"] = "\r\n".join(lines) + "\r\n"
+        files["csv"] = "\r\n".join([table.header, *table.csv]) + "\r\n"
     if fmt == "json":
         config = {"command": cfg.command, "n": cfg.n, "format": fmt}
-        obj = {"config": config, "results": report.json_obj(), "gates": gates}
+        obj = {"config": config, "results": table.json, "gates": gates}
         files["json"] = json.dumps(obj, indent=2, sort_keys=False) + "\n"
     if cfg.plot:
         files["gp"] = _GNUPLOT.format(command=cfg.command, n=cfg.n,
@@ -181,34 +203,76 @@ def _emit_report(cfg: RunConfig, fmt: str, report, gates: list[dict]) -> None:
             fh.write(text)
 
 
-@dataclass
-class _Rows:
-    """Rows already in a one-format command's format: CSV or JSON results."""
+@dataclass(frozen=True)
+class SpectrumEntry:
+    n: int
+    k: int
+    parity_or_mode: str
+    lambda_closed: float
+    lambda_grid1: float
+    lambda_grid2: float
+    lambda_extrap: float
+    rel_err: float
 
-    rows: list
-    CSV_HEADER: str = ""
 
-    def csv_rows(self) -> list:
-        return self.rows
+@dataclass(frozen=True)
+class ModeEntry:
+    n: int
+    k: int
+    matching: str
+    index: int
+    lambda_re: float
+    lambda_im: float
 
-    json_obj = csv_rows
+
+@dataclass(frozen=True)
+class PoincareEntry:
+    n: int
+    mu: float
+    poincare_constant: float
+    radial_only: bool
 
 
-def _rel_err_gates(cfg: RunConfig, report: SpectrumReport):
+def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,
+                            grid: int) -> list[SpectrumEntry]:
+    """Closed-form vs two-grid rows (grids `grid` and 2 `grid`, as richardson
+    assumes) for the lowest `count` modes of a parity: even k = 2, 4, ...
+    from the natural pencil, odd k = 1, 3, ... from the Dirichlet one."""
+    if count < 1:
+        return []
+    bc = "natural" if parity == "even" else "dirichlet"
+    l1 = discrete_radial_spectrum(params, bc, grid, count)
+    l2 = discrete_radial_spectrum(params, bc, 2 * grid, count)
+    entries = []
+    for i in range(count):
+        k = 2 * i + 2 if parity == "even" else 2 * i + 1
+        lam = radial_eigenvalue(k, params)
+        ex = float(richardson(l1[i], l2[i]))
+        entries.append(SpectrumEntry(
+            n=params.n, k=k, parity_or_mode=parity, lambda_closed=lam,
+            lambda_grid1=float(l1[i]), lambda_grid2=float(l2[i]),
+            lambda_extrap=ex, rel_err=abs(ex - lam) / lam))
+    return entries
+
+
+def _rel_err_gates(cfg: RunConfig, entries: list[SpectrumEntry]):
     """A spectrum table, gated row by row on rel_err (default 1%)."""
     tol = cfg.tol if cfg.tol is not None else 0.01
-    return report, [_gate(f"{cfg.command}_k{e.k}", e.rel_err, tol)
-                    for e in report.entries]
+    return _entry_table(SpectrumEntry, entries), [
+        _gate(f"{cfg.command}_k{e.k}", e.rel_err, tol) for e in entries]
 
 
 def _run_spectrum(cfg: RunConfig):
-    return _rel_err_gates(cfg, build_spectrum_report(
-        ProfileParams(cfg.n), cfg.k_max, cfg.grid))
+    """Closed-form vs two-grid rows for k = 1..k_max."""
+    params = ProfileParams(cfg.n)
+    odd = parity_spectrum_entries(params, "odd", (cfg.k_max + 1) // 2, cfg.grid)
+    even = parity_spectrum_entries(params, "even", cfg.k_max // 2, cfg.grid)
+    return _rel_err_gates(cfg, sorted(odd + even, key=lambda e: e.k))
 
 
 def _run_eig(cfg: RunConfig):
-    return _rel_err_gates(cfg, SpectrumReport(parity_spectrum_entries(
-        ProfileParams(cfg.n), cfg.parity, cfg.count, cfg.grid)))
+    return _rel_err_gates(cfg, parity_spectrum_entries(
+        ProfileParams(cfg.n), cfg.parity, cfg.count, cfg.grid))
 
 
 def _run_modes(cfg: RunConfig):
@@ -219,7 +283,7 @@ def _run_modes(cfg: RunConfig):
     # both matching classes, counts 1 and 6.
     tol = (cfg.tol if cfg.tol is not None
            else 1e-11 * max(1, (cfg.grid / 400) ** 2))
-    report, gates = ModeReport(), []
+    entries, gates = [], []
     for k in cfg.k_range:
         vals = mode_spectrum(k, cfg.grid, cfg.count, cfg.matching)
         if k == 0:
@@ -227,10 +291,10 @@ def _run_modes(cfg: RunConfig):
             radial = discrete_radial_spectrum(params, bc, cfg.grid, cfg.count)
             dev = float(np.max(np.abs(vals.real - radial)))
             gates.append(_gate("mode0_matches_radial", dev, tol))
-        report.entries += [ModeEntry(cfg.n, k, cfg.matching, i,
-                                     float(lam.real), float(lam.imag))
-                           for i, lam in enumerate(vals)]
-    return report, gates
+        entries += [ModeEntry(cfg.n, k, cfg.matching, i,
+                              float(lam.real), float(lam.imag))
+                    for i, lam in enumerate(vals)]
+    return _entry_table(ModeEntry, entries), gates
 
 
 def _geometry_gates(params: ProfileParams, tol_fd: float) -> list[dict]:
@@ -278,20 +342,21 @@ def _run_verify(cfg: RunConfig):
                        float(np.max(np.abs(G - np.eye(len(modes))))), tol)]
     else:
         gates = _geometry_gates(params, tol)
-    return _Rows(results), gates
+    return _Table("", [], results), gates
 
 
 def _run_poincare(cfg: RunConfig):
     params = ProfileParams(cfg.n)
     mu, cp = poincare_constant_estimate(params, cfg.grid,
                                         include_modes=cfg.full)
-    report = PoincareReport([PoincareEntry(cfg.n, mu, cp, not cfg.full)])
+    table = _entry_table(PoincareEntry,
+                         [PoincareEntry(cfg.n, mu, cp, not cfg.full)])
     if cfg.full:
-        return report, []    # exploratory: no closed form to gate against
+        return table, []    # exploratory: no closed form to gate against
     # the radial mu is the first odd eigenvalue, Q - 1 = 2n + 1
     tol = cfg.tol if cfg.tol is not None else 0.01
     first = params.Q - 1.0
-    return report, [_gate("poincare_radial", abs(mu - first) / first, tol)]
+    return table, [_gate("poincare_radial", abs(mu - first) / first, tol)]
 
 
 def _run_geodesic(cfg: RunConfig):
@@ -310,12 +375,12 @@ def _run_geodesic(cfg: RunConfig):
                              np.full(len(path), path.p_last)])
     row = ",".join(["%.17g"] * table.shape[1])
     rows = [row % tuple(values) for values in table.tolist()]
-    return _Rows(rows, header), [_gate("momentum_drift", drift, 1e-8)]
+    return _Table(header, rows, []), [_gate("momentum_drift", drift, 1e-8)]
 
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: runner(cfg) -> (table, gates); the RunConfig fields
+    """One subcommand: runner(cfg) -> (_Table, gates); the RunConfig fields
     it reads besides n, fmt and out_dir, with their defaults; the formats it
     writes, the first by default (only a command with several reads fmt)."""
 

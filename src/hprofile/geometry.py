@@ -49,7 +49,11 @@ class ProfileParams:
 
     @property
     def sphere_area(self) -> float:
-        """Surface measure of the unit sphere S^{2n-1}: 2 pi^n / Gamma(n)."""
+        """Surface measure of the unit sphere S^{2n-1}: 2 pi^n / Gamma(n),
+        for n <= 171 (Gamma(172) leaves float range)."""
+        if self.n > 171:
+            raise ValueError(f"the sphere area 2 pi^n / Gamma(n) needs "
+                             f"n <= 171, got n = {self.n}")
         return 2.0 * math.pi ** self.n / math.gamma(self.n)
 
 

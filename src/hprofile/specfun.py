@@ -178,23 +178,24 @@ def _like(x, out: np.ndarray):
     return float(out) if np.isscalar(x) else out
 
 
-def _recip_gamma_pair(x, y):
-    """1 / (Gamma(x) Gamma(y)) as one ratio, for floats or elementwise for
-    arrays of one shape.
+def _gamma_ratio(u1, u2, v1, v2):
+    """Gamma(u1) Gamma(u2) / (Gamma(v1) Gamma(v2)) as one ratio, for floats
+    or elementwise for arrays of one shape; u1 and u2 must not be poles.
 
-    An argument u < 1/2 is reflected, 1/Gamma(u) = sin(pi u) Gamma(1 - u)
-    / pi, and the two log-Gammas meet in one exp, so the value stays in
-    float range wherever it lies there, though a factor alone may not.
-    The sines keep the exact zeros at the poles.
+    An argument u < 1/2 is reflected, Gamma(u) = pi / (sin(pi u)
+    Gamma(1 - u)), and the four log-Gammas meet in one exp, so the value
+    stays in float range wherever it lies there, though a factor alone may
+    not.  The sines keep the exact zeros at the poles of the denominator.
     """
-    x, ops = _float_or_array(x)
-    y, _ = _float_or_array(y)
     scale, log = 1.0, 0.0
-    for u in (x, y):
+    for u, up in ((u1, True), (u2, True), (v1, False), (v2, False)):
+        u, ops = _float_or_array(u)
         low = u < 0.5
         ln = _lanczos(ops.where(low, 1.0 - u, u), ops)
-        scale = scale * ops.where(low, _sin_pi(u, ops) / math.pi, 1.0)
-        log = log + ops.where(low, ln, -ln)
+        sine = ops.where(low, _sin_pi(u, ops) / math.pi, 1.0)
+        scale = scale / sine if up else scale * sine
+        log = log + ops.where(low == up, -ln, ln)
+    log, ops = _float_or_array(log)
     return scale * ops.exp(log)
 
 
@@ -207,7 +208,9 @@ def gauss_value_at_one(p: Hyp2F1Params):
     bad = _first_bad(s, s <= 0.0)
     if bad is not None:
         raise ValueError(f"F(a,b;c;1) needs c-a-b > 0, got {bad}")
-    return gamma_fn(p.c) * gamma_fn(s) * _recip_gamma_pair(p.c - p.a, p.c - p.b)
+    if _is_nonpositive_integer(p.c):
+        raise ValueError(f"Gamma pole at {p.c}")
+    return _gamma_ratio(p.c, s, p.c - p.a, p.c - p.b)
 
 
 def _jacobi(m: int, kappa: float, c: float, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ separate so they can cross-check each other:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,12 +34,6 @@ __all__ = [
     "RadialEigenmode",
     "SLDiscretization",
     "ModeOperator",
-    "ModeEntry",
-    "ModeReport",
-    "PoincareEntry",
-    "PoincareReport",
-    "SpectrumEntry",
-    "SpectrumReport",
     "radial_eigenvalue",
     "radial_eigenfunction",
     "even_condition_value",
@@ -61,8 +55,6 @@ __all__ = [
     "PolarTrial",
     "green_check",
     "green_symmetry_residual",
-    "parity_spectrum_entries",
-    "build_spectrum_report",
 ]
 
 ROOT_SCAN_STEP = 0.5
@@ -821,109 +813,3 @@ def green_symmetry_residual(t1: RadialTrial, t2: RadialTrial,
 
     return abs(params.sphere_area
                * integrate_profile_radial(integrand, profile_rule(params, 64)))
-
-
-# --- report ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    n: int
-    k: int
-    parity_or_mode: str
-    lambda_closed: float
-    lambda_grid1: float
-    lambda_grid2: float
-    lambda_extrap: float
-    rel_err: float
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
-class _EntryTable:
-    """CSV rows and JSON objects of dataclass entries, one column per field."""
-
-    entries: list
-
-    def csv_rows(self) -> list[str]:
-        return [",".join(_csv_cell(v) for v in astuple(e))
-                for e in self.entries]
-
-    def json_obj(self) -> list[dict]:
-        return [asdict(e) for e in self.entries]
-
-
-@dataclass
-class SpectrumReport(_EntryTable):
-    entries: list[SpectrumEntry] = field(default_factory=list)
-
-    CSV_HEADER = ",".join(f.name for f in fields(SpectrumEntry))
-
-
-@dataclass(frozen=True)
-class ModeEntry:
-    n: int
-    k: int
-    matching: str
-    index: int
-    lambda_re: float
-    lambda_im: float
-
-
-@dataclass
-class ModeReport(_EntryTable):
-    """Mode eigenvalues in the order they were added."""
-
-    entries: list[ModeEntry] = field(default_factory=list)
-
-    CSV_HEADER = ",".join(f.name for f in fields(ModeEntry))
-
-
-@dataclass(frozen=True)
-class PoincareEntry:
-    n: int
-    mu: float
-    poincare_constant: float
-    radial_only: bool
-
-
-@dataclass
-class PoincareReport(_EntryTable):
-    entries: list[PoincareEntry] = field(default_factory=list)
-
-    CSV_HEADER = ",".join(f.name for f in fields(PoincareEntry))
-
-
-def parity_spectrum_entries(params: ProfileParams, parity: str, count: int,
-                            grid: int) -> list[SpectrumEntry]:
-    """Closed-form vs two-grid rows (grids `grid` and 2 `grid`, as richardson
-    assumes) for the lowest `count` modes of a parity: even k = 2, 4, ...
-    from the natural pencil, odd k = 1, 3, ... from the Dirichlet one."""
-    if count < 1:
-        return []
-    bc = "natural" if parity == "even" else "dirichlet"
-    l1 = discrete_radial_spectrum(params, bc, grid, count)
-    l2 = discrete_radial_spectrum(params, bc, 2 * grid, count)
-    entries = []
-    for i in range(count):
-        k = 2 * i + 2 if parity == "even" else 2 * i + 1
-        lam = radial_eigenvalue(k, params)
-        ex = float(richardson(l1[i], l2[i]))
-        entries.append(SpectrumEntry(
-            n=params.n, k=k, parity_or_mode=parity, lambda_closed=lam,
-            lambda_grid1=float(l1[i]), lambda_grid2=float(l2[i]),
-            lambda_extrap=ex, rel_err=abs(ex - lam) / lam))
-    return entries
-
-
-def build_spectrum_report(params: ProfileParams, k_max: int,
-                          grid: int = 1000) -> SpectrumReport:
-    """Closed-form vs two-grid discrete spectrum for k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    odd = parity_spectrum_entries(params, "odd", (k_max + 1) // 2, grid)
-    even = parity_spectrum_entries(params, "even", k_max // 2, grid)
-    return SpectrumReport(sorted(odd + even, key=lambda e: e.k))

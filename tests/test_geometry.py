@@ -34,6 +34,10 @@ def test_homogeneous_dimension():
 def test_sphere_area():
     assert ProfileParams(1).sphere_area == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert ProfileParams(2).sphere_area == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
+    # 2 pi^n / Gamma(n) is about 3e-222 at n = 171; Gamma(172) overflows
+    assert 0.0 < ProfileParams(171).sphere_area < 1e-200
+    with pytest.raises(ValueError, match="needs n <= 171, got n = 172"):
+        ProfileParams(172).sphere_area
 
 
 def test_params_reject_bad_index():

@@ -350,9 +350,23 @@ def test_gauss_value_zero_at_odd_eigenparameters():
     assert gauss_value_at_one(p) == 0.0
 
 
+def test_gauss_value_past_gamma_overflow():
+    # Gamma(c) alone leaves float range from c = 172.5; the four log-Gammas
+    # meet in one exp, and an argument below 1/2 is reflected, numerator
+    # (c = -1.5; c = 0.4 and c - a - b = 0.1) and denominator (0.3, 0.2)
+    # alike
+    for a, b, c in [(-0.25, 0.5, 172.5), (1.0, 2.0, 400.5),
+                    (-3.0, -5.0, -1.5), (0.1, 0.2, 0.4)]:
+        assert gauss_value_at_one(Hyp2F1Params(a, b, c)) == pytest.approx(
+            float(mpmath.hyp2f1(a, b, c, 1)), rel=1e-12)
+
+
 def test_gauss_value_domain_error():
     with pytest.raises(ValueError):
         gauss_value_at_one(Hyp2F1Params(1.0, 1.0, 1.5))
+    # c - a - b = 4 > 0, but Gamma(c) has a pole at c = -2
+    with pytest.raises(ValueError, match="Gamma pole at -2"):
+        gauss_value_at_one(Hyp2F1Params(-1.0, -5.0, -2.0))
 
 
 # --- every radial triple on [0, 1] -------------------------------------------

@@ -242,6 +242,18 @@ def test_root_scans_reach_large_lambda(scan, first):
     assert max(abs(r - c) for r, c in zip(roots, closed)) <= ROOT_TOL
 
 
+@pytest.mark.parametrize("n", [172, 1000])
+def test_root_scans_past_gamma_overflow(n):
+    # Gamma(n + 1/2) alone leaves float range from n = 172 on; the
+    # conditions keep it inside their one log-Gamma ratio
+    params = ProfileParams(n)
+    lmax = 4.0 * (4 + 2 * n) + 1.0
+    assert eigencondition_odd_roots(lmax, params) == [
+        radial_eigenvalue(k, params) for k in (1, 3)]
+    assert eigencondition_even_roots(lmax, params) == [
+        radial_eigenvalue(k, params) for k in (2, 4)]
+
+
 # The per-point scan the array scan replaced, verbatim, as the reference for
 # the roots below lambda_max.  It never looks for an exact zero at its last
 # grid point, so a root at lambda_max itself is missing from its list.
