@@ -291,23 +291,41 @@ def test_geodesic_determinism(tmp_path):
     assert _read(a / "geodesic_1.csv") == _read(b / "geodesic_1.csv")
 
 
-@pytest.mark.parametrize("kwargs,code", [
-    ({"steps": 1000}, 0),                # drift 4.3e-13
-    ({"n": 2, "steps": 2000}, 0),
-    ({"steps": 100}, 1),                 # drift 4.3e-8
-    ({"plast": 1e308}, 1),               # overflows to NaN
+def _non_finite_trace_values(path, n):
+    """Non-finite z, t and p_h cells of a geodesic CSV."""
+    lines = _read(path).decode().splitlines()[1:]
+    cells = [[float(v) for v in line.split(",")[1:-1]] for line in lines]
+    assert all(len(row) == 4 * n + 1 for row in cells)
+    return int(np.count_nonzero(~np.isfinite(np.array(cells))))
+
+
+# The trace is exact at any step count; it fails only by leaving float range:
+# at p_last = 5e-324 the area term |P0|^2 (kappa s - sin kappa s) / kappa^2 is
+# about kappa s^3 / 6, which overflows for s >= 2.5e307 (t = inf in rows 1..4),
+# and at p_last = 1e308 kappa s itself overflows.
+@pytest.mark.parametrize("kwargs,code,bad", [
+    ({"steps": 1000}, 0, 0),
+    ({"n": 2, "steps": 2000}, 0, 0),
+    ({"steps": 1}, 0, 0),
+    ({"plast": 5e-324, "smax": 1e308, "steps": 4}, 1, 4),
+    ({"plast": 1e308}, 1, None),
 ])
-def test_geodesic_momentum_drift_gate(tmp_path, capsys, kwargs, code):
+def test_geodesic_finite_trace_gate(tmp_path, capsys, kwargs, code, bad):
     cfg = RunConfig(command="geodesic", out_dir=str(tmp_path), **kwargs)
     assert run(cfg) == code
     err = capsys.readouterr().err
-    if "plast" in kwargs:
-        # the overflow shows only as the failed gate, not as numpy warnings
-        assert err == "gate failed: momentum_drift = nan > 1e-08\n"
     assert os.listdir(tmp_path) == [f"geodesic_{cfg.n}.csv"]
+    count = _non_finite_trace_values(tmp_path / f"geodesic_{cfg.n}.csv",
+                                     cfg.n)
+    assert (count > 0) == (code == 1)
+    if bad is not None:
+        assert count == bad
     _, [gate] = COMMANDS["geodesic"].runner(cfg)
-    assert gate["name"] == "momentum_drift" and gate["threshold"] == 1e-8
-    assert gate["pass"] == (code == 0)
+    assert gate == {"name": "finite_trace", "value": count, "threshold": 0,
+                    "pass": code == 0}
+    # the overflow shows only as the failed gate, not as numpy warnings
+    assert err == ("" if code == 0 else
+                   f"gate failed: finite_trace = {count:.6g} > 0\n")
 
 
 # Finite --plast / --smax values: zeros of both signs, subnormals, the ends
@@ -321,30 +339,30 @@ _GEODESIC_FLOATS = st.sampled_from(
        plast=_GEODESIC_FLOATS, smax=_GEODESIC_FLOATS)
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_accepted_geodesic_configs_pass_or_fail_the_drift_gate(
+def test_accepted_geodesic_configs_pass_or_fail_the_finite_trace_gate(
         tmp_path, capsys, n, steps, plast, smax):
     # "--flag=value", since argparse takes "-1e+308" for an option
     code = main(["geodesic", f"--n={n}", f"--steps={steps}",
                  f"--plast={plast!r}", f"--smax={smax!r}", f"--out={tmp_path}"])
     err = capsys.readouterr().err
     assert code in (0, 1)
+    path = tmp_path / f"geodesic_{n}.csv"
+    assert len(_read(path).decode().splitlines()) == 1 + steps + 1
+    bad = _non_finite_trace_values(path, n)
     if code == 0:
-        assert err == ""
+        assert err == "" and bad == 0
     else:
-        assert err.startswith("gate failed: momentum_drift = ")
-        assert err.endswith(" > 1e-08\n") and err.count("\n") == 1
-    lines = _read(tmp_path / f"geodesic_{n}.csv").decode().splitlines()
-    assert len(lines) == 1 + steps + 1
+        assert err == f"gate failed: finite_trace = {bad:.6g} > 0\n" and bad > 0
 
 
 def test_failed_gate_is_named_on_stderr(tmp_path, capsys):
     out = str(tmp_path)
-    assert main(["geodesic", "--steps", "100", "--out", out]) == 1
+    assert main(["geodesic", "--plast=5e-324", "--smax=1e308", "--steps", "4",
+                 "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("gate failed: momentum_drift = 4.27")
-    assert captured.err.endswith(" > 1e-08\n")
-    assert main(["geodesic", "--steps", "1000", "--out", out]) == 0
+    assert captured.err == "gate failed: finite_trace = 4 > 0\n"
+    assert main(["geodesic", "--steps", "100", "--out", out]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -1,11 +1,14 @@
-"""Profile geometry and the CC-geodesic integrator.
+"""Profile geometry and the closed-form CC-geodesics.
 
-The geodesic oracle is the closed-form circle: for p_last = 2 in H^1 the
-projected trajectory is a circle of radius 1/2 and the vertical coordinate
-sweeps the (corrected) meridian height.
+The geodesic oracles: for p_last = 2 in H^1 the projected trajectory is a
+circle of radius 1/2 and the vertical coordinate sweeps the (corrected)
+meridian height; at small curvature, mpmath's Taylor integration of the
+geodesic ODE; and, at any n, a per-state RK4 loop, which the closed form
+must match to RK4's own error.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,9 @@ from hypothesis import strategies as st
 
 import hprofile.geometry as G
 from hprofile.geometry import (GeodesicPath, GeodesicState, ProfileParams,
-                               _block_momenta, _fd_dir, _fd_grad,
-                               _fd_hess_quadform, _fd_laplacian,
-                               _random_interior_points, geodesic_trace,
+                               _fd_dir, _fd_grad, _fd_hess_quadform,
+                               _fd_laplacian, _random_interior_points,
+                               geodesic_trace,
                                horizontal_normal, kappa,
                                mean_curvature_check, omega_bar,
                                omega_bar_normal_deriv_check, perp,
@@ -262,6 +265,48 @@ def test_zero_curvature_gives_straight_line():
     assert np.allclose(end.p_h, [1.0, 0.0], atol=1e-12)
 
 
+def _mpmath_flow(p_last, initial, s_values):
+    """The geodesic ODE integrated by mpmath's Taylor method at 30 digits."""
+    m = initial.z.size
+    with mpmath.workdps(30):
+        kap = mpmath.mpf(p_last)
+
+        def rates(_, y):
+            z, p = y[:m], y[m + 1:]
+            dt = sum(z[b] * p[b + 1] - z[b + 1] * p[b]
+                     for b in range(0, m, 2)) / 2
+            dp = [(-kap * p[b + 1], kap * p[b]) for b in range(0, m, 2)]
+            return list(p) + [dt] + [c for pair in dp for c in pair]
+
+        y0 = [mpmath.mpf(float(v)) for v in
+              (*initial.z, initial.t, *initial.p_h)]
+        flow = mpmath.odefun(rates, 0, y0)
+        return np.array([[float(v) for v in flow(mpmath.mpf(float(s)))]
+                         for s in s_values])
+
+
+@pytest.mark.parametrize("p_last", [0.0, 5e-324, -5e-324, 1e-9, 1e-5, 0.1])
+def test_small_curvature_matches_mpmath(p_last):
+    # From the origin with t0 = 0, t is the area term alone,
+    # (1/2) |P0|^2 (kappa s - sin kappa s) / kappa^2 = kappa s^3 / 12 + ...,
+    # whose direct form cancels: it is off by up to 3.7e-14 relative for
+    # kappa s just above 0.1, which the samples at kappa = 0.1 reach.  At
+    # kappa = 0 and +-5e-324 the path is a straight line and t stays level
+    # (the reference t is 0 or subnormal, so the 1e-300 term rules there).
+    rng = np.random.default_rng(11)
+    p0 = rng.normal(size=4)
+    start = GeodesicState(np.zeros(4), 0.0, p0 / np.linalg.norm(p0), p_last)
+    path = geodesic_trace(p_last, 3.0, 8, start)
+    ref = _mpmath_flow(p_last, start, path.s[1:])
+    got = _samples(path)[1:]
+    z_err = np.abs(got[:, :4] - ref[:, :4])
+    assert np.all(z_err <= 1e-14 * np.max(np.abs(ref[:, :4]), axis=1,
+                                          keepdims=True))
+    assert np.all(np.abs(got[:, 4] - ref[:, 4])
+                  <= 1e-14 * np.abs(ref[:, 4]) + 1e-300)
+    assert np.max(np.abs(got[:, 5:] - ref[:, 5:])) <= 1e-15
+
+
 def test_geodesic_matches_circle_oracle():
     steps = 2000
     states = geodesic_trace(2.0, math.pi, steps, _south_start())
@@ -271,8 +316,8 @@ def test_geodesic_matches_circle_oracle():
         z_ref, t_ref = _circle_oracle(i * h)
         worst_z = max(worst_z, float(np.max(np.abs(states[i].z - z_ref))))
         worst_t = max(worst_t, abs(states[i].t - t_ref))
-    assert worst_z <= 1e-8
-    assert worst_t <= 1e-8
+    assert worst_z <= 1e-12
+    assert worst_t <= 1e-12
 
 
 def test_geodesic_radius_is_abs_sin():
@@ -280,25 +325,25 @@ def test_geodesic_radius_is_abs_sin():
     states = geodesic_trace(2.0, math.pi, steps, _south_start())
     h = math.pi / steps
     for i in range(0, steps + 1, 37):
-        assert abs(np.linalg.norm(states[i].z) - abs(math.sin(i * h))) <= 1e-8
+        assert abs(np.linalg.norm(states[i].z) - abs(math.sin(i * h))) <= 1e-12
 
 
 def test_geodesic_pole_to_pole_displacement():
     states = geodesic_trace(2.0, math.pi, 10_000, _south_start())
     end = states[-1]
-    assert np.max(np.abs(end.z)) <= 1e-8
-    assert end.t == pytest.approx(math.pi / 8.0, abs=1e-8)
+    assert np.max(np.abs(end.z)) <= 1e-12
+    assert end.t == pytest.approx(math.pi / 8.0, abs=1e-12)
 
 
 def test_momentum_conservation():
     states = geodesic_trace(2.0, math.pi, 10_000, _south_start())
     drift = max(abs(float(np.linalg.norm(st.p_h)) - 1.0) for st in states)
-    assert drift <= 1e-10
+    assert drift <= 1e-14
     assert all(st.p_last == 2.0 for st in states)
 
 
 def test_meridian_residual_small():
-    assert profile_geodesic_residual(ProfileParams(1), 10_000) <= 1e-6
+    assert profile_geodesic_residual(ProfileParams(1), 10_000) <= 1e-11
 
 
 def test_hemisphere_assignment_by_sign():
@@ -313,8 +358,8 @@ def test_hemisphere_assignment_by_sign():
     assert np.linalg.norm(mid.z) == pytest.approx(1.0, abs=1e-8)
 
 
-# The per-state loop that geodesic_trace replaced, kept as the reference its
-# flat-array integration must reproduce bit for bit.
+# The per-state RK4 loop that geodesic_trace once was: the oracle that the
+# closed form must match to RK4's own error.
 def _reference_rhs(z, p, p_last):
     return p, 0.5 * float(np.dot(perp(z), p)), p_last * perp(p)
 
@@ -337,12 +382,16 @@ def _reference_trace(p_last, s_max, steps, initial):
     return out
 
 
-# (n, kind): seeded random unit momenta (at n = 8 ddot sums 16 terms, in its
-# unrolled kernel), one momentum whose 2-blocks all repeat, and one whose
-# (-0.0, 0.0) block sits beside a (0.0, 0.0) one.  geodesic_trace shares one
-# recurrence among blocks of bit-identical momentum, so the second must not
-# share the first's; only the bytes of p_h tell their zeros apart.
-_TRACE_STARTS = ([(n, seed) for n in (1, 2, 3, 5, 8) for seed in range(4)]
+def _samples(path):
+    """(samples, 4n + 1) array of z, t and p_h of a path or a state list."""
+    if isinstance(path, GeodesicPath):
+        return np.column_stack([path.z, path.t, path.p_h])
+    return np.array([[*st.z, st.t, *st.p_h] for st in path])
+
+
+# (n, kind): seeded random unit momenta, one momentum whose 2-blocks all
+# repeat, and one whose (-0.0, 0.0) block sits beside a (0.0, 0.0) one.
+_TRACE_STARTS = ([(n, seed) for n in (1, 2, 3, 5, 8, 40) for seed in range(4)]
                  + [(4, "repeated"), (3, "signed_zero")])
 
 
@@ -360,13 +409,32 @@ def test_flat_trace_matches_per_state_loop(n, kind):
                           p_h=p0 / np.linalg.norm(p0), p_last=0.0)
     p_last = float(rng.uniform(-4.0, 4.0))
     s_max = float(rng.uniform(0.1, 7.0))
-    steps = int(rng.integers(1, 300))
-    path = geodesic_trace(p_last, s_max, steps, start)
-    ref = _reference_trace(p_last, s_max, steps, start)
-    assert np.array_equal(path.z, [st.z for st in ref])
-    assert np.array_equal(path.t, [st.t for st in ref])
-    assert np.array_equal(path.p_h, [st.p_h for st in ref])
-    assert path.p_h.tobytes() == np.array([st.p_h for st in ref]).tobytes()
+    # |p_last| h <= 0.1 keeps RK4 in its asymptotic range, where its error
+    # at N steps is 16/15 of the change from N to 2N steps
+    steps = int(rng.integers(1, 300)) + math.ceil(10 * abs(p_last) * s_max)
+    closed = _samples(geodesic_trace(p_last, s_max, steps, start))
+    ref = _samples(_reference_trace(p_last, s_max, steps, start))
+    fine = _samples(_reference_trace(p_last, s_max, 2 * steps, start))[::2]
+    err = np.max(np.abs(closed - ref))
+    rk4 = np.max(np.abs(ref - fine))
+    roundoff = 4 * steps * np.finfo(float).eps * np.max(np.abs(ref))
+    assert err <= 1.2 * rk4 + roundoff
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 40])
+def test_per_state_loop_converges_to_the_closed_form_at_order_4(n):
+    rng = np.random.default_rng(1000 + n)
+    p0 = rng.normal(size=2 * n)
+    start = GeodesicState(z=rng.normal(size=2 * n), t=float(rng.normal()),
+                          p_h=p0 / np.linalg.norm(p0), p_last=0.0)
+    p_last = float(rng.uniform(1.0, 4.0) * rng.choice([-1.0, 1.0]))
+    s_max = float(rng.uniform(2.0, 7.0))
+    errs = [np.max(np.abs(_samples(geodesic_trace(p_last, s_max, steps, start))
+                          - _samples(_reference_trace(p_last, s_max, steps,
+                                                      start))))
+            for steps in (250, 500, 1000)]
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(np.abs(orders - 4.0) <= 0.2), orders
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 1024])
@@ -375,17 +443,24 @@ def test_flat_trace_matches_per_state_loop(n, kind):
 @pytest.mark.parametrize("px,py", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
                                    (-0.0, -0.0)])
 def test_zero_block_repeats_its_second_step(px, py, p_last, steps):
-    # a zero block runs two steps and tiles the second; the reference runs
-    # every step, one call a step from the previous call's momentum
+    # Every 2-block runs on its own.  A zero block of P_H, of either sign,
+    # leaves the other block and t bit for bit as they are without it, and
+    # repeats its start in every sample whose phase p_last s is finite
+    # (1e308 overflows it from s = 1.8 on, and inf and nan at every s).
     h = math.pi / 1000
-    rows, p = [[px, py]], (px, py)
-    for _ in range(steps):
-        step = _block_momenta(*p, p_last, h, 1)
-        rows += step[1:].tolist()
-        p = tuple(step[-1].tolist())
-    got = _block_momenta(px, py, p_last, h, steps)
-    assert got.shape == (4 * steps + 1, 2)
-    assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
+    z0 = np.array([0.3, -0.2, 0.5, 0.1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = geodesic_trace(p_last, steps * h, steps, GeodesicState(
+            z0[:2], 0.25, np.array([0.6, 0.8]), p_last))
+        two = geodesic_trace(p_last, steps * h, steps, GeodesicState(
+            z0, 0.25, np.array([0.6, 0.8, px, py]), p_last))
+        finite = np.isfinite(p_last * two.s)
+    for got, alone in ((two.z[:, :2], one.z), (two.t, one.t),
+                       (two.p_h[:, :2], one.p_h)):
+        assert np.array_equal(got, alone, equal_nan=True)
+    assert np.all(two.z[finite, 2:] == z0[2:])
+    assert np.all(two.p_h[finite, 2:] == 0.0)
+    assert np.all(np.isnan(two.p_h[~finite, 2:]))
 
 
 def test_geodesic_path_contract():
@@ -409,12 +484,21 @@ def test_geodesic_path_contract():
 
 
 def test_meridian_residual_matches_per_state_loop():
+    # |u0(a) - u0(b)| <= sqrt|a - b| on [0, 1] (u0' >= -1 / (2 sqrt(1 - rho))),
+    # so the two residuals differ by at most the largest |dt| + sqrt|d rho|
+    # between the traces, which RK4's own error bounds
     steps = 2000
-    worst = 0.0
-    for st in _reference_trace(2.0, math.pi, steps, _south_start()):
-        rho = min(float(np.linalg.norm(st.z)), 1.0)
-        worst = max(worst, abs(abs(st.t) - profile_height(rho)))
-    assert profile_geodesic_residual(ProfileParams(1), steps) == worst
+    ref = _reference_trace(2.0, math.pi, steps, _south_start())
+    path = geodesic_trace(2.0, math.pi, steps, _south_start())
+    rho_ref = np.minimum(np.linalg.norm([st.z for st in ref], axis=1), 1.0)
+    worst = float(np.max(np.abs(np.abs([st.t for st in ref])
+                                - profile_height(rho_ref))))
+    rho = np.minimum(np.linalg.norm(path.z, axis=1), 1.0)
+    bound = np.max(np.abs(path.t - [st.t for st in ref])
+                   + np.sqrt(np.abs(rho - rho_ref)))
+    resid = profile_geodesic_residual(ProfileParams(1), steps)
+    assert resid <= 1e-11
+    assert abs(resid - worst) <= bound
 
 
 def test_meridian_oracle_requires_h1():
