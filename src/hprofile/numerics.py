@@ -4,9 +4,14 @@ The H-perimeter weight rho^{2n} (1-rho^2)^{-1/2} drho becomes, under
 s = rho^2, the Jacobi weight (1/2) s^{n-1/2} (1-s)^{-1/2} ds on [0, 1]; a
 Gauss-Jacobi rule then integrates it with spectral accuracy despite the
 endpoint singularity and the high-order zero at the origin.
+
+Each rule is computed once per process: gauss_jacobi_rule keeps the last
+128 distinct (N, alpha, beta) it built and returns the same QuadratureRule
+for them again, with read-only nodes and weights.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -62,8 +67,11 @@ def _jacobi_recurrence(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return d, e, mu0
 
 
+@functools.lru_cache(maxsize=128)
 def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
-    """N-point rule for int_0^1 (1-x)^alpha x^beta f(x) dx (Golub-Welsch)."""
+    """N-point rule for int_0^1 (1-x)^alpha x^beta f(x) dx (Golub-Welsch),
+    built once per (N, alpha, beta); its arrays are read-only, since every
+    caller shares them."""
     if N < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0 or beta <= -1.0:
@@ -79,8 +87,10 @@ def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
     x = 0.5 * (t + 1.0)
     w01 = w * 0.5 ** (alpha + beta + 1.0)
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=w01[order],
-                          alpha=alpha, beta=beta)
+    nodes, weights = x[order], w01[order]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta)
 
 
 def profile_rule(params: ProfileParams, N: int = 64) -> QuadratureRule:

@@ -230,6 +230,8 @@ def verify_identities(params: ProfileParams,
     derivatives coincide with Euclidean ones.  Every stencil runs on all
     sample points at once.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     if trials is None:
         trials = default_ambient_trials()
     pts = _random_interior_points(params.n, sample_count, seed)

@@ -740,9 +740,6 @@ class PolarTrial:
     jets: Callable
 
 
-_GREEN_RHO_RULE = gauss_jacobi_rule(64, -0.5, 0.0)
-
-
 def green_check(trial, params: ProfileParams) -> float:
     """|integral of L phi over the closed surface|; zero for smooth trials.
 
@@ -756,8 +753,9 @@ def green_check(trial, params: ProfileParams) -> float:
     if isinstance(trial, PolarTrial):
         if params.n != 1:
             raise ValueError("2-D trials are only supported on H^1")
-        rho = _GREEN_RHO_RULE.nodes[:, None]
-        wts = _GREEN_RHO_RULE.weights
+        rule = gauss_jacobi_rule(64, -0.5, 0.0)
+        rho = rule.nodes[:, None]
+        wts = rule.weights
         theta = 2.0 * math.pi * np.arange(64) / 64
         f, fr, ft, frr, ftr, ftt = trial.jets(rho, theta[None, :])
         # density w / 2 = (1-rho)^{-1/2} * reg(rho), reg on the rule's weight

@@ -221,9 +221,11 @@ def _cubic(y):
     return y[..., 0] * np.sum(y * y, axis=-1) + y[..., -1] ** 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+# n = 12 stacks the whole array's copies in blocks, and n = 50 at 200 points
+# takes one call per copy; a single point always stacks all of its copies.
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
 def test_fd_stencils_on_arrays_equal_row_by_row(n):
-    z = _random_interior_points(n, 30, 3)
+    z = _random_interior_points(n, {12: 100, 50: 200}.get(n, 30), 3)
     nu = horizontal_normal(z, +1)
     e = np.eye(2 * n)[-1]
     cases = [
@@ -239,6 +241,37 @@ def test_fd_stencils_on_arrays_equal_row_by_row(n):
         assert len(whole) == len(z)
         for i in range(len(z)):
             assert np.array_equal(whole[i], stencil(z[i], i))
+
+
+class _CountingCalls:
+    """f that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.f(y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_fd_stencil_calls_f_once(monkeypatch, n):
+    z = _random_interior_points(n, 100, 4)
+    nu = horizontal_normal(z, +1)
+    cases = [
+        lambda f: _fd_dir(f, z, nu),
+        lambda f: _fd_grad(f, z),
+        lambda f: _fd_laplacian(f, z),
+        lambda f: _fd_hess_quadform(f, z, nu, perp(nu)),
+    ]
+    for stencil in cases:
+        counted = _CountingCalls(_cubic)
+        stencil(counted)
+        assert counted.calls == 1
+    counted = _CountingCalls(lambda y: horizontal_normal(y, +1))
+    monkeypatch.setattr(G, "horizontal_normal", lambda y, hemisphere: counted(y))
+    assert mean_curvature_check(ProfileParams(n), 100) <= 1e-6
+    assert counted.calls == 1
 
 
 # --- geodesics ----------------------------------------------------------
@@ -446,9 +479,14 @@ def test_zero_block_repeats_its_second_step(px, py, p_last, steps):
     # Every 2-block runs on its own.  A zero block of P_H, of either sign,
     # leaves the other block and t bit for bit as they are without it, and
     # repeats its start in every sample whose phase p_last s is finite
-    # (1e308 overflows it from s = 1.8 on, and inf and nan at every s).
+    # (1e308 overflows it from s = 1.8 on); inf and nan are refused.
     h = math.pi / 1000
     z0 = np.array([0.3, -0.2, 0.5, 0.1])
+    if not math.isfinite(p_last):
+        with pytest.raises(ValueError, match="finite"):
+            geodesic_trace(p_last, steps * h, steps, GeodesicState(
+                z0, 0.25, np.array([0.6, 0.8, px, py]), p_last))
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         one = geodesic_trace(p_last, steps * h, steps, GeodesicState(
             z0[:2], 0.25, np.array([0.6, 0.8]), p_last))
@@ -511,6 +549,14 @@ def test_trace_rejects_non_unit_momentum():
                         p_last=1.0)
     with pytest.raises(ValueError):
         geodesic_trace(1.0, 1.0, 10, bad)
+
+
+@pytest.mark.parametrize("p_last,s_max", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (-math.inf, 1.0), (2.0, math.nan),
+                                          (2.0, math.inf), (0.0, -math.inf)])
+def test_trace_rejects_non_finite_p_last_or_s_max(p_last, s_max):
+    with pytest.raises(ValueError, match="finite"):
+        geodesic_trace(p_last, s_max, 10, _south_start())
 
 
 def test_kappa_value():

@@ -70,6 +70,18 @@ def test_nodes_interior_weights_positive(N):
     assert np.all(np.diff(rule.nodes) > 0.0)
 
 
+def test_rule_is_built_once_and_read_only():
+    rule = gauss_jacobi_rule(64, -0.5, 0.5)
+    assert gauss_jacobi_rule(64, -0.5, 0.5) is rule
+    fresh = gauss_jacobi_rule.__wrapped__(64, -0.5, 0.5)
+    assert np.array_equal(fresh.nodes, rule.nodes)
+    assert np.array_equal(fresh.weights, rule.weights)
+    for values in (rule.nodes, rule.weights):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+
+
 def test_rule_rejects_bad_exponents():
     with pytest.raises(ValueError):
         gauss_jacobi_rule(4, -1.0, 0.0)

@@ -1,6 +1,7 @@
 """Pointwise operator forms, their reductions into one another, and the
 surface-calculus identity suites."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,14 +292,35 @@ def _reference_identities(params, trials, pts):
     return dev
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+# At n = 12 the suite stacks its copies in blocks, and at n = 50 the nested
+# normal-normal stencil takes one call per copy of its inner gradient.
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
 def test_identity_suites_match_the_per_point_loop(n):
     params = ProfileParams(n)
-    report = verify_identities(params, sample_count=40, seed=3)
-    pts = _random_interior_points(n, 40, 3)
+    count = 40 if n <= 3 else 100
+    report = verify_identities(params, sample_count=count, seed=3)
+    pts = _random_interior_points(n, count, 3)
     assert ([item["max_deviation"] for item in report]
             == _reference_identities(params, default_ambient_trials(), pts))
-    assert all(item["samples"] == 40 for item in report)
+    assert all(item["samples"] == count for item in report)
+
+
+def test_identity_suites_need_a_sample():
+    with pytest.raises(ValueError, match=">= 1"):
+        verify_identities(ProfileParams(1), sample_count=0)
+
+
+def test_identity_suites_stay_small_at_large_n():
+    # One call of f per shifted copy, as the stencils made before they
+    # stacked copies, peaks at 1640776 B (tracemalloc); stacking every copy
+    # of the nested normal-normal stencil at once peaks near 390 MB.
+    tracemalloc.start()
+    try:
+        verify_identities(ProfileParams(100), sample_count=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1640776
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
