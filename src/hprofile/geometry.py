@@ -159,16 +159,15 @@ _STACK_FLOATS = 2 ** 15
 
 def _values_at(f, z: np.ndarray, copies):
     """f at each of the shifted copies of z, in order, from one call of f
-    per block of copies holding at most _STACK_FLOATS floats, or one call
-    per copy once two copies are larger."""
-    per_call = _STACK_FLOATS // z.size
-    if per_call < 2:
-        yield from map(f, copies)
-        return
+    per block of copies holding at most _STACK_FLOATS floats; once two
+    copies are larger, a block shrinks to a single copy."""
+    per_call = max(1, _STACK_FLOATS // z.size)
     copies = iter(copies)
     while block := list(itertools.islice(copies, per_call)):
-        rows = np.stack(block)
-        block.clear()           # only the stack is kept while f runs
+        # A single copy is a block as it stands: stacking it would copy it
+        # once more, and made verify_identities at n = 171 1.2 times slower.
+        rows = np.stack(block) if len(block) > 1 else block[0][None]
+        block.clear()           # only the block is kept while f runs
         vals = np.asarray(f(rows.reshape(-1, z.shape[-1])))
         yield from vals.reshape(rows.shape[:-1] + vals.shape[1:])
 

@@ -221,26 +221,64 @@ def _cubic(y):
     return y[..., 0] * np.sum(y * y, axis=-1) + y[..., -1] ** 2
 
 
+# The stencils as they were before they stacked their copies: one call of f
+# per shifted point, formed and summed in this order.
+def _per_copy_dir(f, z, u, h=1e-6):
+    return (f(z + h * u) - f(z - h * u)) / (2.0 * h)
+
+
+def _per_copy_grad(f, z, h=1e-6):
+    return np.stack([_per_copy_dir(f, z, e, h) for e in np.eye(z.shape[-1])],
+                    axis=-1)
+
+
+def _per_copy_laplacian(f, z, h=1e-4):
+    fz = f(z)
+    return sum((f(z + h * e) - 2.0 * fz + f(z - h * e)) / (h * h)
+               for e in np.eye(z.shape[-1]))
+
+
+def _per_copy_hess_quadform(f, z, u, v, h=1e-4):
+    return (f(z + h * u + h * v) - f(z + h * u - h * v)
+            - f(z - h * u + h * v) + f(z - h * u - h * v)) / (4.0 * h * h)
+
+
 # n = 12 stacks the whole array's copies in blocks, and n = 50 at 200 points
-# takes one call per copy; a single point always stacks all of its copies.
+# takes blocks of a single copy; a single point always stacks all its copies.
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
 def test_fd_stencils_on_arrays_equal_row_by_row(n):
     z = _random_interior_points(n, {12: 100, 50: 200}.get(n, 30), 3)
     nu = horizontal_normal(z, +1)
     e = np.eye(2 * n)[-1]
     cases = [
-        lambda y, i: _fd_dir(_normal, y, nu[i]),          # direction per row
-        lambda y, i: _fd_dir(_omega_z, y, e, 1e-5),      # shared direction
-        lambda y, i: _fd_grad(_omega_z, y),
-        lambda y, i: _fd_grad(_cubic, y),
-        lambda y, i: _fd_laplacian(_cubic, y),
-        lambda y, i: _fd_hess_quadform(_cubic, y, nu[i], perp(nu[i])),
+        (lambda y, i: _fd_dir(_normal, y, nu[i]),         # direction per row
+         lambda: _per_copy_dir(_normal, z, nu)),
+        (lambda y, i: _fd_dir(_omega_z, y, e, 1e-5),     # shared direction
+         lambda: _per_copy_dir(_omega_z, z, e, 1e-5)),
+        (lambda y, i: _fd_grad(_omega_z, y),
+         lambda: _per_copy_grad(_omega_z, z)),
+        (lambda y, i: _fd_grad(_cubic, y),
+         lambda: _per_copy_grad(_cubic, z)),
+        (lambda y, i: _fd_laplacian(_cubic, y),
+         lambda: _per_copy_laplacian(_cubic, z)),
+        (lambda y, i: _fd_hess_quadform(_cubic, y, nu[i], perp(nu[i])),
+         lambda: _per_copy_hess_quadform(_cubic, z, nu, perp(nu))),
     ]
-    for stencil in cases:
+    for stencil, per_copy in cases:
         whole = stencil(z, slice(None))
+        assert np.array_equal(whole, per_copy())
         assert len(whole) == len(z)
         for i in range(len(z)):
             assert np.array_equal(whole[i], stencil(z[i], i))
+
+
+@pytest.mark.parametrize("n", [1, 12, 50])
+def test_mean_curvature_equals_the_per_copy_divergence(n):
+    pts = _random_interior_points(n, 100, 1)
+    div = sum(_per_copy_dir(_normal, pts, e, 1e-5)[:, i]
+              for i, e in enumerate(np.eye(2 * n)))
+    assert (mean_curvature_check(ProfileParams(n), 100, seed=1)
+            == float(np.max(np.abs(div - 2.0 * n))))
 
 
 class _CountingCalls:

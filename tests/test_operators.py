@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hprofile.operators as O
-from hprofile.geometry import (ProfileParams, _fd_dir, _fd_grad,
-                               _fd_hess_quadform, _fd_laplacian,
-                               _random_interior_points, horizontal_normal,
-                               omega_bar, perp)
+from hprofile.geometry import (ProfileParams, _random_interior_points,
+                               horizontal_normal, omega_bar, perp)
 from hprofile.operators import (FullJet, PolarJet, RadialJet, apply_full,
                                 apply_polar_h1, apply_radial,
                                 radial_surface_laplacian, sl_coefficients,
@@ -246,9 +244,32 @@ def test_identity_suites_pass(n):
         assert item["max_deviation"] <= 1e-5, item
 
 
-# The per-point loop that verify_identities replaced, kept as the reference.
-# Each point goes in as a one-row array, so every stencil does the same
-# arithmetic as on the whole array and the reports must agree exactly.
+# The finite-difference stencils as they were before they stacked their
+# copies: one call of f per shifted point, formed and summed in this order.
+def _per_copy_dir(f, z, u, h=1e-6):
+    return (f(z + h * u) - f(z - h * u)) / (2.0 * h)
+
+
+def _per_copy_grad(f, z, h=1e-6):
+    return np.stack([_per_copy_dir(f, z, e, h) for e in np.eye(z.shape[-1])],
+                    axis=-1)
+
+
+def _per_copy_laplacian(f, z, h=1e-4):
+    fz = f(z)
+    return sum((f(z + h * e) - 2.0 * fz + f(z - h * e)) / (h * h)
+               for e in np.eye(z.shape[-1]))
+
+
+def _per_copy_hess_quadform(f, z, u, v, h=1e-4):
+    return (f(z + h * u + h * v) - f(z + h * u - h * v)
+            - f(z - h * u + h * v) + f(z - h * u - h * v)) / (4.0 * h * h)
+
+
+# The per-point loop that verify_identities replaced, on the per-copy
+# stencils, kept as the reference.  Each point goes in as a one-row array;
+# f maps its rows independently, so stacking points and shifted copies must
+# leave every value unchanged and the reports must agree exactly.
 def _reference_identities(params, trials, pts):
     def normal(y):
         return horizontal_normal(y, +1)
@@ -265,16 +286,18 @@ def _reference_identities(params, trials, pts):
         rho = float(np.linalg.norm(z, axis=-1)[0])
         nu = normal(z)[0]
         omega = float(omega_z(z)[0])
-        grad_omega = _fd_grad(omega_z, z)[0]
-        lhs = np.array([_fd_dir(lambda y, i=i: normal(y)[:, i], z, nu)[0]
-                        for i in range(z.shape[1])])
+        grad_omega = _per_copy_grad(omega_z, z)[0]
+        lhs = np.array([
+            _per_copy_dir(lambda y, i=i: normal(y)[:, i], z, nu)[0]
+            for i in range(z.shape[1])])
         rhs = -grad_hs(grad_omega, nu) / omega + omega * perp(nu)
         dev[1] = max(dev[1], float(np.max(np.abs(lhs - rhs))))
         for tr in trials:
-            hess = float(_fd_hess_quadform(tr.value, z, nu, nu)[0])
-            grad_phi = _fd_grad(tr.value, z)[0]
-            nu_nu = float(_fd_dir(
-                lambda y: np.sum(_fd_grad(tr.value, y) * normal(y), axis=-1),
+            hess = float(_per_copy_hess_quadform(tr.value, z, nu, nu)[0])
+            grad_phi = _per_copy_grad(tr.value, z)[0]
+            nu_nu = float(_per_copy_dir(
+                lambda y: np.sum(_per_copy_grad(tr.value, y) * normal(y),
+                                 axis=-1),
                 z, nu, h=1e-4)[0])
             rhs = (nu_nu + float(np.sum(grad_hs(grad_omega, nu)
                                         * grad_hs(grad_phi, nu))) / omega
@@ -283,7 +306,7 @@ def _reference_identities(params, trials, pts):
             if tr.radial is None:
                 continue
             jet = tr.radial.jet(rho)
-            split = (float(_fd_laplacian(tr.value, z)[0])
+            split = (float(_per_copy_laplacian(tr.value, z)[0])
                      + H * float(np.sum(grad_phi * nu)) - hess)
             dev[0] = max(dev[0], abs(radial_surface_laplacian(jet, params)
                                      - split))
@@ -293,7 +316,7 @@ def _reference_identities(params, trials, pts):
 
 
 # At n = 12 the suite stacks its copies in blocks, and at n = 50 the nested
-# normal-normal stencil takes one call per copy of its inner gradient.
+# normal-normal stencil takes blocks of a single copy of its inner gradient.
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
 def test_identity_suites_match_the_per_point_loop(n):
     params = ProfileParams(n)
