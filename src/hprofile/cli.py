@@ -164,11 +164,12 @@ pause -1
 
 @dataclass(frozen=True)
 class _Table:
-    """A command's artifact: CSV header line and rows, and JSON results."""
+    """A command's artifact: CSV header line, and its CSV rows and JSON
+    results as calls that build them, so only the written ones are built."""
 
     header: str
-    csv: list[str]
-    json: list
+    csv: Callable[[], list[str]]
+    json: Callable[[], list]
 
 
 def _cell(v) -> str:
@@ -180,8 +181,8 @@ def _cell(v) -> str:
 def _entry_table(kind: type, entries: list) -> _Table:
     """One column per field of the dataclass kind, one row per entry."""
     return _Table(",".join(f.name for f in fields(kind)),
-                  [",".join(_cell(v) for v in astuple(e)) for e in entries],
-                  [asdict(e) for e in entries])
+                  lambda: [",".join(map(_cell, astuple(e))) for e in entries],
+                  lambda: [asdict(e) for e in entries])
 
 
 def _emit_report(cfg: RunConfig, fmt: str, table: _Table, gates: list) -> None:
@@ -189,10 +190,10 @@ def _emit_report(cfg: RunConfig, fmt: str, table: _Table, gates: list) -> None:
     stem = f"{cfg.command}_{cfg.n}"
     files = {}
     if fmt == "csv" or cfg.plot:
-        files["csv"] = "\r\n".join([table.header, *table.csv]) + "\r\n"
+        files["csv"] = "\r\n".join([table.header, *table.csv()]) + "\r\n"
     if fmt == "json":
         config = {"command": cfg.command, "n": cfg.n, "format": fmt}
-        obj = {"config": config, "results": table.json, "gates": gates}
+        obj = {"config": config, "results": table.json(), "gates": gates}
         files["json"] = json.dumps(obj, indent=2, sort_keys=False) + "\n"
     if cfg.plot:
         files["gp"] = _GNUPLOT.format(command=cfg.command, n=cfg.n,
@@ -342,7 +343,7 @@ def _run_verify(cfg: RunConfig):
                        float(np.max(np.abs(G - np.eye(len(modes))))), tol)]
     else:
         gates = _geometry_gates(params, tol)
-    return _Table("", [], results), gates
+    return _Table("", list, lambda: results), gates
 
 
 def _run_poincare(cfg: RunConfig):
@@ -376,7 +377,7 @@ def _run_geodesic(cfg: RunConfig):
                              np.full(len(path), path.p_last)])
     row = ",".join(["%.17g"] * table.shape[1])
     rows = [row % tuple(values) for values in table.tolist()]
-    return _Table(header, rows, []), [_gate("finite_trace", bad, 0)]
+    return _Table(header, lambda: rows, list), [_gate("finite_trace", bad, 0)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ take one point or an (m, 2n) array of points.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -142,9 +141,10 @@ def _random_interior_points(n: int, count: int, seed: int,
 # f maps an (m, 2n) array of points to one value per row, or to one vector per
 # row; a direction u is one vector for every row or an (m, 2n) array.  Each
 # stencil evaluates f once on all its shifted copies of z stacked into one
-# array of rows, or once per block of copies past _STACK_FLOATS floats.  The
-# copies are z + s u with s = +-h; (-h) * u rounds to exactly -(h * u), so
-# they equal z +- h u bit for bit, and since f maps each row on its own, the
+# array of rows, or once per block of copies past _STACK_FLOATS floats, and a
+# block is formed by one broadcast, z plus its rows of an array of steps.  A
+# step is s u with s = +-h; (-h) * u rounds to exactly -(h * u), so the copies
+# equal z +- h u bit for bit, and since f maps each row on its own, the
 # stencils give the same bits as one call of f per copy.
 
 _H_GRAD = 1e-6
@@ -157,54 +157,72 @@ _H_HESS = 1e-4
 _STACK_FLOATS = 2 ** 15
 
 
-def _values_at(f, z: np.ndarray, copies):
-    """f at each of the shifted copies of z, in order, from one call of f
-    per block of copies holding at most _STACK_FLOATS floats; once two
-    copies are larger, a block shrinks to a single copy."""
+def _steps(directions, scales, z: np.ndarray) -> np.ndarray:
+    """s u for each direction u and, within it, each scale s: one step per
+    row of the result, each shaped to broadcast against z."""
+    u = np.asarray(directions, dtype=float)
+    shape = u.shape[:1] + (1,) * (z.ndim + 1 - u.ndim) + u.shape[1:]
+    s = np.array(scales, dtype=float).reshape((1, -1) + (1,) * z.ndim)
+    return (s * u.reshape(shape[:1] + (1,) + shape[1:])).reshape(
+        (-1,) + shape[1:])
+
+
+def _value_blocks(f, z: np.ndarray, *steps):
+    """f at the copies z + steps[0][c] + steps[1][c] + ..., added left to
+    right, for c = 0, 1, ...: one call of f and one array of values per
+    block of copies holding at most _STACK_FLOATS floats; once two copies
+    are larger, a block is a single copy."""
     per_call = max(1, _STACK_FLOATS // z.size)
-    copies = iter(copies)
-    while block := list(itertools.islice(copies, per_call)):
-        # A single copy is a block as it stands: stacking it would copy it
-        # once more, and made verify_identities at n = 171 1.2 times slower.
-        rows = np.stack(block) if len(block) > 1 else block[0][None]
-        block.clear()           # only the block is kept while f runs
-        vals = np.asarray(f(rows.reshape(-1, z.shape[-1])))
-        yield from vals.reshape(rows.shape[:-1] + vals.shape[1:])
+    for i in range(0, len(steps[0]), per_call):
+        block = z
+        for step in steps:
+            block = block + step[i:i + per_call]
+        vals = np.asarray(f(block.reshape(-1, z.shape[-1])))
+        yield vals.reshape(block.shape[:-1] + vals.shape[1:])
 
 
-def _central_diffs(f, z: np.ndarray, directions, h: float):
-    """Central difference of f along each direction, in order."""
-    vals = _values_at(f, z, (z + s * u for u in directions for s in (h, -h)))
-    for plus, minus in zip(vals, vals):
-        yield (plus - minus) / (2.0 * h)
+def _values_at(f, z: np.ndarray, *steps) -> np.ndarray:
+    """_value_blocks as one array, copies first."""
+    blocks = list(_value_blocks(f, z, *steps))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _sum_in_order(terms: np.ndarray):
+    """terms[0] + terms[1] + ..., added in that order, as a loop adds them."""
+    return np.add.accumulate(terms)[-1]
+
+
+def _central_diffs(f, z: np.ndarray, directions, h: float) -> np.ndarray:
+    """Central differences of f along the directions, one per row."""
+    vals = _values_at(f, z, _steps(directions, (h, -h), z))
+    return (vals[0::2] - vals[1::2]) / (2.0 * h)
 
 
 def _fd_dir(f, z: np.ndarray, u: np.ndarray, h: float = _H_GRAD):
     """Central difference of f along u."""
-    (diff,) = _central_diffs(f, z, [u], h)
-    return diff
+    return _central_diffs(f, z, [u], h)[0]
 
 
 def _fd_grad(f, z: np.ndarray, h: float = _H_GRAD) -> np.ndarray:
     """Gradient of a scalar f, one column per coordinate direction."""
-    return np.stack(list(_central_diffs(f, z, np.eye(z.shape[-1]), h)),
-                    axis=-1)
+    diffs = _central_diffs(f, z, np.eye(z.shape[-1]), h)
+    return np.ascontiguousarray(np.moveaxis(diffs, 0, -1))
 
 
 def _fd_laplacian(f, z: np.ndarray, h: float = _H_HESS):
     """Sum of the second central differences of f along the coordinates."""
-    vals = _values_at(f, z, itertools.chain(
-        [z], (z + s * e for e in np.eye(z.shape[-1]) for s in (h, -h))))
-    fz = next(vals)
-    return sum((plus - 2.0 * fz + minus) / (h * h)
-               for plus, minus in zip(vals, vals))
+    pairs = _steps(np.eye(z.shape[-1]), (h, -h), z)
+    # the centre is z + (-0.0), which is z bit for bit, a zero of either sign
+    vals = _values_at(f, z, np.concatenate([np.full_like(pairs[:1], -0.0),
+                                            pairs]))
+    return _sum_in_order((vals[1::2] - 2.0 * vals[0] + vals[2::2]) / (h * h))
 
 
 def _fd_hess_quadform(f, z: np.ndarray, u: np.ndarray, v: np.ndarray,
                       h: float = _H_HESS):
     """<Hess f(z) u, v> by a centered four-point stencil."""
-    pp, pm, mp, mm = _values_at(f, z, (z + a * u + b * v for a in (h, -h)
-                                       for b in (h, -h)))
+    pp, pm, mp, mm = _values_at(f, z, _steps([u], (h, h, -h, -h), z),
+                                _steps([v], (h, -h, h, -h), z))
     return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
@@ -215,14 +233,22 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     The divergence of the extended normal field is exactly 2n, i.e. the
     horizontal mean curvature of the profile is -2n; central differences
     should reproduce it to discretization accuracy.  The divergence is the
-    trace of the normal field's Jacobian, summed column by column as the
-    differences come, so the (2n)^2 entries per point are never all held.
+    trace of the normal field's Jacobian: copy c of the stencil is shifted
+    along coordinate c // 2, and each block of values keeps only that
+    component as it comes, so the (2n)^2 entries per point are never all held.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     pts = _random_interior_points(params.n, sample_count, seed)
-    div = sum(col[:, i] for i, col in enumerate(_central_diffs(
-        lambda y: horizontal_normal(y, +1), pts, np.eye(2 * params.n), 1e-5)))
+    h = 1e-5
+    own, c = [], 0
+    for vals in _value_blocks(lambda y: horizontal_normal(y, +1), pts,
+                              _steps(np.eye(2 * params.n), (h, -h), pts)):
+        i = np.arange(c, c + len(vals))
+        own.append(vals[i - c, :, i // 2])
+        c += len(vals)
+    own = np.concatenate(own)
+    div = _sum_in_order((own[0::2] - own[1::2]) / (2.0 * h))
     return float(np.max(np.abs(div - 2.0 * params.n)))
 
 

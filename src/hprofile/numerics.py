@@ -129,23 +129,79 @@ def hessenberg_qr_eigenvalues(A: np.ndarray) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> float:
-    """Root of f in [lo, hi] by bisection; requires a sign change."""
-    flo, fhi = f(lo), f(hi)
+def _no_float_inside(lo, hi, mid):
+    """mid = 0.5 (lo + hi) is lo or hi exactly when no float lies strictly
+    between lo and hi; elementwise on arrays."""
+    return (mid == lo) | (mid == hi)
+
+
+def bisect_root(f: Callable, lo, hi, tol: float = 1e-10, flo=None, fhi=None):
+    """Root of f in [lo, hi] by bisection; requires a sign change.
+
+    On floats, f is called on floats.  On arrays of brackets, elementwise:
+    f is called once per step on the midpoints of every bracket still open,
+    and an array of roots comes back.  flo and fhi, when given, are f at lo
+    and hi, which are then not evaluated again.  Signs are compared, not
+    products, which underflow to 0 once |f| is below about 1e-154.  A
+    bracket closes once it is within tol or no float lies strictly inside
+    it, so a tol below the float spacing at the root still ends.
+    """
+    if np.ndim(lo) or np.ndim(hi):
+        return _bisect_brackets(f, lo, hi, tol, flo, fhi)
+    flo = f(lo) if flo is None else flo
+    fhi = f(hi) if fhi is None else fhi
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if _no_float_inside(lo, hi, mid):
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
+        if (fm < 0.0) != (flo < 0.0):
+            hi = mid
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def _bisect_brackets(f: Callable, lo, hi, tol: float, flo, fhi) -> np.ndarray:
+    """bisect_root on arrays of brackets: the same steps as on floats, for
+    every bracket at once."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    shape = lo.shape
+    flo = f(lo) if flo is None else flo
+    fhi = f(hi) if fhi is None else fhi
+    lo, hi, flo, fhi = (np.ravel(np.asarray(v, dtype=float))
+                        for v in (lo, hi, flo, fhi))
+    root = np.where(flo == 0.0, lo, hi)
+    # the open brackets, compacted after every step; idx maps them into root
+    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    lo, hi, flo, fhi = lo[idx], hi[idx], flo[idx], fhi[idx]
+    same = (flo < 0.0) == (fhi < 0.0)
+    if same.any():
+        i = np.flatnonzero(same)[0]
+        raise ValueError(f"no sign change on [{lo[i]}, {hi[i]}]")
+    while idx.size:
+        mid = 0.5 * (lo + hi)
+        done = ~(hi - lo > tol) | _no_float_inside(lo, hi, mid)
+        root[idx[done]] = mid[done]
+        keep = ~done
+        lo, hi, flo, mid, idx = lo[keep], hi[keep], flo[keep], mid[keep], idx[keep]
+        if not idx.size:
+            break
+        fm = np.asarray(f(mid), dtype=float)
+        left = (fm < 0.0) != (flo < 0.0)     # the root is in [lo, mid]
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+        zero = fm == 0.0
+        root[idx[zero]] = mid[zero]
+        keep = ~zero
+        lo, hi, flo, idx = lo[keep], hi[keep], flo[keep], idx[keep]
+    return root.reshape(shape)

@@ -178,6 +178,16 @@ def _like(x, out: np.ndarray):
     return float(out) if np.isscalar(x) else out
 
 
+def _reflection(u, ops):
+    """(low, ln, sine) of u: where low (u < 1/2), Gamma(u) = 1 / (sine
+    exp(ln)) with ln = log Gamma(1 - u) and sine = sin(pi u) / pi;
+    elsewhere Gamma(u) = exp(ln) and sine = 1."""
+    low = u < 0.5
+    ln = _lanczos(ops.where(low, 1.0 - u, u), ops)
+    sine = ops.where(low, _sin_pi(u, ops) / math.pi, 1.0)
+    return low, ln, sine
+
+
 def _gamma_ratio(u1, u2, v1, v2):
     """Gamma(u1) Gamma(u2) / (Gamma(v1) Gamma(v2)) as one ratio, for floats
     or elementwise for arrays of one shape; u1 and u2 must not be poles.
@@ -187,12 +197,14 @@ def _gamma_ratio(u1, u2, v1, v2):
     stays in float range wherever it lies there, though a factor alone may
     not.  The sines keep the exact zeros at the poles of the denominator.
     """
+    args = [_float_or_array(u) for u in (u1, u2, v1, v2)]
+    # the array arguments go through _reflection stacked, in one pass of
+    # numpy calls; each element gets the operations it would get alone
+    arrays = [u for u, ops in args if ops is np]
+    rows = zip(*_reflection(np.stack(arrays), np)) if arrays else None
     scale, log = 1.0, 0.0
-    for u, up in ((u1, True), (u2, True), (v1, False), (v2, False)):
-        u, ops = _float_or_array(u)
-        low = u < 0.5
-        ln = _lanczos(ops.where(low, 1.0 - u, u), ops)
-        sine = ops.where(low, _sin_pi(u, ops) / math.pi, 1.0)
+    for (u, ops), up in zip(args, (True, True, False, False)):
+        low, ln, sine = next(rows) if ops is np else _reflection(u, ops)
         scale = scale / sine if up else scale * sine
         log = log + ops.where(low == up, -ln, ln)
     log, ops = _float_or_array(log)
@@ -252,8 +264,11 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     is unbounded) raise ValueError.
     """
     flat = np.asarray(x, dtype=float).ravel()
-    outside = ~((0.0 <= flat) & (flat <= 1.0))   # True at NaN
-    if outside.any():
+    # min and max carry a NaN, so these two comparisons refuse it too; an
+    # empty array passes with the initial 0
+    top = flat.max(initial=0.0)
+    if not (flat.min(initial=0.0) >= 0.0 and top <= 1.0):
+        outside = ~((0.0 <= flat) & (flat <= 1.0))
         raise ValueError(f"need 0 <= x <= 1, got {flat[outside][0]}")
     s = 0.0
     q = p
@@ -264,7 +279,7 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     if m is None:
         raise ValueError(f"F{p} terminates neither directly nor after "
                          "Euler's transformation")
-    if s < 0.0 and (flat == 1.0).any():
+    if s < 0.0 and top == 1.0:
         raise ValueError(f"F{p} is unbounded at x = 1 (c-a-b = {s} < 0)")
     out = _jacobi(m, q.a + q.b, q.c, flat)
     if s != 0.0:

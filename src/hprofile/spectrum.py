@@ -193,7 +193,9 @@ def _scan_roots(f: Callable, lam_max: float) -> list[float]:
     f is evaluated as an array on the grid 0.25 + j ROOT_SCAN_STEP clipped
     at lam_max, _SCAN_CHUNK points at a time so that memory stays bounded.
     Every grid point where f is exactly zero is a root, the last one
-    included, and every step where f changes sign is bisected on floats.
+    included, and the steps where f changes sign (by the signs of the values,
+    not their product, which underflows) are bisected together, from the
+    values already at hand at their ends: one array call of f per step.
     """
     if not 0.0 < lam_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
@@ -210,9 +212,12 @@ def _scan_roots(f: Callable, lam_max: float) -> list[float]:
             # a silently skipped step would drop its root from the list
             raise OverflowError("the eigenvalue condition leaves float range "
                                 f"at lambda = {grid[~np.isfinite(vals)][0]}")
-        roots += [float(lam) for lam in grid[(vals == 0.0) & (j >= j0)]]
-        roots += [bisect_root(f, float(grid[i]), float(grid[i + 1]), ROOT_TOL)
-                  for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+        roots += grid[(vals == 0.0) & (j >= j0)].tolist()
+        sign = np.sign(vals)
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        if i.size:
+            roots += bisect_root(f, grid[i], grid[i + 1], ROOT_TOL,
+                                 vals[i], vals[i + 1]).tolist()
     return sorted(roots)
 
 

@@ -256,6 +256,21 @@ def test_json_results_are_the_table_fields(tmp_path, argv):
                 assert type(value)(cell) == value
 
 
+@pytest.mark.parametrize("fmt,unused", [("json", "_cell"), ("csv", "asdict")])
+def test_a_table_is_formatted_only_as_written(tmp_path, monkeypatch, fmt,
+                                              unused):
+    # CSV cells come from _cell and JSON rows from asdict; a run that writes
+    # one format never builds the other
+    import hprofile.cli as cli
+
+    def refuse(*args):
+        raise AssertionError(f"{unused} called for --format {fmt}")
+    monkeypatch.setattr(cli, unused, refuse)
+    assert main(["spectrum", "--k-max", "3", "--grid", "200", "--format",
+                 fmt, "--out", str(tmp_path)]) == 0
+    assert os.listdir(tmp_path) == [f"spectrum_1.{fmt}"]
+
+
 def test_poincare_radial_mu_is_gated(tmp_path, capsys):
     # mu = 40.7254 against Q - 1 = 41: 0.67% off on this coarse grid
     argv = ["poincare", "--n", "20", "--grid", "50", "--out", str(tmp_path)]

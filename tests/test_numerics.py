@@ -237,3 +237,53 @@ def test_bisect_honors_tolerance():
     tol = 1e-6
     root = bisect_root(f, 1.0, 2.0, tol)
     assert f(root - tol) * f(root + tol) < 0.0
+
+
+def test_bisect_compares_signs_not_products():
+    # |f| < 1e-154 at both ends: their product underflows to 0, which once
+    # read as "no sign change" and sent every step to the upper half
+    f = lambda x: 1e-200 * (x - 0.3)
+    assert abs(bisect_root(f, 0.0, 1.0, 1e-12) - 0.3) <= 1e-12
+    roots = bisect_root(f, np.array([0.0, 0.25]), np.array([1.0, 0.5]), 1e-12)
+    assert np.all(np.abs(roots - 0.3) <= 1e-12)
+
+
+def test_bisect_ends_below_the_float_spacing():
+    # tol = 1e-10 is below the spacing 1.9e-9 of the floats near 1e7: the
+    # bracket closes once no float lies strictly inside it
+    f = lambda x: x - 1e7 - 0.3
+    root = bisect_root(f, 1e7, 1e7 + 1.0, 1e-10)
+    assert abs(root - (1e7 + 0.3)) <= math.ulp(1e7)
+    assert f(math.nextafter(root, -math.inf)) < 0.0 < f(math.nextafter(root, math.inf))
+    roots = bisect_root(f, np.array([1e7, 0.0]), np.array([1e7 + 1.0, 2e7]), 1e-10)
+    assert roots.tolist() == [root, bisect_root(f, 0.0, 2e7, 1e-10)]
+
+
+def test_bisect_on_arrays_takes_the_float_steps_in_one_call_each():
+    # each bracket's root is the float path's, bit for bit; the ends' values,
+    # when given, are not evaluated again, and every step is one call of f
+    lo = np.array([1.0, 4.0, 7.0, 0.0, 2.0])
+    hi = np.array([2.0, 5.0, 8.0, 0.5, 3.0])
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.cos(x)
+    want = [bisect_root(f, float(a), float(b), 1e-12) for a, b in zip(lo, hi)
+            if (np.cos(a) < 0.0) != (np.cos(b) < 0.0)]
+    keep = (np.cos(lo) < 0.0) != (np.cos(hi) < 0.0)
+    calls.clear()
+    got = bisect_root(f, lo[keep], hi[keep], 1e-12, np.cos(lo[keep]),
+                      np.cos(hi[keep]))
+    assert got.tolist() == want
+    assert all(len(shape) == 1 for shape in calls)
+    assert len(calls) <= 40          # 2^-40 < 1e-12: about 40 steps, not 120
+    with pytest.raises(ValueError, match="no sign change on \\[0.0, 0.5\\]"):
+        bisect_root(f, lo, hi, 1e-12)
+
+
+def test_bisect_on_arrays_keeps_exact_zeros_at_the_ends():
+    f = lambda x: x * (x - 3.0)
+    roots = bisect_root(f, np.array([0.0, 1.0, -1.0]), np.array([1.0, 3.0, 0.5]))
+    assert roots.tolist()[:2] == [0.0, 3.0]
+    assert abs(roots[2]) <= 1e-10

@@ -361,6 +361,20 @@ def test_gauss_value_past_gamma_overflow():
             float(mpmath.hyp2f1(a, b, c, 1)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 172])
+def test_gauss_value_on_an_array_is_each_element_on_its_own(n):
+    # the array arguments of the Gamma ratio are stacked into one array;
+    # every element still gets the operations it gets alone, bit for bit,
+    # with unreflected (c - a >= 1/2) and reflected (c - b < 1/2) rows
+    s = np.sqrt(n * n + np.linspace(0.25, 400.0, 37))
+    p = Hyp2F1Params((n - s) / 2.0, (n + s) / 2.0, n + 0.5)
+    whole = gauss_value_at_one(p)
+    alone = [gauss_value_at_one(Hyp2F1Params(p.a[i:i + 1], p.b[i:i + 1], p.c))
+             for i in range(len(s))]
+    assert np.array_equal(whole, np.concatenate(alone))
+    assert (p.c - p.a >= 0.5).all() and (p.c - p.b < 0.5).all()
+
+
 def test_gauss_value_domain_error():
     with pytest.raises(ValueError):
         gauss_value_at_one(Hyp2F1Params(1.0, 1.0, 1.5))

@@ -254,6 +254,45 @@ def test_root_scans_past_gamma_overflow(n):
         radial_eigenvalue(k, params) for k in (2, 4)]
 
 
+@pytest.mark.parametrize("n,count", [(300, 468), (1000, 224)])
+def test_root_scans_are_complete_at_large_n(n, count):
+    # the condition values fall below 1e-154 here, where the product of two
+    # of them underflows to 0: a scan that tested products lost 12 roots at
+    # n = 300 (the first 472500) and 3 at n = 1000 (the first 488400)
+    params = ProfileParams(n)
+    lmax = 5e5
+    roots = sorted(eigencondition_even_roots(lmax, params)
+                   + eigencondition_odd_roots(lmax, params))
+    closed = [radial_eigenvalue(k, params) for k in range(1, 1000)
+              if radial_eigenvalue(k, params) <= lmax]
+    assert len(roots) == len(closed) == count
+    assert max(abs(r - c) for r, c in zip(roots, closed)) <= ROOT_TOL
+
+
+def test_root_scan_bisects_each_chunk_in_one_call_per_step(monkeypatch):
+    # the values at the grid points are reused at the bracket ends, and every
+    # step evaluates f once on all open brackets of the chunk
+    seen = []
+
+    def bisect(f, lo, hi, tol, flo, fhi):
+        def counted(x):
+            seen.append(np.shape(x))
+            return f(x)
+        return bisect_root(counted, lo, hi, tol, flo, fhi)
+    params = ProfileParams(2)
+    want = eigencondition_odd_roots(2000.0, params)
+    monkeypatch.setattr(spectrum, "bisect_root", bisect)
+    assert eigencondition_odd_roots(2000.0, params) == want
+    # each k (k + 4) is the midpoint of its step of the grid 0.25 + j / 2,
+    # where the condition is exactly 0: one step closes all 21 brackets
+    assert seen == [(21,)]
+    seen.clear()
+    roots = spectrum._scan_roots(np.sin, 100.0)
+    assert len(roots) == 31
+    assert max(abs(r - j * math.pi) for j, r in enumerate(roots, 1)) <= ROOT_TOL
+    assert len(seen) == 33 and seen[0] == (31,)   # 0.5 / 2^33 < ROOT_TOL
+
+
 # The per-point scan the array scan replaced, verbatim, as the reference for
 # the roots below lambda_max.  It never looks for an exact zero at its last
 # grid point, so a root at lambda_max itself is missing from its list.
