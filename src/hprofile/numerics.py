@@ -138,15 +138,15 @@ def _no_float_inside(lo, hi, mid):
 def bisect_root(f: Callable, lo, hi, tol: float = 1e-10, flo=None, fhi=None):
     """Root of f in [lo, hi] by bisection; requires a sign change.
 
-    On floats, f is called on floats.  On arrays of brackets, elementwise:
-    f is called once per step on the midpoints of every bracket still open,
+    On floats, f is called on floats.  On arrays lo and hi of one shape,
+    elementwise: f is called once per step on the midpoints of every bracket still open,
     and an array of roots comes back.  flo and fhi, when given, are f at lo
     and hi, which are then not evaluated again.  Signs are compared, not
     products, which underflow to 0 once |f| is below about 1e-154.  A
     bracket closes once it is within tol or no float lies strictly inside
     it, so a tol below the float spacing at the root still ends.
     """
-    if np.ndim(lo) or np.ndim(hi):
+    if np.ndim(lo):
         return _bisect_brackets(f, lo, hi, tol, flo, fhi)
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
@@ -173,8 +173,7 @@ def bisect_root(f: Callable, lo, hi, tol: float = 1e-10, flo=None, fhi=None):
 def _bisect_brackets(f: Callable, lo, hi, tol: float, flo, fhi) -> np.ndarray:
     """bisect_root on arrays of brackets: the same steps as on floats, for
     every bracket at once."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                 np.asarray(hi, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     shape = lo.shape
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
