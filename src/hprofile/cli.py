@@ -39,7 +39,7 @@ from .spectrum import (check_mode_solve, check_radial_solve,
 __all__ = ["RunConfig", "run", "main"]
 
 # Default gate tolerance of each verify suite.
-_SUITE_TOL = {"identities": 1e-5, "green": 1e-6, "orthogonality": 1e-8,
+_SUITE_TOL = {"identities": 1e-5, "green": 1e-6, "orthogonality": 1e-12,
               "geometry": 1e-6}
 
 
@@ -336,9 +336,8 @@ def _run_verify(cfg: RunConfig):
                  + [_gate("green_symmetry",
                           green_symmetry_residual(trs[0], trs[2], params), tol)])
     elif cfg.suite == "orthogonality":
-        rule = profile_rule(params, 64)
-        modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
-        G = gram_matrix(modes, rule)
+        modes = [radial_eigenfunction(k, params) for k in range(1, 9)]
+        G = gram_matrix(modes, profile_rule(params, 64))
         gates = [_gate("gram_identity",
                        float(np.max(np.abs(G - np.eye(len(modes))))), tol)]
     else:

@@ -272,10 +272,11 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
         raise ValueError(f"need 0 <= x <= 1, got {flat[outside][0]}")
     s = 0.0
     q = p
-    if p.terminating_index() is None:
+    m = p.terminating_index()
+    if m is None:
         s = p.c - p.a - p.b
         q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
-    m = q.terminating_index()
+        m = q.terminating_index()
     if m is None:
         raise ValueError(f"F{p} terminates neither directly nor after "
                          "Euler's transformation")

@@ -85,19 +85,19 @@ class RadialEigenmode:
 
     The evaluators give the restriction to the upper hemisphere; the lower
     one carries hemisphere_sign times it (odd modes change sign).  The
-    normalization makes the L^2 norm against the H-perimeter measure of the
-    full closed surface equal to 1, with a positive value at rho = 0.
+    normalization makes one hemisphere's A int_0^1 f^2 rho^{2n} (1 -
+    rho^2)^{-1/2} drho equal 1 (A = sphere_area), with f(0) > 0.
     """
 
     k: int
-    parity: str
+    n: int
     lam: float
     hyp: Hyp2F1Params
     normalization: float
 
     @property
     def hemisphere_sign(self) -> int:
-        return 1 if self.parity == "even" else -1
+        return -1 if self.k % 2 else 1
 
     def _combine(self, rho, terms):
         """normalization * sum of scale(r) * coef * F(p; r^2) over the
@@ -132,28 +132,28 @@ class RadialEigenmode:
 
 def radial_eigenfunction(k: int, params: ProfileParams,
                          rule: QuadratureRule | None = None) -> RadialEigenmode:
-    """Normalized closed-form eigenmode for index k >= 1.
+    """Normalized closed-form eigenmode for index k >= 1 (`rule` is unread:
+    perfbench/workloads.py passes it by position).
 
-    The squared mode is a polynomial of degree k in rho^2 times the profile
-    weight, so the N-node rule normalizes it exactly up to k = 2N - 1 and
-    a larger k is refused.
+    With rho = sin sigma, F(rho^2) = C_k^(n)(cos sigma) / binom(k + 2n - 1,
+    k), whose norm (DLMF 18.3) gives N_k^2 = (k + n) binom(k + 2n - 1, k) /
+    (n A I_n), A = sphere_area, I_n = int_0^{pi/2} sin^{2n} = (pi/2)
+    binom(2n, n) / 4^n, each ratio of exact integers rounded once.  Where
+    the first leaves float range ValueError is raised; elsewhere N_k is
+    finite, since A I_n >= 1e-223 for n <= 171.
     """
     if k < 1:
         raise ValueError("mode index k must be >= 1")
-    if rule is None:
-        rule = profile_rule(params, 64)
-    if k > 2 * len(rule.nodes) - 1:
-        raise ValueError(f"a {len(rule.nodes)}-node rule normalizes modes up "
-                         f"to k = {2 * len(rule.nodes) - 1}, got k = {k}")
-    hyp = _mode_params(k, params.n)
-    parity = "even" if k % 2 == 0 else "odd"
-    raw = RadialEigenmode(k=k, parity=parity,
-                          lam=radial_eigenvalue(k, params),
-                          hyp=hyp, normalization=1.0)
-    sq = integrate_profile_radial(lambda r: raw.value(r) ** 2, rule)
-    norm = 1.0 / math.sqrt(params.sphere_area * sq)
-    return RadialEigenmode(k=k, parity=parity, lam=raw.lam, hyp=hyp,
-                           normalization=norm)
+    n = params.n
+    try:
+        ratio = (k + n) * math.comb(k + 2 * n - 1, k) / n
+    except OverflowError:
+        raise ValueError(f"mode k = {k} at n = {n}: (k + n) binom(k + 2n - 1, "
+                         "k) / n leaves float range") from None
+    half_moment = math.pi / 2.0 * (math.comb(2 * n, n) / 4 ** n)
+    norm = math.sqrt(ratio) / math.sqrt(params.sphere_area * half_moment)
+    return RadialEigenmode(k=k, n=n, lam=radial_eigenvalue(k, params),
+                           hyp=_mode_params(k, n), normalization=norm)
 
 
 # --- Gamma-condition root finders -------------------------------------------
@@ -723,11 +723,10 @@ def subdomain_bound_check(interval: tuple[float, float], bound: float,
 
 def gram_matrix(modes: Sequence[RadialEigenmode],
                 rule: QuadratureRule) -> np.ndarray:
-    """L^2 Gram matrix over the full closed surface, as one weighted
-    (modes x nodes) product: a pair whose hemisphere signs differ cancels
-    to exactly 0."""
-    # c = n + 1/2 for every family member
-    area = ProfileParams(round(modes[0].hyp.c - 0.5)).sphere_area
+    """G_ij = A int_0^1 f_i f_j rho^{2n} (1 - rho^2)^{-1/2} drho (A =
+    sphere_area) where the hemisphere signs agree and exactly 0 where they
+    differ, as one weighted (modes x nodes) product."""
+    area = ProfileParams(modes[0].n).sphere_area
     sign = np.array([mode.hemisphere_sign for mode in modes])
     # each mode at the rule's nodes in rho, times the root of the weight
     # integrate_profile_radial applies, 0.5 w

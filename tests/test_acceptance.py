@@ -118,11 +118,11 @@ def test_criterion_06_mean_and_boundary_conditions():
         params = ProfileParams(n)
         rule = profile_rule(params, 64)
         for m in range(1, 5):
-            mode = radial_eigenfunction(2 * m, params, rule)
+            mode = radial_eigenfunction(2 * m, params)
             worst_mean = max(worst_mean, abs(
                 integrate_profile_radial(mode.value, rule)))
         for m in range(5):
-            mode = radial_eigenfunction(2 * m + 1, params, rule)
+            mode = radial_eigenfunction(2 * m + 1, params)
             worst_bdry = max(worst_bdry, abs(mode.value(1.0)))
     ok = worst_mean <= 1e-10 and worst_bdry <= 1e-8
     _report(6, ok, f"even mean {worst_mean:.2e} (tol 1e-10), "
@@ -134,7 +134,7 @@ def test_criterion_07_orthogonality():
     for n in (1, 2):
         params = ProfileParams(n)
         rule = profile_rule(params, 64)
-        modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
+        modes = [radial_eigenfunction(k, params) for k in range(1, 9)]
         G = gram_matrix(modes, rule)
         off = G - np.diag(np.diag(G))
         worst = max(worst, float(np.max(np.abs(off))))

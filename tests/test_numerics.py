@@ -111,7 +111,7 @@ def test_elementary_even_moment():
 def test_second_mode_zero_mean():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
-    mode = radial_eigenfunction(2, params, rule)
+    mode = radial_eigenfunction(2, params)
     val = integrate_profile_radial(mode.value, rule)
     assert abs(val) <= 1e-12
 

@@ -11,6 +11,7 @@ import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,20 +96,42 @@ def test_odd_mode_derivatives_refuse_the_equator(k):
         mode.deriv(np.array([0.5, 1.0]))
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_modes_are_normalized_as_far_as_the_rule_is_exact(n):
-    # the 64-node rule integrates |F|^2, of degree k in rho^2, exactly up
-    # to k = 127; at k = 128 its norm^2 reads 2.36 (n = 1) on a finer rule
+def _normalization_reference(n, k):
+    """N_k at 40 digits from the Gegenbauer norm in Gammas (DLMF 18.3):
+    h_k = 2^{1-2n} pi Gamma(k + 2n) / ((k + n) k! Gamma(n)^2) over [-1, 1],
+    half of it on one hemisphere, C_k^(n)(1) = Gamma(k + 2n) / (k! Gamma(2n))
+    and A = 2 pi^n / Gamma(n)."""
+    with mpmath.workdps(40):
+        n, k = mpmath.mpf(n), mpmath.mpf(k)
+        g = mpmath.gamma
+        h = (2 ** (1 - 2 * n) * mpmath.pi * g(k + 2 * n)
+             / ((k + n) * g(k + 1) * g(n) ** 2))
+        at_one = g(k + 2 * n) / (g(k + 1) * g(2 * n))
+        area = 2 * mpmath.pi ** n / g(n)
+        return mpmath.sqrt(2 * at_one ** 2 / (area * h))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 5), (3, 8), (1, 40),
+                                 (3, 127), (12, 40), (12, 100), (171, 8)])
+def test_normalization_matches_the_gegenbauer_norm(n, k):
+    exact = _normalization_reference(n, k)
+    got = radial_eigenfunction(k, ProfileParams(n)).normalization
+    assert float(abs(got - exact) / exact) <= 4e-15
+
+
+@pytest.mark.parametrize("n,k", [(1, 128), (1, 200), (3, 128), (3, 200)])
+def test_modes_stay_normalized_at_large_k(n, k):
+    # the 400-node rule integrates |F|^2, of degree k in rho^2, exactly
     params = ProfileParams(n)
-    mode = radial_eigenfunction(127, params, profile_rule(params, 64))
-    fine = profile_rule(params, 400)
+    mode = radial_eigenfunction(k, params)
     norm2 = params.sphere_area * integrate_profile_radial(
-        lambda r: mode.value(r) ** 2, fine)
+        lambda r: mode.value(r) ** 2, profile_rule(params, 400))
     assert abs(norm2 - 1.0) <= 1e-12
-    with pytest.raises(ValueError, match="normalizes modes up to k = 127"):
-        radial_eigenfunction(128, params, profile_rule(params, 64))
-    with pytest.raises(ValueError, match="normalizes modes up to k = 127"):
-        radial_eigenfunction(128, params)
+
+
+def test_normalization_out_of_float_range_is_refused():
+    with pytest.raises(ValueError, match="leaves float range"):
+        radial_eigenfunction(5000, ProfileParams(171))
 
 
 def test_mode_parameter_relations():
@@ -142,7 +165,7 @@ def test_even_modes_have_zero_weighted_mean():
         params = ProfileParams(n)
         rule = profile_rule(params, 64)
         for m in range(1, 5):
-            mode = radial_eigenfunction(2 * m, params, rule)
+            mode = radial_eigenfunction(2 * m, params)
             val = integrate_profile_radial(mode.value, rule)
             assert abs(val) <= 1e-10
 
@@ -990,8 +1013,8 @@ def test_radial_workspace_is_refused_before_assembling(monkeypatch):
 def test_rayleigh_equality_on_eigenmodes():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
-    m1 = radial_eigenfunction(1, params, rule)
-    m2 = radial_eigenfunction(2, params, rule)
+    m1 = radial_eigenfunction(1, params)
+    m2 = radial_eigenfunction(2, params)
     assert rayleigh_quotient(m1.value, m1.deriv, rule) == pytest.approx(
         3.0, abs=1e-8)
     assert rayleigh_quotient(m2.value, m2.deriv, rule) == pytest.approx(
@@ -1001,8 +1024,8 @@ def test_rayleigh_equality_on_eigenmodes():
 def test_rayleigh_inequality_for_perturbed_mode():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
-    m1 = radial_eigenfunction(1, params, rule)
-    m3 = radial_eigenfunction(3, params, rule)
+    m1 = radial_eigenfunction(1, params)
+    m3 = radial_eigenfunction(3, params)
     f = lambda r: m1.value(r) + 0.1 * m3.value(r)
     df = lambda r: m1.deriv(r) + 0.1 * m3.deriv(r)
     q = rayleigh_quotient(f, df, rule)
@@ -1025,7 +1048,7 @@ def test_min_max_lower_bound():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
     lowest = discrete_radial_spectrum(params, "dirichlet", 1000, 1)[0]
-    m1 = radial_eigenfunction(1, params, rule)
+    m1 = radial_eigenfunction(1, params)
     q_eig = rayleigh_quotient(m1.value, m1.deriv, rule)
     trial = RadialTrial(lambda r: 1.0 - r * r, lambda r: -2.0 * r,
                         lambda r: -2.0 * np.ones_like(r))
@@ -1090,7 +1113,7 @@ def test_subdomain_validation():
 def test_gram_matrix_is_identity(n):
     params = ProfileParams(n)
     rule = profile_rule(params, 64)
-    modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
+    modes = [radial_eigenfunction(k, params) for k in range(1, 9)]
     G = gram_matrix(modes, rule)
     assert np.max(np.abs(G - np.eye(8))) <= 1e-8
 
@@ -1098,17 +1121,17 @@ def test_gram_matrix_is_identity(n):
 def test_gram_single_mode():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
-    G = gram_matrix([radial_eigenfunction(1, params, rule)], rule)
+    G = gram_matrix([radial_eigenfunction(1, params)], rule)
     assert G.shape == (1, 1)
     assert G[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gram_matrix_matches_the_per_pair_integrals():
-    # the reference: each pair integrated on its own, doubled where the
-    # hemisphere signs agree and 0 where they differ
+    # the reference: each pair integrated on its own over one hemisphere,
+    # (1 + s_i s_j) / 2 = 1 where the hemisphere signs agree, 0 where not
     params = ProfileParams(2)
     rule = profile_rule(params, 64)
-    modes = [radial_eigenfunction(k, params, rule) for k in range(1, 9)]
+    modes = [radial_eigenfunction(k, params) for k in range(1, 9)]
     ref = np.zeros((8, 8))
     for i, mi in enumerate(modes):
         for j, mj in enumerate(modes):
@@ -1123,7 +1146,7 @@ def test_gram_matrix_matches_the_per_pair_integrals():
 def test_odd_even_pairs_cancel_exactly():
     params = ProfileParams(1)
     rule = profile_rule(params, 64)
-    modes = [radial_eigenfunction(k, params, rule) for k in (1, 2)]
+    modes = [radial_eigenfunction(k, params) for k in (1, 2)]
     G = gram_matrix(modes, rule)
     assert G[0, 1] == 0.0   # opposite hemisphere signs annihilate the pair
 
