@@ -14,6 +14,7 @@ byte-stable across repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -183,6 +184,194 @@ def _entry_table(kind: type, entries: list) -> _Table:
     return _Table(",".join(f.name for f in fields(kind)),
                   lambda: [",".join(map(_cell, astuple(e))) for e in entries],
                   lambda: [asdict(e) for e in entries])
+
+
+# --- %.17g of a float table in array passes -----------------------------------
+# A finite x with 1e-5 <= |x| < 1e17 gets its exponent k and its 17 significant
+# digits D = round-half-even(|x| 10^(16 - k)) in [10^16, 10^17) exactly, and %g
+# writes it in fixed notation when -4 <= k <= 16.  A zero is "0" or "-0".
+# Every other cell (exponent notation, subnormal, inf, nan) is Python's
+# "%.17g" % x, so each cell is the text of %.17g under any numpy build.
+#
+# A cell is laid out in six uint64 words, 48 bytes that hold every character
+# its text can use, each word taken from _text_words():
+#   0       "-"
+#   1..5    "0.000"                       the lead of 0 < |x| < 1
+#   6..39   d0 "." d1 "." ... d16 "."     each digit followed by a point
+#   40..47  "," or "\r\n" after the cell, nothing after a block's last
+# A fallback's text, at most 24 bytes, overwrites bytes 0..23.  The cell's
+# layout zeroes the bytes its text does not keep, and the zero bytes are
+# then dropped.  The lookup tables are built on first use, so a process that
+# formats no float table does not take their 1 MB of peak RSS.
+
+_FALLBACK_WORDS = 3         # len("-2.2250738585072014e-308") = 24 bytes
+# Cells per block of rows.  A block takes about 220 bytes of workspace a
+# cell (tracemalloc), 1.8 MB at 2^13; the n = 1 and n = 40 geodesic tables
+# were formatted slower in blocks of 2^12 and 2^14 cells.
+_FORMAT_CELLS = 2 ** 13
+_P10 = np.array([float(10 ** p) for p in range(23)])    # exact doubles
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def _words(data: bytes) -> np.ndarray:
+    """Bytes as native uint64 words, 8 bytes a word."""
+    return np.frombuffer(data, np.uint8).view(np.uint64)
+
+
+@functools.cache
+def _text_words() -> np.ndarray:
+    """The four digits of 0..9999, each followed by a point; then word 0
+    for d0 = 0..9; then ",", "\\r\\n" and nothing."""
+    q = np.arange(10_000)
+    quads = np.full((10_000, 8), ord("."), np.uint8)
+    quads[:, 0::2] = np.stack([q // 1000, q // 100 % 10, q // 10 % 10,
+                               q % 10], 1) + ord("0")
+    return np.concatenate([
+        quads.view(np.uint64).ravel(),
+        _words(b"".join(b"-0.000%d." % d for d in range(10))),
+        _words(b",".ljust(8, b"\0") + b"\r\n".ljust(8, b"\0") + bytes(8))])
+
+
+_LEAD, _COMMA, _CRLF, _END = 10_000, 10_010, 10_011, 10_012
+
+
+@functools.cache
+def _quad_zeros() -> np.ndarray:
+    """The trailing zeros of the four digits of 0..9999 (4 for 0000)."""
+    return sum((np.arange(10_000) % 10 ** j == 0).astype(np.intp)
+               for j in range(1, 5))
+
+
+def _veltkamp(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_P10_HI, _P10_LO = _veltkamp(_P10)
+
+
+def _round_scaled(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """round-half-even(a 10^p) as int64, for 0 <= p <= 22: exact when the
+    product is at least 2^53, within 1 below it."""
+    y = a * _P10.take(p)
+    ah, al = _veltkamp(a)
+    bh, bl = _P10_HI.take(p), _P10_LO.take(p)
+    # Dekker's TwoProduct: y + err is a 10^p exactly
+    err = al * bl - (((y - ah * bh) - al * bh) - ah * bl)
+    # y >= 2^53 is an even integer, so rint's ties to even are D's
+    return y.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _exponent_digits(a: np.ndarray):
+    """k and D = round-half-even(a 10^(16 - k)) for 1e-5 <= a < 1e17: the
+    exponent and digits of "%.16e" % a, or k = -7 where they were not found.
+
+    The exponent is floor(log10 a), unless D rounds up to 10^17, or D is
+    10^16 at k + 1 as well.  Both need a within 5e-17 of a power of ten 10^j
+    below it, and no double is: 10^j is a double for 0 <= j <= 17, and the
+    nearest doubles to 10^j for -4 <= j <= -1 lie above it, with the next
+    double down 8e-17 of it or more below."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    np.minimum(k, 16, out=k)     # and k >= -6 from a >= 1e-5
+    D = _round_scaled(a, 16 - k)
+    # np.log10 may miss floor(log10 a) by one beside a power of ten
+    i = np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
+    if i.size:
+        ki = np.clip(k[i] + np.where(D[i] < 10 ** 16, -1, 1), -6, 16)
+        Di = _round_scaled(a[i], 16 - ki)
+        lost = (Di < 10 ** 16) | (Di >= 10 ** 17)
+        ki[lost], Di[lost] = -7, 10 ** 16
+        k[i], D[i] = ki, Di
+    return k, D
+
+
+def _fixed_notation(a: np.ndarray, words: np.ndarray, rows) -> np.ndarray:
+    """The layout of each a > 0 in fixed notation, or -1 where %g writes it
+    otherwise; its words 0..4 go to the rows of words."""
+    k, D = _exponent_digits(a)
+    d0 = D // 10 ** 16
+    rest = D - d0 * 10 ** 16
+    hi = rest // 10 ** 8
+    lo = rest - hi * 10 ** 8
+    q1, q3 = hi // 10 ** 4, lo // 10 ** 4
+    q4 = lo - q3 * 10 ** 4
+    quads = (q1, hi - q1 * 10 ** 4, q3, q4)
+    words[rows, 0] = _LEAD + d0
+    for j, q in enumerate(quads, 1):
+        words[rows, j] = q
+    zeros = _quad_zeros().take(q4)
+    i = np.flatnonzero(zeros == 4)
+    for q in quads[2::-1]:
+        more = _quad_zeros().take(q[i])
+        zeros[i] += more
+        i = i[more == 4]
+    return np.where(k >= -4, (k + 4) * 17 + 16 - zeros, -1)
+
+
+_ZERO = 21 * 17
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """The bytes each layout keeps, as 0xff bytes in six words: row
+    2 layout + (x < 0).  Layouts: (k + 4) 17 + last for fixed notation with
+    the last nonzero digit d_last, _ZERO for zero and _ZERO + L for a
+    fallback text of L bytes."""
+    col = np.arange(48)
+    k = np.arange(-4, 17)[:, None, None]
+    last = np.arange(17)[:, None]
+    digit = (col >= 6) & (col < 40) & (col % 2 == 0)
+    fixed = digit & ((col - 6) // 2 <= np.maximum(k, last))
+    fixed = fixed | (col == 7 + 2 * k) & (k >= 0) & (k < last)
+    fixed = fixed | (k < 0) & (col >= 1) & (col < 2 - k)
+    unsigned = np.concatenate([
+        fixed.reshape(-1, 48), (col == 1)[None],
+        col < np.arange(1, 8 * _FALLBACK_WORDS + 1)[:, None]])
+    unsigned[:, 40:] = True
+    signed = unsigned.copy()
+    signed[:_ZERO + 1, 0] = True
+    keep = np.stack([unsigned, signed], axis=1).reshape(-1, 48)
+    return (keep * np.uint8(0xff)).view(np.uint64)
+
+
+def _g17_block(x: np.ndarray, cols: int) -> str:
+    """The whole rows of x (row-major, cols a row) as "%.17g" cells joined by
+    "," within a row and by "\\r\\n" between rows."""
+    m = x.size
+    a = np.abs(x)
+    words = np.full((m, 6), _LEAD)
+    ends = words.reshape(-1, cols, 6)[:, :, 5]
+    ends[:, :-1] = _COMMA
+    ends[:, -1] = _CRLF
+    ends[-1, -1] = _END
+    layout = np.where(x == 0, _ZERO, -1)
+    rows = np.flatnonzero((a >= 1e-5) & (a < 1e17))   # finite, normal
+    if rows.size == m:
+        rows = slice(None)
+    layout[rows] = _fixed_notation(a[rows], words, rows)
+    text = _text_words().take(words)
+    other = np.flatnonzero(layout < 0)
+    if other.size:
+        values, inverse = np.unique(x[other], return_inverse=True)
+        cells = ["%.17g" % v for v in values.tolist()]
+        text[other, :_FALLBACK_WORDS] = _words(
+            "".join(c.ljust(8 * _FALLBACK_WORDS) for c in cells).encode()
+        ).reshape(-1, _FALLBACK_WORDS)[inverse]
+        layout[other] = _ZERO + np.array([len(c) for c in cells])[inverse]
+    text &= _layouts().take(2 * layout + np.signbit(x), axis=0)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _g17_rows(table: np.ndarray) -> list[str]:
+    """The rows of a float table as "%.17g" cells joined by ",", in blocks of
+    rows holding at most _FORMAT_CELLS cells: each block is one string of
+    rows joined by "\\r\\n", as the CSV joins the blocks."""
+    rows, cols = table.shape
+    per_block = max(1, _FORMAT_CELLS // cols)
+    return [_g17_block(table[i:i + per_block].ravel(), cols)
+            for i in range(0, rows, per_block)]
 
 
 def _emit_report(cfg: RunConfig, fmt: str, table: _Table, gates: list) -> None:
@@ -374,9 +563,8 @@ def _run_geodesic(cfg: RunConfig):
                        *(f"p{i}" for i in range(1, dim + 1)), "plast"])
     table = np.column_stack([path.s, path.z, path.t, path.p_h,
                              np.full(len(path), path.p_last)])
-    row = ",".join(["%.17g"] * table.shape[1])
-    rows = [row % tuple(values) for values in table.tolist()]
-    return _Table(header, lambda: rows, list), [_gate("finite_trace", bad, 0)]
+    return (_Table(header, lambda: _g17_rows(table), list),
+            [_gate("finite_trace", bad, 0)])
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# pi - math.pi: math.pi + PI_LO is pi to about 1e-32
+PI_LO = 1.2246467991473532e-16
+
+
 @dataclass(frozen=True)
 class ProfileParams:
     """Ambient dimension data for H^n."""
@@ -51,11 +55,15 @@ class ProfileParams:
     @property
     def sphere_area(self) -> float:
         """Surface measure of the unit sphere S^{2n-1}: 2 pi^n / Gamma(n),
-        for n <= 171 (Gamma(172) leaves float range)."""
+        for n <= 171 (Gamma(172) leaves float range).  pi^n is taken with
+        the first-order term of pi's rounding, (pi_hi + pi_lo)^n ~ pi_hi^n +
+        n pi_hi^(n-1) pi_lo, so that it does not grow n-fold."""
         if self.n > 171:
             raise ValueError(f"the sphere area 2 pi^n / Gamma(n) needs "
                              f"n <= 171, got n = {self.n}")
-        return 2.0 * math.pi ** self.n / math.gamma(self.n)
+        n = self.n
+        pi_n = math.pi ** n + n * math.pi ** (n - 1) * PI_LO
+        return 2.0 * pi_n / math.gamma(n)
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,11 @@ def _random_interior_points(n: int, count: int, seed: int,
 # row; a direction u is one vector for every row or an (m, 2n) array.  Each
 # stencil evaluates f once on all its shifted copies of z stacked into one
 # array of rows, or once per block of copies past _STACK_FLOATS floats, and a
-# block is formed by one broadcast, z plus its rows of an array of steps.  A
-# step is s u with s = +-h; (-h) * u rounds to exactly -(h * u), so the copies
-# equal z +- h u bit for bit, and since f maps each row on its own, the
-# stencils give the same bits as one call of f per copy.
+# block is formed by one broadcast, z plus the steps of its copies, built
+# from the block's own directions.  A step is s u with s = +-h; (-h) * u
+# rounds to exactly -(h * u), so the copies equal z +- h u bit for bit, and
+# since f maps each row on its own, the stencils give the same bits as one
+# call of f per copy.
 
 _H_GRAD = 1e-6
 _H_HESS = 1e-4
@@ -167,23 +176,29 @@ def _steps(directions, scales, z: np.ndarray) -> np.ndarray:
         (-1,) + shape[1:])
 
 
-def _value_blocks(f, z: np.ndarray, *steps):
-    """f at the copies z + steps[0][c] + steps[1][c] + ..., added left to
-    right, for c = 0, 1, ...: one call of f and one array of values per
-    block of copies holding at most _STACK_FLOATS floats; once two copies
-    are larger, a block is a single copy."""
+def _value_blocks(f, z: np.ndarray, *stencils):
+    """f at the copies z + steps_0[c] + steps_1[c] + ..., added left to
+    right, for c = 0, 1, ..., where steps_j = _steps(*stencils[j], z) for
+    (directions, scales) pairs of the same number of copies: one call of f
+    and one array of values per block of copies holding at most
+    _STACK_FLOATS floats; once two copies are larger, a block is a single
+    copy.  A block's steps are built from its own directions alone."""
     per_call = max(1, _STACK_FLOATS // z.size)
-    for i in range(0, len(steps[0]), per_call):
+    copies = len(stencils[0][0]) * len(stencils[0][1])
+    for i in range(0, copies, per_call):
         block = z
-        for step in steps:
-            block = block + step[i:i + per_call]
+        for directions, scales in stencils:
+            # the directions of copies i .. i + per_call - 1
+            first, stop = i // len(scales), -(-(i + per_call) // len(scales))
+            steps = _steps(directions[first:stop], scales, z)
+            block = block + steps[i - first * len(scales):][:per_call]
         vals = np.asarray(f(block.reshape(-1, z.shape[-1])))
         yield vals.reshape(block.shape[:-1] + vals.shape[1:])
 
 
-def _values_at(f, z: np.ndarray, *steps) -> np.ndarray:
+def _values_at(f, z: np.ndarray, *stencils) -> np.ndarray:
     """_value_blocks as one array, copies first."""
-    blocks = list(_value_blocks(f, z, *steps))
+    blocks = list(_value_blocks(f, z, *stencils))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -194,7 +209,7 @@ def _sum_in_order(terms: np.ndarray):
 
 def _central_diffs(f, z: np.ndarray, directions, h: float) -> np.ndarray:
     """Central differences of f along the directions, one per row."""
-    vals = _values_at(f, z, _steps(directions, (h, -h), z))
+    vals = _values_at(f, z, (directions, (h, -h)))
     return (vals[0::2] - vals[1::2]) / (2.0 * h)
 
 
@@ -211,18 +226,18 @@ def _fd_grad(f, z: np.ndarray, h: float = _H_GRAD) -> np.ndarray:
 
 def _fd_laplacian(f, z: np.ndarray, h: float = _H_HESS):
     """Sum of the second central differences of f along the coordinates."""
-    pairs = _steps(np.eye(z.shape[-1]), (h, -h), z)
-    # the centre is z + (-0.0), which is z bit for bit, a zero of either sign
-    vals = _values_at(f, z, np.concatenate([np.full_like(pairs[:1], -0.0),
-                                            pairs]))
-    return _sum_in_order((vals[1::2] - 2.0 * vals[0] + vals[2::2]) / (h * h))
+    # a zero direction, then the axes: its second copy, z + (-h) 0 = z +
+    # (-0.0), is the centre, z bit for bit, a zero of either sign
+    d = z.shape[-1]
+    vals = _values_at(f, z, (np.eye(d + 1, d, -1), (h, -h)))
+    return _sum_in_order((vals[2::2] - 2.0 * vals[1] + vals[3::2]) / (h * h))
 
 
 def _fd_hess_quadform(f, z: np.ndarray, u: np.ndarray, v: np.ndarray,
                       h: float = _H_HESS):
     """<Hess f(z) u, v> by a centered four-point stencil."""
-    pp, pm, mp, mm = _values_at(f, z, _steps([u], (h, h, -h, -h), z),
-                                _steps([v], (h, -h, h, -h), z))
+    pp, pm, mp, mm = _values_at(f, z, ([u], (h, h, -h, -h)),
+                                ([v], (h, -h, h, -h)))
     return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
@@ -243,7 +258,7 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     h = 1e-5
     own, c = [], 0
     for vals in _value_blocks(lambda y: horizontal_normal(y, +1), pts,
-                              _steps(np.eye(2 * params.n), (h, -h), pts)):
+                              (np.eye(2 * params.n), (h, -h))):
         i = np.arange(c, c + len(vals))
         own.append(vals[i - c, :, i // 2])
         c += len(vals)

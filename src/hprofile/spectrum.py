@@ -237,6 +237,11 @@ _SEG_SMOOTH = gauss_jacobi_rule(12, 0.0, 0.0)
 # (2, 12): the rule's weights times the element's two hats, 1 - t and t
 _HAT_WEIGHTS = _SEG_SMOOTH.weights * np.stack([1.0 - _SEG_SMOOTH.nodes,
                                                _SEG_SMOOTH.nodes])
+# Elements per block of _half_masses.  Arrays of W this small are reused
+# from the heap, not page-faulted in afresh on every assembly: at n = 3,
+# grid 8000, 0 minor faults a call, against about 340 for whole-mesh arrays
+# and 155 for blocks of 2048 (the last up to 4095 long).
+_HALF_BLOCK = 1024
 
 
 def _power(x: np.ndarray, p: int) -> np.ndarray:
@@ -262,11 +267,25 @@ def _half_masses(n: int, start: np.ndarray, h: float) -> np.ndarray:
     sin(start + h t_j) = sin(start) cos(h t_j) + cos(start) sin(h t_j) at
     the rule's nodes t_j, one (elements, 2) x (2, 12) product from the
     vertex values: both terms are >= 0, so nothing cancels at the pole.
+    W is formed, powered and contracted in blocks of elements, with the
+    same bits as one product over the whole mesh.
     """
     ht = h * _SEG_SMOOTH.nodes
-    w = (np.stack([np.sin(start), np.cos(start)], axis=1)
-         @ np.stack([np.cos(ht), np.sin(ht)]))
-    return (h * _HAT_WEIGHTS) @ _power(w, 2 * n).T
+    turn = np.stack([np.cos(ht), np.sin(ht)])
+    weights = h * _HAT_WEIGHTS
+    half = np.empty((2, start.size))
+    # Blocks start at multiples of _HALF_BLOCK and the last one takes the
+    # rest, _HALF_BLOCK to 2 _HALF_BLOCK - 1 elements.  A BLAS kernel may
+    # round the tail of a product, or a one-element product, its own way
+    # (Prescott's dgemm rounds the elements past a multiple of 8 so), and
+    # this way only the whole mesh's tail is a block's tail.
+    ends = [*range(_HALF_BLOCK, start.size - _HALF_BLOCK + 1, _HALF_BLOCK),
+            start.size]
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        s = start[lo:hi]
+        w = np.stack([np.sin(s), np.cos(s)], axis=1) @ turn
+        half[:, lo:hi] = weights @ _power(w, 2 * n).T
+    return half
 
 
 def _pole_mass(params: ProfileParams, n_points: int) -> float:
@@ -467,13 +486,13 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
 # --- solve admission --------------------------------------------------------
 
 _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
-# Floats an element that build_radial_discretization holds at its peak: two
-# (elements, 12) arrays of W when 2n is not a power of two, and the pencil.
-# tracemalloc measured 27 an element plus under 2 kB (n = 3, 5, 12, 40 and
-# grids 1e5 and 1e6; 15 at n = 1 and 2).  The assembly's temporaries are
-# freed before ARPACK starts, so the same term also covers what the solve
-# keeps of its operator: the pencil, or the mode operator's three diagonals
-# and vertex masses (7 floats an element).
+# Floats an element that build_radial_discretization holds at its peak, an
+# upper bound: tracemalloc measures 7 (the pencil and the element halves; n
+# = 1, 3, 12, grid 1e5), and 28 was set when W was held for the whole mesh.
+# Lowering it admits larger solves, so it moves with the admission tests.
+# The assembly's temporaries are freed before ARPACK starts, so the same
+# term also covers what the solve keeps of its operator: the pencil, or the
+# mode operator's three diagonals and vertex masses (7 floats an element).
 _ASSEMBLY_FLOATS = 28
 # Vectors of the grid's length that ARPACK holds besides its basis: the
 # residual, three work vectors, the start vector, and the operator's input

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hprofile.cli import COMMANDS, RunConfig, _build_parser, main, run
+from hprofile.cli import (COMMANDS, RunConfig, _build_parser, _g17_rows, main,
+                          run)
 from hprofile.geometry import ProfileParams
 
 
@@ -379,6 +381,70 @@ def test_failed_gate_is_named_on_stderr(tmp_path, capsys):
     assert captured.err == "gate failed: finite_trace = 4 > 0\n"
     assert main(["geodesic", "--steps", "100", "--out", out]) == 0
     assert capsys.readouterr().err == ""
+
+
+# --- the %.17g table writer ----------------------------------------------------
+
+def _g17_reference(table):
+    """The per-row formatter the array writer replaced: Python's %.17g."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    return [row % tuple(values) for values in table.tolist()]
+
+
+def _assert_g17(values, cols=1):
+    table = np.asarray(values, dtype=float).reshape(-1, cols)
+    assert "\r\n".join(_g17_rows(table)) == "\r\n".join(_g17_reference(table))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 8)),
+              elements=st.floats(width=64)))
+@settings(max_examples=300, deadline=None)
+def test_g17_is_python_g17_for_any_double(table):
+    # st.floats covers zeros of both signs, subnormals, inf and nan
+    _assert_g17(table, table.shape[1])
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def test_g17_at_powers_of_ten_and_ties():
+    cells = []
+    for p in range(-30, 31):
+        cells += _neighbours(float(f"1e{p}"))
+    cells += _neighbours(9.999999999999999e16) + _neighbours(2.0 ** 53)
+    cells += _neighbours(2.0 ** 60) + _neighbours(0.0)
+    # exactly halfway between two 17-digit decimals: rounded to even
+    cells += [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375,
+              1e14 + 0.625, 1e14 + 0.875, 123456789012345.625]
+    cells += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              math.inf, math.nan]
+    cells += [-c for c in cells]
+    _assert_g17(cells)
+    _assert_g17(cells[:len(cells) // 7 * 7], 7)
+
+
+def test_g17_on_random_bits_and_magnitudes():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+    _assert_g17(bits.view(np.float64), 5)
+    signs = rng.choice([-1.0, 1.0], 7 * 15_000)
+    _assert_g17(signs * 10.0 ** rng.uniform(-8, 18, 7 * 15_000), 7)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"n": 2}, {"n": 40, "steps": 2000},
+    {"plast": 5e-324, "smax": 1e308, "steps": 4}, {"plast": 1e308},
+])
+def test_geodesic_csv_is_the_per_row_g17(tmp_path, monkeypatch, kwargs):
+    import hprofile.cli as cli
+    cfg = RunConfig(command="geodesic", out_dir=str(tmp_path), **kwargs)
+    csv = tmp_path / f"geodesic_{cfg.n}.csv"
+    code = run(cfg)
+    written = _read(csv)
+    monkeypatch.setattr(cli, "_g17_rows", _g17_reference)
+    assert run(cfg) == code
+    assert _read(csv) == written
 
 
 # --- config handling --------------------------------------------------------------

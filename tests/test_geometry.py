@@ -43,6 +43,16 @@ def test_sphere_area():
         ProfileParams(172).sphere_area
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 100, 171])
+def test_sphere_area_does_not_grow_the_rounding_of_pi(n):
+    # math.pi ** n alone is 5.9e-16 off at n = 12, 4.1e-15 at n = 100 and
+    # 6.4e-15 at n = 171
+    with mpmath.workdps(50):
+        exact = 2 * mpmath.pi ** n / mpmath.gamma(n)
+        rel = abs((ProfileParams(n).sphere_area - exact) / exact)
+    assert rel <= 4e-16
+
+
 def test_params_reject_bad_index():
     with pytest.raises(ValueError):
         ProfileParams(0)

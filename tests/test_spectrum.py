@@ -489,6 +489,20 @@ def test_pole_mass_is_the_assembled_one(n, n_points):
     assert (got == 0.0) == (n == 60 and n_points >= 1000)
 
 
+@pytest.mark.parametrize("grid", [500, 1000, 2049, 2050, 4000, 4099, 8000])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_masses_in_blocks_are_the_whole_mesh_product(n, grid):
+    # a BLAS kernel rounds the tail of a product, and a one-element block,
+    # its own way; the blocks must leave exactly the whole mesh's tail
+    start = np.linspace(0.0, math.pi / 2, grid + 1)[:-1]
+    h = (math.pi / 2) / grid
+    ht = h * spectrum._SEG_SMOOTH.nodes
+    w = (np.stack([np.sin(start), np.cos(start)], axis=1)
+         @ np.stack([np.cos(ht), np.sin(ht)]))
+    whole = (h * spectrum._HAT_WEIGHTS) @ spectrum._power(w, 2 * n).T
+    assert np.array_equal(spectrum._half_masses(n, start, h), whole)
+
+
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_assembly_memory_is_within_the_workspace_model(n):
     # the admission estimate counts _ASSEMBLY_FLOATS an element for the
