@@ -304,26 +304,37 @@ def _pole_mass(params: ProfileParams, n_points: int) -> float:
 # nothing.
 _RESIST_SCALE = 2.0 ** -64
 _MASS_SCALE = 1.0 / math.sqrt(_RESIST_SCALE)
-# Largest relative deviation of a computed eigenvalue from the edge-form
-# Rayleigh quotient of its own vector, and largest cosine, in the mass inner
-# product, between a natural-family vector and the constants.  Measured at
-# most 3.7e-14 and 6.1e-15 under the LANCZOS_TOL stop (n <= 50, grids up to
-# 320000, counts 1, 4 and up to grid / 4, subintervals included; 5.6e-14
-# and 6.1e-15 at ARPACK's default size and stop); one resistance 1% off in
-# mid-mesh reads 1e-5 at grid 2000 and 2.5e-7 at grid 80000.
+# Largest relative deviation of a Ritz value from the edge-form Rayleigh
+# quotient of its own vector, and largest cosine, in the mass inner product,
+# between a natural-family vector and the constants.  Measured at most
+# 4.3e-14 and 5.7e-16 under the LANCZOS_TOL stop (n <= 50, grids up to
+# 320000, counts 1, 4, 10 and grid / 4 up to grid 2000, subintervals
+# included); one resistance 1% off in mid-mesh reads 1e-5 at grid 2000 and
+# 2.5e-7 at grid 80000.
 EIGENPAIR_TOL = 1e-12
-# ARPACK's stop for the radial Lanczos solve: Ritz residuals below this
-# times the Ritz value.  The Green's operator is symmetric, so a Ritz value
-# is then off by about LANCZOS_TOL^2 theta^2 / gap, still roundoff, and
-# _check_eigenpairs rules on every pair at EIGENPAIR_TOL as before.
-LANCZOS_TOL = 1e-8
+# The radial Lanczos solve stops once each wanted Ritz residual is below
+# this times its Ritz value theta.  The Green's operator is symmetric, so
+# theta is then off by about LANCZOS_TOL^2 theta^2 / gap, but the Ritz
+# vector by about LANCZOS_TOL theta / gap, which its edge-form quotient
+# weighs by the pencil's top eigenvalues.  Of 16 solves at grids 2000 to
+# 320000 (count 1 or 4, n = 1, 3, 12, 50), 10 missed EIGENPAIR_TOL at a
+# stop of 1e-8 (by up to 8e-11) and 3 at 1e-9; none at 1e-10, which costs
+# 19.0 operator applications a count-4 solve against 17.6.
+LANCZOS_TOL = 1e-10
+# Floats a block of _rotate may hold whatever the grid, so that the few Ritz
+# vectors of a small solve rotate in one product rather than several.
+_ROTATE_FLOATS = 2 ** 16
+# Restarts after which a radial solve gives up (RuntimeError); the sweep
+# above restarted at most 20 times.
+_LANCZOS_RESTARTS = 1000
 
 
 def _ncv(values: int, dim: int) -> int:
-    """ARPACK's Krylov basis size for `values` eigenvalues of a dim x dim
-    operator: 2 values + 1 (the ARPACK Users' Guide asks ncv >= 2 values),
-    capped at dim.  SciPy's default, max(2 values + 1, 20), builds and
-    re-orthogonalizes 20 vectors for one value."""
+    """Krylov basis size for `values` eigenvalues of a dim x dim operator,
+    for the radial Lanczos and ARPACK's mode solves alike: 2 values + 1
+    (the ARPACK Users' Guide asks ncv >= 2 values), capped at dim.  SciPy's
+    default, max(2 values + 1, 20), builds and re-orthogonalizes 20 vectors
+    for one value."""
     return min(2 * values + 1, dim)
 
 
@@ -334,21 +345,30 @@ def _suffix_sums(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _path_green(resist: np.ndarray, left_grounded: bool) -> Callable:
-    """x -> K^{-1} x for the Laplacian of a path with element resistances
-    `resist`, grounded past its last element and, if left_grounded, before
-    its first; the vertices are those between the grounds.
+def _path_green(resist: np.ndarray,
+                left_grounded: bool) -> tuple[Callable, Callable]:
+    """(x -> K^{-1} x, rows -> x^T K^{-1} x for each row x) for the
+    Laplacian of a path with element resistances `resist`, grounded past its
+    last element and, if left_grounded, before its first; the vertices are
+    those between the grounds.
 
     K^{-1}_ij is the resistance b_max(i,j) from the later vertex to the
     right ground, or with a left ground a_min(i,j) b_max(i,j) / total, a
     being the resistance to the left ground.  Every term is positive, so
-    K^{-1} applies in O(N) without cancellation.
+    K^{-1} applies in O(N) without cancellation.  x^T K^{-1} x is the energy
+    sum resist_e f_e^2 of the current f that x drives into the grounds: f_e
+    sums x_j left of element e's far end, less, with a left ground, the
+    constant that makes sum resist_e f_e vanish.  Its terms are positive
+    too, so it is relatively accurate where x . K^{-1} x cancels.
     """
     if not left_grounded:
         # sum over elements m >= i of resist_m times the sum of x_j, j <= m
         def apply(x):
             return _suffix_sums(np.add.accumulate(x) * resist)
-        return apply
+
+        def energy(rows):
+            return np.add.accumulate(rows, axis=1) ** 2 @ resist
+        return apply, energy
     a = np.add.accumulate(resist)
     b = _suffix_sums(resist.copy())[1:]
     total, a = a[-1], a[:-1]
@@ -357,13 +377,75 @@ def _path_green(resist: np.ndarray, left_grounded: bool) -> Callable:
         y = b * np.add.accumulate(a * x)
         y[:-1] += a[:-1] * _suffix_sums(b[1:] * x[1:])
         return y / total
-    return apply
+
+    def energy(rows):
+        f = np.zeros((len(rows), len(resist)))
+        np.add.accumulate(rows, axis=1, out=f[:, 1:])
+        f -= (f @ resist / total)[:, None]
+        return f ** 2 @ resist
+    return apply, energy
 
 
-def _off_constants(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x minus its component along the unit vector q: q = M^{1/2} 1, scaled,
-    for the constants of the symmetrized pencil."""
-    return x - q * (q @ x)
+def _rotate(v: np.ndarray, y: np.ndarray) -> None:
+    """v[:p] = y^T v in place, p = y.shape[1], by blocks of columns whose
+    products hold at most two rows of v or _ROTATE_FLOATS, whichever is
+    more (and never more than p rows)."""
+    p, m = y.shape[1], v.shape[1]
+    step = max(1, max(2 * m, _ROTATE_FLOATS) // p)
+    for lo in range(0, m, step):
+        v[:p, lo:lo + step] = y.T @ v[:, lo:lo + step]
+
+
+def _thick_restart_lanczos(apply: Callable, basis: np.ndarray, locked: int,
+                           count: int) -> np.ndarray:
+    """Eigenvectors of the top `count` eigenvalues of the symmetric operator
+    `apply` on the orthogonal complement of basis[:locked] (orthonormal
+    rows), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
+    22 (2000) 602) on the ncv = len(basis) - locked rows past them, started
+    from basis[locked].
+
+    Each new vector A v_j is orthogonalized twice against every row, the
+    locked ones included (full reorthogonalization), and H = V^T A V is
+    read off the coefficients of both passes.  A restart rotates the top
+    `keep` Ritz vectors into the first rows, in place, and appends the
+    residual, which H couples to them.  Returns once each of the top `count`
+    Ritz residuals is below LANCZOS_TOL times its Ritz value: their Ritz
+    vectors, by descending value, as rows of basis.
+    """
+    ncv = len(basis) - locked
+    v = basis[locked:]
+    keep = min(count + (ncv - count) // 2, ncv - 1)
+    h = np.zeros((ncv, ncv))
+    w = v[0]
+    if locked:
+        for _ in range(2):
+            w -= (basis[:locked] @ w) @ basis[:locked]
+    w /= math.sqrt(w @ w)
+    kept = 0
+    for _ in range(_LANCZOS_RESTARTS):
+        for j in range(kept, ncv):
+            w = apply(v[j])
+            prior = basis[:locked + j + 1]
+            c = prior @ w
+            w -= c @ prior
+            again = prior @ w
+            w -= again @ prior
+            h[:j + 1, j] = (c + again)[locked:]
+            beta = math.sqrt(w @ w)
+            if j + 1 < ncv:
+                np.divide(w, beta, out=v[j + 1])
+        theta, y = np.linalg.eigh(h, UPLO="U")
+        theta, y = theta[::-1], y[:, ::-1]
+        if np.all(beta * np.abs(y[-1, :count]) <= LANCZOS_TOL * theta[:count]):
+            _rotate(v, y[:, :count])
+            return v[:count]
+        _rotate(v, y[:, :keep])
+        np.divide(w, beta, out=v[keep])
+        h[:keep, :keep] = 0.0
+        h[range(keep), range(keep)] = theta[:keep]
+        kept = keep
+    raise RuntimeError(f"radial Lanczos solve not converged after "
+                       f"{_LANCZOS_RESTARTS} restarts")
 
 
 @dataclass(frozen=True)
@@ -395,59 +477,49 @@ class SLDiscretization:
         """Lowest `count` eigenvalues, ascending; a natural pencil's
         constant mode is not one of them.
 
-        Lanczos (ARPACK on 2 count + 1 vectors, fixed start vector, stopped
-        at residuals of LANCZOS_TOL) for the top of the Green's operator
-        M^{1/2} K^{-1} M^{1/2}, whose entries are all positive, so
-        lambda_k comes out to eps lambda_k / lambda_1 relative, however fine
-        the grid.  A pencil with both ends natural is solved grounded at its
-        last vertex and projected off the constants, which removes the
-        constant mode exactly.  Each eigenpair is checked against the
-        edge-form Rayleigh quotient; RuntimeError if one fails.  A Dirichlet
-        left end needs a Dirichlet right end (ValueError).
+        Thick-restart Lanczos (_thick_restart_lanczos on 2 count + 1
+        vectors, a start vector of ones, stopped at residuals of
+        LANCZOS_TOL) for the top of the Green's operator M^{1/2} K^{-1}
+        M^{1/2}, whose entries are all positive.  A pencil with both ends
+        natural is solved grounded at its last vertex, on the complement of
+        the constants: their vector M^{1/2} 1 is locked as the first row of
+        the basis, which removes the constant mode exactly.  The values
+        returned are the edge-form Rayleigh quotients of the Ritz vectors,
+        and each must match its Ritz value x^T A x / x^T x in the energy
+        form of _path_green (RuntimeError if one does not): both sum
+        positive terms, so both are relatively accurate.  A Dirichlet left
+        end needs a Dirichlet right end, and count must not exceed the
+        pencil's dimension, less the constants (ValueError).
         """
-        # loaded here: closed_form and oracles never solve a pencil
-        # (+2 MB, ~35 ms to import)
-        from scipy.sparse.linalg import LinearOperator, eigsh
-        natural = self.bc[1] == "natural"
+        natural = int(self.bc[1] == "natural")
         if natural and self.bc[0] == "dirichlet":
             raise ValueError("a Dirichlet left end needs a Dirichlet right end")
-        resist = _RESIST_SCALE / self.cond
-        if natural:
-            # the last vertex is grounded: its own ground, through 0
-            resist = np.r_[resist, 0.0]
-        green = _path_green(resist, self.bc[0] == "dirichlet")
+        # a natural pencil's last vertex is grounded: its own ground, through 0
+        resist = np.zeros(len(self.cond) + natural)
+        np.divide(_RESIST_SCALE, self.cond, out=resist[:len(self.cond)])
+        green, energy = _path_green(resist, self.bc[0] == "dirichlet")
         s = np.sqrt(self.mass) * _MASS_SCALE
-        q = s / np.linalg.norm(s)
-
-        def matvec(x):
-            if natural:
-                x = _off_constants(x, q)
-            y = s * green(s * x)
-            return _off_constants(y, q) if natural else y
-
         m = len(s)
-        mu, vecs = eigsh(LinearOperator((m, m), matvec=matvec, dtype=float),
-                         k=count, which="LA", v0=np.ones(m),
-                         ncv=_ncv(count, m), tol=LANCZOS_TOL)
-        lam, vecs = 1.0 / mu[::-1], vecs[:, ::-1]
-        self._check_eigenpairs(lam, vecs / s[:, None],
-                               q @ vecs if natural else None)
-        return lam
+        if not 1 <= count <= m - natural:
+            raise ValueError(f"count must be 1 to {m - natural} here")
+        basis = np.empty((natural + _ncv(count, m - natural), m))
+        if natural:
+            basis[0] = s / np.linalg.norm(s)
+        basis[natural] = 1.0
+        vecs = _thick_restart_lanczos(lambda x: s * green(s * x), basis,
+                                      natural, count)
+        # the Ritz values as x^T A x / x^T x: the dense eigensolve of H
+        # leaves them eps theta_1 off, up to 1.1e-12 relative at count
+        # 1000, grid 4000, where the energy form reads at most 3.3e-15
+        mu = energy(s * vecs) / np.einsum("ij,ij->i", vecs, vecs)
+        return self._check_eigenpairs(1.0 / mu, vecs / s,
+                                      vecs @ basis[0] if natural else None)
 
-    def _check_eigenpairs(self, lam, v, along_constants) -> None:
-        """Raise unless each lam matches the edge-form Rayleigh quotient
-        sum cond (dv)^2 / sum mass v^2 of its vector v (zero at a Dirichlet
-        end), and a natural vector is M-orthogonal to the constants."""
-        left = self.bc[0] == "dirichlet"
-        edges = np.zeros((len(self.cond) + 1, v.shape[1]))
-        edges[left:left + len(v)] = v
-        quotient = (self.cond @ np.diff(edges, axis=0) ** 2
-                    / (self.mass @ (v * v)))
-        dev = np.abs(quotient - lam) / lam
-        if not np.all(dev <= EIGENPAIR_TOL):
-            raise RuntimeError(
-                "radial pencil eigenvalues off their Rayleigh quotients by "
-                f"{np.max(dev):.3g} (tolerance {EIGENPAIR_TOL:.3g})")
+    def _check_eigenpairs(self, lam, v, along_constants) -> np.ndarray:
+        """The edge-form Rayleigh quotients sum cond (dv)^2 / sum mass v^2
+        of the rows of v (zero at a Dirichlet end); raise unless a natural
+        vector is M-orthogonal to the constants and each quotient matches
+        its lam."""
         if along_constants is not None:
             cos = np.max(np.abs(along_constants))
             if not cos <= EIGENPAIR_TOL:
@@ -455,6 +527,25 @@ class SLDiscretization:
                     "natural pencil eigenvectors not M-orthogonal to the "
                     f"constants: cosine {cos:.3g} (tolerance "
                     f"{EIGENPAIR_TOL:.3g})")
+        left = self.bc[0] == "dirichlet"
+        edges = np.zeros((len(v), len(self.cond) + 1))
+        edges[:, left:left + v.shape[1]] = v
+        quotient = (np.diff(edges) ** 2 @ self.cond) / ((v * v) @ self.mass)
+        dev = np.abs(quotient - lam) / lam
+        if not np.all(dev <= EIGENPAIR_TOL):
+            raise RuntimeError(
+                "radial pencil eigenvalues off their Rayleigh quotients by "
+                f"{np.max(dev):.3g} (tolerance {EIGENPAIR_TOL:.3g})")
+        return quotient
+
+
+def _vertex_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[i] + right[i - 1] at each of the len(left) + 1 vertices, a term
+    past either end being absent."""
+    out = np.zeros(len(left) + 1)
+    out[:-1] = left
+    out[1:] += right
+    return out
 
 
 def build_radial_discretization(params: ProfileParams, n_points: int,
@@ -474,8 +565,8 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
     h = (edges[-1] - edges[0]) / n_points
     half = _half_masses(params.n, edges[:-1], h)
     cond = half.sum(axis=0) / (h * h)
-    mass = np.r_[half[0], 0.0] + np.r_[0.0, half[1]]
-    diag = np.r_[cond, 0.0] + np.r_[0.0, cond]
+    mass = _vertex_sums(half[0], half[1])
+    diag = _vertex_sums(cond, cond)
     first, last = bc_left == "dirichlet", n_points - (bc_right == "dirichlet")
     return SLDiscretization(h=h, stiff_diag=diag[first:last + 1],
                             stiff_off=-cond[first:last],
@@ -486,37 +577,43 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
 # --- solve admission --------------------------------------------------------
 
 _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
-# Floats an element that build_radial_discretization holds at its peak, an
-# upper bound: tracemalloc measures 7 (the pencil and the element halves; n
-# = 1, 3, 12, grid 1e5), and 28 was set when W was held for the whole mesh.
-# Lowering it admits larger solves, so it moves with the admission tests.
-# The assembly's temporaries are freed before ARPACK starts, so the same
-# term also covers what the solve keeps of its operator: the pencil, or the
-# mode operator's three diagonals and vertex masses (7 floats an element).
-_ASSEMBLY_FLOATS = 28
-# Vectors of the grid's length that ARPACK holds besides its basis: the
-# residual, three work vectors, the start vector, and the operator's input
-# and output in each matvec.  Beyond the basis, peak RSS measured about 14
-# floats an element for a count-1 radial solve (22 in all, n = 1, grids
-# 2.5e5 to 2e6) and up to 20 complex vectors for a mode solve (counts 10
-# to 50, grid 250000), which this, _MODE_FACTOR and _ASSEMBLY_FLOATS cover
-# with 8 to spare.
+# Floats an element that build_radial_discretization holds at its peak past
+# one block of W, an upper bound: tracemalloc measures 7 (the pencil's six
+# and one temporary; n = 1, 3, 12, grid 1e5), set with 1 to spare.  The
+# solve keeps the pencil, so the same term covers it.  Lowering it admits
+# larger solves, so it moves with the admission tests.
+_ASSEMBLY_FLOATS = 8
+# Floats of W that _half_masses holds for its longest block, 2 _HALF_BLOCK
+# - 1 elements of 12 nodes, twice where 2n is not a power of two: measured
+# at most 45,339 floats past the 7 an element (n = 1, 2, 3, 12, 40, grids
+# 50 to 1e5), under the 49,152 counted.
+_W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
+# Vectors of the grid's length that the radial Lanczos solve holds besides
+# the pencil, its basis and the constants it locks: the resistances, sqrt(M),
+# the two resistance sums of a pencil with both ends Dirichlet, and the
+# operator's input, output and temporaries in one step.  tracemalloc
+# measures at most 8 (both ends Dirichlet, count 1, grid 1e5; 5 with a
+# natural end), set with 2 to spare.  The eigenpair check that follows holds
+# three count-wide arrays at once, which its five counted cover.
+_LANCZOS_FIXED = 10
+# Vectors of the grid's length that ARPACK holds besides its basis in a mode
+# solve: the residual, three work vectors, the start vector, and the
+# operator's input and output in each matvec.  Peak RSS measured up to 20
+# complex vectors beyond the basis (counts 10 to 50, grid 250000), which
+# this, _MODE_FACTOR and _MODE_BUILD_FLOATS cover with 8 to spare.
 _ARPACK_FIXED = 8
+# Floats an element of a mode solve's assembly and of the operator it keeps:
+# build_mode_operator peaks at 24 (its three complex diagonals and the
+# pencil's arrays they are built from).
+_MODE_BUILD_FLOATS = 28
 
 
-def _check_size(grid: int, count: int, values: int, itemsize: int,
-                extra: int) -> None:
+def _check_size(grid: int, count: int, need: int) -> None:
     """Refuse `count` values on `grid` elements unless grid >= 50 and
-    1 <= count <= grid / 4, and an upper estimate of the solve's memory is
-    within _WORKSPACE_LIMIT: the solver's ncv = _ncv(values) basis vectors,
-    _ARPACK_FIXED and `extra` vectors more and 3 ncv^2 work entries, all of
-    `itemsize` bytes, and the _ASSEMBLY_FLOATS of the assembly."""
+    1 <= count <= grid / 4, and `need`, an upper estimate of the solve's
+    memory in bytes, is within _WORKSPACE_LIMIT."""
     if grid < 50 or not 1 <= count <= grid // 4:
         raise ValueError("need grids >= 50 and 1 <= count <= grid/4")
-    ncv = _ncv(values, grid + 1)
-    need = (itemsize * ((grid + 1) * (ncv + _ARPACK_FIXED + extra)
-                        + 3 * ncv * ncv)
-            + 8 * _ASSEMBLY_FLOATS * grid)
     if need > _WORKSPACE_LIMIT:
         raise ValueError(f"{count} eigenvalues on grid {grid} need about "
                          f"{need >> 20} MiB of eigensolver workspace "
@@ -525,9 +622,16 @@ def _check_size(grid: int, count: int, values: int, itemsize: int,
 
 def check_radial_solve(params: ProfileParams, grid: int, count: int) -> None:
     """ValueError unless discrete_radial_spectrum can solve this: the sizes
-    of _check_size, whose `extra` is the eigenpair check's five count-wide
-    arrays, and a pole vertex mass that does not underflow."""
-    _check_size(grid, count, count, 8, 5 * count)
+    of _check_size, with the memory of the assembly (_ASSEMBLY_FLOATS an
+    element and _W_BLOCK_FLOATS) and of the Lanczos solve (its ncv =
+    _ncv(count) basis vectors, the locked constants, _LANCZOS_FIXED vectors
+    and the eigenpair check's five count-wide arrays, and 5 ncv^2 entries of
+    H and its dense eigensolve), and a pole vertex mass that does not
+    underflow."""
+    ncv = _ncv(count, grid + 1)
+    _check_size(grid, count, 8 * (
+        (grid + 1) * (ncv + 1 + _LANCZOS_FIXED + 5 * count) + 5 * ncv * ncv
+        + _ASSEMBLY_FLOATS * grid + _W_BLOCK_FLOATS))
     if _pole_mass(params, grid) == 0.0:
         raise ValueError(f"n = {params.n} is too large for grid {grid}:"
                          " the pole vertex's mass underflows")
@@ -626,11 +730,16 @@ def build_mode_operator(k: int, n_points: int,
 
 
 def check_mode_solve(k: int, grid: int, count: int) -> None:
-    """ValueError unless mode_spectrum can solve this: _check_size for
-    count + 1 + _MODE_EXTRA complex values, with the LU's _MODE_FACTOR
-    vectors as `extra`, k >= 0 and 3 k^2 <= grid (past it the error of a
-    solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
-    _check_size(grid, count, count + 1 + _MODE_EXTRA, 16, _MODE_FACTOR)
+    """ValueError unless mode_spectrum can solve this: the sizes of
+    _check_size, with the memory of ARPACK on ncv = _ncv(count + 1 +
+    _MODE_EXTRA) complex basis vectors, _ARPACK_FIXED and the LU's
+    _MODE_FACTOR complex vectors more and 3 ncv^2 complex work entries, and
+    _MODE_BUILD_FLOATS an element; k >= 0 and 3 k^2 <= grid (past it the
+    error of a solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
+    ncv = _ncv(count + 1 + _MODE_EXTRA, grid + 1)
+    _check_size(grid, count, 16 * (
+        (grid + 1) * (ncv + _ARPACK_FIXED + _MODE_FACTOR) + 3 * ncv * ncv)
+        + 8 * _MODE_BUILD_FLOATS * grid)
     if k < 0:
         raise ValueError("need one or more Fourier indices k >= 0")
     if 3 * k * k > grid:

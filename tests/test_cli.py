@@ -532,6 +532,7 @@ def test_modes_k_at_the_grid_limit_is_accepted(tmp_path, argv):
 _WORKSPACE_ACCEPTED = [
     ["eig", "--parity", "odd", "--count", "500", "--grid", "2000"],
     ["modes", "--k", "1", "--count", "1500", "--grid", "12000"],
+    ["poincare", "--grid", "4000000"],
 ]
 _WORKSPACE_REFUSED = [
     ["eig", "--parity", "odd", "--count", "5000", "--grid", "20000"],

@@ -8,6 +8,9 @@ a natural problem with polynomial eigenfunctions and eigenvalues shifted by
 """
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -505,18 +508,57 @@ def test_half_masses_in_blocks_are_the_whole_mesh_product(n, grid):
 
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_assembly_memory_is_within_the_workspace_model(n):
-    # the admission estimate counts _ASSEMBLY_FLOATS an element for the
-    # assembly; where 2n is not a power of two (n = 3, 12) it holds two
-    # (elements, 12) arrays of W at once
-    grid = 100_000
+    # the admission estimate counts _ASSEMBLY_FLOATS an element and one
+    # block of W; where 2n is not a power of two (n = 3, 12) the block holds
+    # two (elements, 12) arrays of W at once, which dominate below grid 2048
     build_radial_discretization(ProfileParams(n), 50)
+    for grid in (400, 2047, 100_000):
+        tracemalloc.start()
+        try:
+            build_radial_discretization(ProfileParams(n), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (_ASSEMBLY_FLOATS * grid + spectrum._W_BLOCK_FLOATS)
+
+
+@pytest.mark.parametrize("n,bc,grid,count", [
+    (1, "natural", 100_000, 1), (12, "dirichlet", 100_000, 1),
+    (3, "natural", 100_000, 4), (1, "natural", 400, 100),
+    (12, "dirichlet", 1000, 250)])
+def test_radial_solve_memory_is_within_the_workspace_model(monkeypatch, n,
+                                                           bc, grid, count):
+    # check_radial_solve's estimate counts the assembly, the pencil, the
+    # Lanczos basis with the locked constants, its fixed vectors and the
+    # eigenpair check's arrays; tracemalloc sees all of them
+    discrete_radial_spectrum(ProfileParams(n), bc, 400, 4)
     tracemalloc.start()
     try:
-        build_radial_discretization(ProfileParams(n), grid)
+        discrete_radial_spectrum(ProfileParams(n), bc, grid, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * _ASSEMBLY_FLOATS * grid
+    # the estimate is at least the peak: a limit just below the peak refuses
+    monkeypatch.setattr(spectrum, "_WORKSPACE_LIMIT", peak - 1)
+    with pytest.raises(ValueError, match="eigensolver workspace"):
+        spectrum.check_radial_solve(ProfileParams(n), grid, count)
+
+
+def test_subdomain_solve_holds_the_fixed_vectors_counted():
+    # both ends Dirichlet hold the most besides the basis: the two
+    # resistance sums of the Green's operator
+    grid = 100_000
+    disc = build_radial_discretization(ProfileParams(2), grid, "dirichlet",
+                                       (0.2, 0.9), "dirichlet")
+    disc.lowest(1)
+    tracemalloc.start()
+    try:
+        disc.lowest(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    basis = spectrum._ncv(1, grid + 1)
+    assert peak <= 8 * (grid + 1) * (basis + spectrum._LANCZOS_FIXED)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
@@ -682,10 +724,29 @@ def test_path_green_inverts_the_grounded_stiffness(bc):
     resist = 1.0 / disc.cond
     if bc == ("natural", "natural"):
         K = K[:-1, :-1]          # grounded at the equator vertex
-    green = spectrum._path_green(resist, bc[0] == "dirichlet")
+    green, energy = spectrum._path_green(resist, bc[0] == "dirichlet")
     G = np.column_stack([green(e) for e in np.eye(len(K))])
     assert np.all(G > 0.0)
     assert np.max(np.abs(G @ K - np.eye(len(K)))) <= 1e-12
+    # x^T K^{-1} x in the energy form, for rows of either sign
+    rows = np.random.default_rng(5).standard_normal((4, len(K)))
+    want = np.einsum("ij,ij->i", rows @ G, rows)
+    assert np.max(np.abs(energy(rows) - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 7])
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_lowest_on_the_whole_dimension_matches_a_dense_solve(bc, n_points):
+    # the Krylov basis then spans the whole space off the constants, so
+    # the first pass ends with a zero residual; one value more is refused
+    disc = build_radial_discretization(ProfileParams(2), n_points, bc)
+    d, e = disc.symmetrized()
+    dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    dense = dense[1:] if bc == "natural" else dense
+    got = disc.lowest(len(dense))
+    assert np.max(np.abs(got - dense) / dense) <= 1e-14
+    with pytest.raises(ValueError, match="count must be 1 to"):
+        disc.lowest(len(dense) + 1)
 
 
 def test_green_solve_refuses_a_floating_right_end():
@@ -754,10 +815,13 @@ def _sturm_eigenvalue(index, guess, cond, mass):
 
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_radial_solve_against_a_30_digit_reference(n):
-    # measured at most 1.3e-15; bisection's eps ||A|| missed the 1e-12
-    # bracket at grid 400.  Count 1 runs Lanczos on its shortest basis,
-    # ncv = 3.
+    # counts 1 and 4: measured at most 1.3e-15; bisection's eps ||A|| missed
+    # the 1e-12 bracket at grid 400.  Count 1 runs Lanczos on its shortest
+    # basis, ncv = 3.  Count grid / 4 = 100 (n = 1, 12) is held to the
+    # README's eps lambda_k / lambda_1, times 8; measured at most 6.8e-16 at
+    # indices 0, 50 and 99, where that bound is 1.8e-15 to 2.3e-11.
     m = 400
+    eps = np.finfo(float).eps
     with localcontext() as ctx:
         ctx.prec = 30
         cond, mass = _mp_pencil(n, m)
@@ -768,21 +832,35 @@ def test_radial_solve_against_a_30_digit_reference(n):
                 for i, v in enumerate(vals):
                     ref = _sturm_eigenvalue(first + i, v, cond, kept)
                     assert abs(Decimal(v) - ref) / ref <= Decimal("1e-14")
+            if n == 3:
+                continue
+            vals = discrete_radial_spectrum(ProfileParams(n), bc, m, m // 4)
+            for i in (0, 50, 99):
+                ref = _sturm_eigenvalue(first + i, vals[i], cond, kept)
+                tol = 8 * eps * vals[i] / vals[0]
+                assert abs(Decimal(vals[i]) - ref) / ref <= Decimal(tol)
 
 
-# The values each solve asks ARPACK for, as check_radial_solve and
+# The values each solve sizes its basis for, as check_radial_solve and
 # check_mode_solve count them; k = 0 under continuity solves for the most.
 @pytest.mark.parametrize("count", [1, 4, 100])     # 100: grid / 4
 def test_solves_run_on_the_basis_the_workspace_model_counts(monkeypatch,
                                                             count):
     import scipy.sparse.linalg
     grid, passed = 400, []
-    for name in ("eigsh", "eigs"):
-        def record(*args, solver=getattr(scipy.sparse.linalg, name),
-                   **kwargs):
-            passed.append(kwargs.get("ncv"))
-            return solver(*args, **kwargs)
-        monkeypatch.setattr(scipy.sparse.linalg, name, record)
+    lanczos = spectrum._thick_restart_lanczos
+
+    def record_lanczos(apply, basis, locked, count):
+        # the rows past the locked ones are the Krylov basis
+        passed.append(len(basis) - locked)
+        return lanczos(apply, basis, locked, count)
+
+    def record_eigs(*args, solver=scipy.sparse.linalg.eigs, **kwargs):
+        passed.append(kwargs.get("ncv"))
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_thick_restart_lanczos", record_lanczos)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", record_eigs)
     for bc in ("natural", "dirichlet"):
         discrete_radial_spectrum(ProfileParams(2), bc, grid, count)
     mode_spectrum(0, grid, count, "continuity")
@@ -813,6 +891,61 @@ def test_radial_solves_repeat_bit_for_bit():
     assert first == subdomain_bound_check((0.2, 0.9), 0.0, params)
 
 
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_eigenpair_check_reads_roundoff_at_many_values(monkeypatch, bc):
+    # 500 values at grid 2000 (n = 1, lambda_k / lambda_1 up to 3.3e5): the
+    # Ritz values the check compares, taken in the energy form, read 2.5e-15
+    # against the quotients; from the dense eigensolve of H they read
+    # 3.2e-14 and 7.7e-14, and 1.1e-12 at count 1000, grid 4000
+    devs = []
+    check = spectrum.SLDiscretization._check_eigenpairs
+
+    def record(self, lam, v, along_constants):
+        quotient = check(self, lam, v, along_constants)
+        devs.append(np.max(np.abs(quotient - lam) / lam))
+        return quotient
+
+    monkeypatch.setattr(spectrum.SLDiscretization, "_check_eigenpairs",
+                        record)
+    discrete_radial_spectrum(ProfileParams(1), bc, 2000, 500)
+    assert devs[0] <= 1e-14
+
+
+_SPARSE_AFTER_SOLVES = """
+import sys
+from hprofile.geometry import ProfileParams
+from hprofile.spectrum import (discrete_radial_spectrum, mode_spectrum,
+                               poincare_constant_estimate,
+                               subdomain_bound_check)
+
+def sparse():
+    return [m for m in sys.modules if m.startswith("scipy.sparse")]
+
+params = ProfileParams(2)
+for bc in ("natural", "dirichlet"):
+    discrete_radial_spectrum(params, bc, 200, 4)
+subdomain_bound_check((0.2, 0.9), 0.0, params, 200)
+poincare_constant_estimate(params, 200)
+print(len(sparse()))
+mode_spectrum(1, 200, 1)
+print(len(sparse()))
+"""
+
+
+def test_radial_solves_leave_scipy_sparse_unimported():
+    # the radial path runs the package's own Lanczos; only the mode study
+    # loads ARPACK, which the second count shows this check would see
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    out = subprocess.run([sys.executable, "-c", _SPARSE_AFTER_SOLVES],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    radial, modes = map(int, out.stdout.split())
+    assert radial == 0
+    assert modes > 0
+
+
 @pytest.mark.parametrize("n", [1, 3, 12])
 @pytest.mark.parametrize("bc", ["natural", "dirichlet"])
 def test_eigenpair_check_catches_one_resistance_off_by_one_percent(
@@ -833,9 +966,15 @@ def test_eigenpair_check_catches_one_resistance_off_by_one_percent(
 
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_eigenpair_check_catches_a_dropped_projection(monkeypatch, n):
-    # without the projection the grounded operator returns the odd family,
-    # whose vectors pass the Rayleigh check but not the orthogonality one
-    monkeypatch.setattr(spectrum, "_off_constants", lambda x, q: x)
+    # without the locked constants the grounded operator returns the odd
+    # family, whose vectors are not M-orthogonal to the constants (at n = 3
+    # and 12 they also miss the Rayleigh check, which runs after this one)
+    lanczos = spectrum._thick_restart_lanczos
+
+    def unlocked(apply, basis, locked, count):
+        return lanczos(apply, basis[locked:], 0, count)
+
+    monkeypatch.setattr(spectrum, "_thick_restart_lanczos", unlocked)
     with pytest.raises(RuntimeError, match="M-orthogonal to the constants"):
         discrete_radial_spectrum(ProfileParams(n), "natural", 500, 4)
 
