@@ -11,6 +11,7 @@ take one point or an (m, 2n) array of points.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,7 +152,8 @@ def _random_interior_points(n: int, count: int, seed: int,
 # stencil evaluates f once on all its shifted copies of z stacked into one
 # array of rows, or once per block of copies past _STACK_FLOATS floats, and a
 # block is formed by one broadcast, z plus the steps of its copies, built
-# from the block's own directions.  A step is s u with s = +-h; (-h) * u
+# from the block's own directions (the coordinate axes too, by _Axes, so no
+# d x d identity is held).  A step is s u with s = +-h; (-h) * u
 # rounds to exactly -(h * u), so the copies equal z +- h u bit for bit, and
 # since f maps each row on its own, the stencils give the same bits as one
 # call of f per copy.
@@ -196,10 +198,36 @@ def _value_blocks(f, z: np.ndarray, *stencils):
         yield vals.reshape(block.shape[:-1] + vals.shape[1:])
 
 
+class _Axes:
+    """The rows of np.eye(lead + d, d, -lead), `lead` zero rows and then the
+    coordinate axes of R^d, made only for the rows a slice asks for, so
+    that no d x d identity is held."""
+
+    def __init__(self, d: int, lead: int = 0):
+        self.d, self.lead = d, lead
+
+    def __len__(self) -> int:
+        return self.lead + self.d
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(len(self))
+        return np.eye(max(stop - start, 0), self.d, start - self.lead)
+
+
 def _values_at(f, z: np.ndarray, *stencils) -> np.ndarray:
-    """_value_blocks as one array, copies first."""
-    blocks = list(_value_blocks(f, z, *stencils))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    """_value_blocks as one array, copies first, each block copied in as it
+    comes."""
+    blocks = _value_blocks(f, z, *stencils)
+    vals = next(blocks)
+    copies = len(stencils[0][0]) * len(stencils[0][1])
+    if len(vals) == copies:
+        return vals
+    out = np.empty((copies,) + vals.shape[1:], dtype=vals.dtype)
+    i = 0
+    for vals in itertools.chain([vals], blocks):
+        out[i:i + len(vals)] = vals
+        i += len(vals)
+    return out
 
 
 def _sum_in_order(terms: np.ndarray):
@@ -219,8 +247,9 @@ def _fd_dir(f, z: np.ndarray, u: np.ndarray, h: float = _H_GRAD):
 
 
 def _fd_grad(f, z: np.ndarray, h: float = _H_GRAD) -> np.ndarray:
-    """Gradient of a scalar f, one column per coordinate direction."""
-    diffs = _central_diffs(f, z, np.eye(z.shape[-1]), h)
+    """Gradient of f, one column per coordinate direction, last: an f with
+    one vector per row gives an (m, values, 2n) array."""
+    diffs = _central_diffs(f, z, _Axes(z.shape[-1]), h)
     return np.ascontiguousarray(np.moveaxis(diffs, 0, -1))
 
 
@@ -228,8 +257,7 @@ def _fd_laplacian(f, z: np.ndarray, h: float = _H_HESS):
     """Sum of the second central differences of f along the coordinates."""
     # a zero direction, then the axes: its second copy, z + (-h) 0 = z +
     # (-0.0), is the centre, z bit for bit, a zero of either sign
-    d = z.shape[-1]
-    vals = _values_at(f, z, (np.eye(d + 1, d, -1), (h, -h)))
+    vals = _values_at(f, z, (_Axes(z.shape[-1], lead=1), (h, -h)))
     return _sum_in_order((vals[2::2] - 2.0 * vals[1] + vals[3::2]) / (h * h))
 
 
@@ -258,7 +286,7 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     h = 1e-5
     own, c = [], 0
     for vals in _value_blocks(lambda y: horizontal_normal(y, +1), pts,
-                              (np.eye(2 * params.n), (h, -h))):
+                              (_Axes(2 * params.n), (h, -h))):
         i = np.arange(c, c + len(vals))
         own.append(vals[i - c, :, i // 2])
         c += len(vals)

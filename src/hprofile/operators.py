@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (ProfileParams, _fd_dir, _fd_grad, _fd_hess_quadform,
-                       _fd_laplacian, _random_interior_points,
+from .geometry import (_STACK_FLOATS, ProfileParams, _fd_dir, _fd_grad,
+                       _fd_hess_quadform, _fd_laplacian, _random_interior_points,
                        horizontal_normal, omega_bar, perp)
 
 __all__ = [
@@ -192,7 +192,8 @@ def default_green_radial_trials() -> list[RadialTrial]:
 class AmbientTrial:
     """A t-independent polynomial trial function on R^{2n}, with its radial
     profile when it is radial.  value maps one point, or each row of an
-    (m, 2n) array, to a number."""
+    (m, 2n) array, to a number; for a radial trial it is radial.f(|z|),
+    which verify_identities evaluates in its place."""
 
     value: Callable[[np.ndarray], np.ndarray]
     radial: RadialTrial | None = None
@@ -219,6 +220,20 @@ def _grad_hs(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return grad - _dot(grad, nu)[..., None] * nu
 
 
+def _trial_values(trials: Sequence[AmbientTrial]) -> Callable:
+    """y -> (rows, len(trials)), each trial's values in its own column.  A
+    radial trial is evaluated as its profile at |y|, taken once per call."""
+    radial = any(tr.radial is not None for tr in trials)
+
+    def values(y: np.ndarray) -> np.ndarray:
+        out = np.empty(y.shape[:-1] + (len(trials),))
+        rho = np.linalg.norm(y, axis=-1) if radial else None
+        for j, tr in enumerate(trials):
+            out[..., j] = tr.value(y) if tr.radial is None else tr.radial.f(rho)
+        return out
+    return values
+
+
 def verify_identities(params: ProfileParams,
                       trials: Sequence[AmbientTrial] | None = None,
                       sample_count: int = 100,
@@ -227,8 +242,12 @@ def verify_identities(params: ProfileParams,
 
     Each entry reports the max |LHS - RHS| over random interior points on the
     upper hemisphere; all trial functions are t-independent so horizontal
-    derivatives coincide with Euclidean ones.  Every stencil runs on all
-    sample points at once.
+    derivatives coincide with Euclidean ones.  The normal's stencils run on
+    all sample points at once; the trials' stencils run on all trials at
+    once, as the columns of one vector-valued function, over blocks of
+    sample points whose (points, trials, 2n) gradients hold at most
+    _STACK_FLOATS floats (one block of 100 points up to n = 12 with the
+    six default trials).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -253,33 +272,48 @@ def verify_identities(params: ProfileParams,
                          "normal_hessian_radial_form"), 0.0)
 
     def record(lemma: str, lhs, rhs) -> None:
-        dev[lemma] = max(dev[lemma], float(np.max(np.abs(lhs - rhs))))
+        dev[lemma] = max(dev[lemma],
+                         float(np.max(np.abs(lhs - rhs), initial=0.0)))
 
     # normal self-derivative: (nu . grad) nu = -grad_HS(omega)/omega + omega nu^perp
     record("normal_derivative_of_normal", _fd_dir(normal, pts, nu),
            -grad_omega_hs / omega[:, None] + omega[:, None] * perp(nu))
 
-    for tr in trials:
-        hess_nn = _fd_hess_quadform(tr.value, pts, nu, nu)
-        grad_phi = _fd_grad(tr.value, pts)
+    values = _trial_values(trials)
+    radial = [j for j, tr in enumerate(trials) if tr.radial is not None]
+    radial_values = _trial_values([trials[j] for j in radial])
+    if radial:
+        jets = [trials[j].radial.jet(rho) for j in radial]
+        # tangential Laplacian of each radial trial, and the radial reduction
+        # of its normal-normal Hessian, rho^2 f'' + ((1-rho^2)/rho) f'
+        lap_hs = np.stack([radial_surface_laplacian(jet, params)
+                           for jet in jets], axis=-1)
+        hess_form = np.stack([rho * rho * jet.d2f
+                              + (1.0 - rho * rho) / rho * jet.df
+                              for jet in jets], axis=-1)
+    step = max(1, _STACK_FLOATS // (max(len(trials), 1) * pts.shape[-1]))
+    for lo in range(0, len(pts), step):
+        b = slice(lo, lo + step)
+        z, om = pts[b], omega[b][:, None]
+        # nu of each point, and nu against each trial's gradient
+        nu_z, nu_t = nu[b], nu[b][:, None]
+        hess_nn = _fd_hess_quadform(values, z, nu_z, nu_z)
+        grad_phi = _fd_grad(values, z)
         # Hessian contraction: <Hess phi nu, nu> = nu(nu(phi))
         #     + <grad_HS omega / omega, grad_HS phi> - omega dphi/dnu^perp
-        nu_nu = _fd_dir(lambda y: _dot(_fd_grad(tr.value, y), normal(y)),
-                        pts, nu, h=1e-4)
+        nu_nu = _fd_dir(lambda y: _dot(_fd_grad(values, y), normal(y)[:, None]),
+                        z, nu_z, h=1e-4)
         record("hessian_contraction_split", hess_nn,
-               nu_nu + _dot(grad_omega_hs, _grad_hs(grad_phi, nu)) / omega
-               - omega * _dot(grad_phi, perp(nu)))
-        if tr.radial is None:
+               nu_nu + _dot(grad_omega_hs[b][:, None], _grad_hs(grad_phi, nu_t))
+               / om - om * _dot(grad_phi, perp(nu_t)))
+        if not radial:
             continue
-        jet = tr.radial.jet(rho)
+        hess_nn = hess_nn[:, radial]
         # tangential Laplacian split: Lap_HS = Lap_H + H d/dnu - <Hess nu, nu>
-        record("tangential_laplacian_split",
-               radial_surface_laplacian(jet, params),
-               _fd_laplacian(tr.value, pts) + H * _dot(grad_phi, nu) - hess_nn)
-        # radial reduction of the normal-normal Hessian:
-        # rho^2 f'' + ((1-rho^2)/rho) f'
-        record("normal_hessian_radial_form",
-               rho * rho * jet.d2f + (1.0 - rho * rho) / rho * jet.df, hess_nn)
+        record("tangential_laplacian_split", lap_hs[b],
+               _fd_laplacian(radial_values, z)
+               + H * _dot(grad_phi[:, radial], nu_t) - hess_nn)
+        record("normal_hessian_radial_form", hess_form[b], hess_nn)
 
     return [{"lemma": lemma, "max_deviation": worst, "samples": len(pts)}
             for lemma, worst in dev.items()]

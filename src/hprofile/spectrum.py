@@ -321,9 +321,10 @@ EIGENPAIR_TOL = 1e-12
 # stop of 1e-8 (by up to 8e-11) and 3 at 1e-9; none at 1e-10, which costs
 # 19.0 operator applications a count-4 solve against 17.6.
 LANCZOS_TOL = 1e-10
-# Floats a block of _rotate may hold whatever the grid, so that the few Ritz
-# vectors of a small solve rotate in one product rather than several.
-_ROTATE_FLOATS = 2 ** 16
+# Floats a block of _rotate, or of _map_rows, may hold whatever the grid,
+# so that the few Ritz vectors of a small solve rotate in one product rather
+# than several, and are checked in one block.
+_BLOCK_FLOATS = 2 ** 16
 # Restarts after which a radial solve gives up (RuntimeError); the sweep
 # above restarted at most 20 times.
 _LANCZOS_RESTARTS = 1000
@@ -336,6 +337,17 @@ def _ncv(values: int, dim: int) -> int:
     default, max(2 values + 1, 20), builds and re-orthogonalizes 20 vectors
     for one value."""
     return min(2 * values + 1, dim)
+
+
+def _map_rows(fn: Callable, rows: np.ndarray) -> np.ndarray:
+    """fn, which maps a block of rows to one value a row, over blocks of
+    consecutive rows of at most one row or _BLOCK_FLOATS floats, whichever
+    is more, so that its temporaries hold a block, not all rows."""
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = fn(rows[lo:lo + step])
+    return out
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
@@ -359,7 +371,8 @@ def _path_green(resist: np.ndarray,
     sum resist_e f_e^2 of the current f that x drives into the grounds: f_e
     sums x_j left of element e's far end, less, with a left ground, the
     constant that makes sum resist_e f_e vanish.  Its terms are positive
-    too, so it is relatively accurate where x . K^{-1} x cancels.
+    too, so it is relatively accurate where x . K^{-1} x cancels.  The
+    energies are taken by _map_rows.
     """
     if not left_grounded:
         # sum over elements m >= i of resist_m times the sum of x_j, j <= m
@@ -367,7 +380,8 @@ def _path_green(resist: np.ndarray,
             return _suffix_sums(np.add.accumulate(x) * resist)
 
         def energy(rows):
-            return np.add.accumulate(rows, axis=1) ** 2 @ resist
+            return _map_rows(
+                lambda x: np.add.accumulate(x, axis=1) ** 2 @ resist, rows)
         return apply, energy
     a = np.add.accumulate(resist)
     b = _suffix_sums(resist.copy())[1:]
@@ -378,20 +392,23 @@ def _path_green(resist: np.ndarray,
         y[:-1] += a[:-1] * _suffix_sums(b[1:] * x[1:])
         return y / total
 
-    def energy(rows):
-        f = np.zeros((len(rows), len(resist)))
-        np.add.accumulate(rows, axis=1, out=f[:, 1:])
+    def block_energy(x):
+        f = np.zeros((len(x), len(resist)))
+        np.add.accumulate(x, axis=1, out=f[:, 1:])
         f -= (f @ resist / total)[:, None]
         return f ** 2 @ resist
+
+    def energy(rows):
+        return _map_rows(block_energy, rows)
     return apply, energy
 
 
 def _rotate(v: np.ndarray, y: np.ndarray) -> None:
     """v[:p] = y^T v in place, p = y.shape[1], by blocks of columns whose
-    products hold at most two rows of v or _ROTATE_FLOATS, whichever is
+    products hold at most two rows of v or _BLOCK_FLOATS, whichever is
     more (and never more than p rows)."""
     p, m = y.shape[1], v.shape[1]
-    step = max(1, max(2 * m, _ROTATE_FLOATS) // p)
+    step = max(1, max(2 * m, _BLOCK_FLOATS) // p)
     for lo in range(0, m, step):
         v[:p, lo:lo + step] = y.T @ v[:, lo:lo + step]
 
@@ -519,7 +536,7 @@ class SLDiscretization:
         """The edge-form Rayleigh quotients sum cond (dv)^2 / sum mass v^2
         of the rows of v (zero at a Dirichlet end); raise unless a natural
         vector is M-orthogonal to the constants and each quotient matches
-        its lam."""
+        its lam.  The quotients are taken by _map_rows."""
         if along_constants is not None:
             cos = np.max(np.abs(along_constants))
             if not cos <= EIGENPAIR_TOL:
@@ -528,9 +545,13 @@ class SLDiscretization:
                     f"constants: cosine {cos:.3g} (tolerance "
                     f"{EIGENPAIR_TOL:.3g})")
         left = self.bc[0] == "dirichlet"
-        edges = np.zeros((len(v), len(self.cond) + 1))
-        edges[:, left:left + v.shape[1]] = v
-        quotient = (np.diff(edges) ** 2 @ self.cond) / ((v * v) @ self.mass)
+
+        def quotients(x):
+            edges = np.zeros((len(x), len(self.cond) + 1))
+            edges[:, left:left + x.shape[1]] = x
+            return (np.diff(edges) ** 2 @ self.cond) / ((x * x) @ self.mass)
+
+        quotient = _map_rows(quotients, v)
         dev = np.abs(quotient - lam) / lam
         if not np.all(dev <= EIGENPAIR_TOL):
             raise RuntimeError(
@@ -593,8 +614,10 @@ _W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
 # the two resistance sums of a pencil with both ends Dirichlet, and the
 # operator's input, output and temporaries in one step.  tracemalloc
 # measures at most 8 (both ends Dirichlet, count 1, grid 1e5; 5 with a
-# natural end), set with 2 to spare.  The eigenpair check that follows holds
-# three count-wide arrays at once, which its five counted cover.
+# natural end), set with 2 to spare.  The Ritz values and the eigenpair
+# check that follow hold one count-wide array and blocks of rows past it
+# (tracemalloc: 1.35 to 1.4 count-wide arrays past the basis at count 40,
+# grid 20000 and count 100, grid 4000), which the five counted cover.
 _LANCZOS_FIXED = 10
 # Vectors of the grid's length that ARPACK holds besides its basis in a mode
 # solve: the residual, three work vectors, the start vector, and the

@@ -7,6 +7,7 @@ geodesic ODE; and, at any n, a per-state RK4 loop, which the closed form
 must match to RK4's own error.
 """
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -289,6 +290,22 @@ def test_mean_curvature_equals_the_per_copy_divergence(n):
               for i, e in enumerate(np.eye(2 * n)))
     assert (mean_curvature_check(ProfileParams(n), 100, seed=1)
             == float(np.max(np.abs(div - 2.0 * n))))
+
+
+def test_fd_axes_are_built_per_block():
+    # at n = 1000 a whole 2n x 2n identity would be 32 MB; each stencil
+    # peaks at 0.7 to 1.4 MB (tracemalloc) with the axes of one block
+    z = _random_interior_points(1000, 2, 5)
+    for stencil in (lambda: _fd_grad(_cubic, z),
+                    lambda: _fd_laplacian(_cubic, z),
+                    lambda: mean_curvature_check(ProfileParams(1000), 2)):
+        tracemalloc.start()
+        try:
+            stencil()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class _CountingCalls:

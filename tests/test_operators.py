@@ -328,6 +328,32 @@ def test_identity_suites_match_the_per_point_loop(n):
     assert all(item["samples"] == count for item in report)
 
 
+def _custom_trials(kind):
+    trials = default_ambient_trials()
+    if kind == "none":
+        return []
+    if kind == "non-radial":
+        return trials[3:]
+    # r^2 (1 - r^2), a radial trial the default list does not hold
+    green = default_green_radial_trials()[3]
+    return [O.AmbientTrial(
+        lambda z: green.f(np.linalg.norm(z, axis=-1)), green)]
+
+
+@pytest.mark.parametrize("kind", ["none", "non-radial", "radial"])
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_identity_suites_on_custom_trials_match_the_per_point_loop(kind, n):
+    params, trials = ProfileParams(n), _custom_trials(kind)
+    report = verify_identities(params, trials, sample_count=40, seed=3)
+    dev = [item["max_deviation"] for item in report]
+    assert dev == _reference_identities(
+        params, trials, _random_interior_points(n, 40, 3))
+    nonzero = {"none": [False, True, False, False],
+               "non-radial": [False, True, True, False],
+               "radial": [True, True, True, True]}[kind]
+    assert [d > 0.0 for d in dev] == nonzero
+
+
 def test_identity_suites_need_a_sample():
     with pytest.raises(ValueError, match=">= 1"):
         verify_identities(ProfileParams(1), sample_count=0)

@@ -911,6 +911,69 @@ def test_eigenpair_check_reads_roundoff_at_many_values(monkeypatch, bc):
     assert devs[0] <= 1e-14
 
 
+def test_lanczos_restarts_with_a_large_kept_basis(monkeypatch):
+    # 100 values of a 600 x 600 operator with eigenvalues 1/k^2 on 120 basis
+    # rows: each restart keeps 110 Ritz vectors and adds 10 (7 restarts)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(600, 600)))
+    a = (q / np.arange(1, 601) ** 2) @ q.T
+    a = (a + a.T) / 2
+    lam, vec = np.linalg.eigh(a)
+    lam, vec = lam[::-1][:100], vec[:, ::-1][:, :100]
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    basis = np.empty((120, 600))
+    basis[0] = 1.0
+    v = spectrum._thick_restart_lanczos(lambda x: a @ x, basis, 0, 100)
+    assert len(calls) >= 5
+    assert v.shape == (100, 600)
+    assert np.max(np.abs(v @ v.T - np.eye(100))) <= 1e-13
+    # Ritz values within 8 eps of the top eigenvalue, 1, and each vector
+    # along its eigenvector
+    ritz = np.einsum("ij,ij->i", v @ a, v)
+    assert np.max(np.abs(ritz - lam)) <= 8 * np.finfo(float).eps
+    assert np.max(np.abs(1.0 - np.abs(np.sum(v.T * vec, axis=0)))) <= 1e-8
+
+
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+@pytest.mark.parametrize("grid,count", [(20000, 40), (4000, 100)])
+def test_eigenpair_check_holds_one_count_wide_array(bc, grid, count):
+    # past the basis the solve holds 1.35 to 1.4 count x grid arrays
+    # (tracemalloc); with the Ritz values and quotients taken over all rows
+    # at once it held 3.1 to 3.2
+    tracemalloc.start()
+    try:
+        discrete_radial_spectrum(ProfileParams(1), bc, grid, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    natural = bc == "natural"
+    m = grid + natural
+    basis = 8 * m * (natural + spectrum._ncv(count, m - natural))
+    assert peak - basis <= 2 * 8 * m * count
+
+
+def test_map_rows_keeps_every_benchmark_solve_whole():
+    blocks = []
+
+    def first_column(x):
+        blocks.append(len(x))
+        return x[:, 0]
+
+    # counts up to 6 at grids up to 8000 (vertices up to 8001) are checked
+    # in one block, as one array; past _BLOCK_FLOATS a row a block
+    rows = np.broadcast_to(np.arange(6.0)[:, None], (6, 8001))
+    assert spectrum._map_rows(first_column, rows).tolist() == list(range(6))
+    rows = np.broadcast_to(np.arange(20.0)[:, None], (20, 250001))
+    assert spectrum._map_rows(first_column, rows).tolist() == list(range(20))
+    assert blocks == [6] + [1] * 20
+
+
 _SPARSE_AFTER_SOLVES = """
 import sys
 from hprofile.geometry import ProfileParams
