@@ -272,8 +272,9 @@ def verify_identities(params: ProfileParams,
                          "normal_hessian_radial_form"), 0.0)
 
     def record(lemma: str, lhs, rhs) -> None:
-        dev[lemma] = max(dev[lemma],
-                         float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        # np.maximum keeps a NaN, where Python's max would drop a new one
+        dev[lemma] = float(np.maximum(dev[lemma],
+                                      np.max(np.abs(lhs - rhs), initial=0.0)))
 
     # normal self-derivative: (nu . grad) nu = -grad_HS(omega)/omega + omega nu^perp
     record("normal_derivative_of_normal", _fd_dir(normal, pts, nu),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zgeev, zgttrf, zgttrs
 
 from .geometry import ProfileParams
 # hessenberg_qr_eigenvalues and sym_tridiag_eigen are unused here but stay
@@ -325,18 +326,28 @@ LANCZOS_TOL = 1e-10
 # so that the few Ritz vectors of a small solve rotate in one product rather
 # than several, and are checked in one block.
 _BLOCK_FLOATS = 2 ** 16
-# Restarts after which a radial solve gives up (RuntimeError); the sweep
-# above restarted at most 20 times.
+# Restarts after which a radial or mode solve gives up (RuntimeError); the
+# radial sweep above restarted at most 20 times.
 _LANCZOS_RESTARTS = 1000
+_EPS = np.finfo(float).eps
 
 
 def _ncv(values: int, dim: int) -> int:
-    """Krylov basis size for `values` eigenvalues of a dim x dim operator,
-    for the radial Lanczos and ARPACK's mode solves alike: 2 values + 1
-    (the ARPACK Users' Guide asks ncv >= 2 values), capped at dim.  SciPy's
-    default, max(2 values + 1, 20), builds and re-orthogonalizes 20 vectors
-    for one value."""
+    """Krylov basis size of the radial Lanczos for `values` eigenvalues of a
+    dim x dim operator: 2 values + 1 (thick restarts keep about half the
+    basis, so it holds the wanted values and as many more), capped at dim.
+    A default of max(2 values + 1, 20) would build and re-orthogonalize 20
+    vectors for one value."""
     return min(2 * values + 1, dim)
+
+
+def _mode_ncv(values: int, dim: int) -> int:
+    """Krylov basis size of a mode solve for `values` Ritz values of a
+    dim x dim operator: max(2 values + 1, values + 14), capped at dim.  The
+    14 spare vectors cut the restarts of the study's solves (3 to 7 on
+    2 values + 1 vectors, 0 to 2 on these) by more than the larger dense
+    eigensolves of H cost."""
+    return min(max(2 * values + 1, values + 14), dim)
 
 
 def _map_rows(fn: Callable, rows: np.ndarray) -> np.ndarray:
@@ -462,6 +473,66 @@ def _thick_restart_lanczos(apply: Callable, basis: np.ndarray, locked: int,
         h[range(keep), range(keep)] = theta[:keep]
         kept = keep
     raise RuntimeError(f"radial Lanczos solve not converged after "
+                       f"{_LANCZOS_RESTARTS} restarts")
+
+
+def _krylov_schur(apply: Callable, basis: np.ndarray,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` eigenvalues of largest modulus of the complex operator
+    `apply`, by Krylov-Schur (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001)
+    601) on the ncv = len(basis) rows of basis, started from basis[0]:
+    (values by descending modulus, the coefficients of their Ritz vectors in
+    the rows of basis, one column each).
+
+    Each new vector A v_j is orthogonalized twice against every row, in the
+    complex inner product, and H = V^* A V is read off the coefficients of
+    both passes; its eigenpairs come from LAPACK's zgeev.  A restart keeps
+    the QR factor Q of the coefficients of the count + (ncv - count) / 2
+    Ritz vectors of largest modulus, which spans an invariant subspace of
+    H: the rows are rotated to V Q in place, H becomes Q^* H Q with the
+    residual's coupling beta Q[-1] below it, and the residual is appended.
+    Returns once each of the top `count` Ritz residuals is at most eps times
+    the modulus of its value, ARPACK's default stop.
+    """
+    ncv = len(basis)
+    v = basis
+    keep = min(count + (ncv - count) // 2, ncv - 1)
+    h = np.zeros((ncv, ncv), dtype=complex)
+    v[0] /= math.sqrt(np.vdot(v[0], v[0]).real)
+    kept = 0
+    for _ in range(_LANCZOS_RESTARTS):
+        for j in range(kept, ncv):
+            w = apply(v[j])
+            prior = v[:j + 1]
+            c = (prior @ w.conj()).conj()
+            w -= c @ prior
+            again = (prior @ w.conj()).conj()
+            w -= again @ prior
+            h[:j + 1, j] = c + again
+            beta = math.sqrt(np.vdot(w, w).real)
+            if j + 1 < ncv:
+                h[j + 1, j] = beta
+                np.divide(w, beta, out=v[j + 1])
+        theta, _, y, info = zgeev(h, compute_vl=0)
+        if info != 0:
+            raise RuntimeError(f"Krylov-Schur: LAPACK zgeev info = {info}")
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta = theta[order]
+        if np.all(beta * np.abs(y[-1, order[:count]])
+                  <= _EPS * np.abs(theta[:count])):
+            return theta[:count], y[:, order[:count]]
+        wanted = y[:, order[:keep]]
+        del y    # H, its eigenvectors and zgeev's copy of H are the peak
+        q = np.linalg.qr(wanted)[0]
+        coupling = beta * q[-1]
+        h[:keep, :keep] = q.conj().T @ h @ q
+        h[keep:] = 0.0
+        h[:keep, keep:] = 0.0
+        h[keep, :keep] = coupling
+        _rotate(v, q)
+        np.divide(w, beta, out=v[keep])
+        kept = keep
+    raise RuntimeError(f"mode Krylov-Schur solve not converged after "
                        f"{_LANCZOS_RESTARTS} restarts")
 
 
@@ -617,14 +688,14 @@ _W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
 # natural end), set with 2 to spare.  The Ritz values and the eigenpair
 # check that follow hold one count-wide array and blocks of rows past it
 # (tracemalloc: 1.35 to 1.4 count-wide arrays past the basis at count 40,
-# grid 20000 and count 100, grid 4000), which the five counted cover.
+# grid 20000 and count 100, grid 4000), which the two counted cover.
 _LANCZOS_FIXED = 10
-# Vectors of the grid's length that ARPACK holds besides its basis in a mode
-# solve: the residual, three work vectors, the start vector, and the
-# operator's input and output in each matvec.  Peak RSS measured up to 20
-# complex vectors beyond the basis (counts 10 to 50, grid 250000), which
-# this, _MODE_FACTOR and _MODE_BUILD_FLOATS cover with 8 to spare.
-_ARPACK_FIXED = 8
+# Complex vectors of the grid's length that a mode solve's Krylov-Schur
+# holds besides its basis, the operator and the factors: the zgttrs output,
+# its conjugate and the product each Gram-Schmidt pass subtracts.
+# tracemalloc measures 3.01 to 3.31 (grid 1e5, counts 1, 4, 20 and 50), set
+# with 1 to spare.
+_KRYLOV_FIXED = 4
 # Floats an element of a mode solve's assembly and of the operator it keeps:
 # build_mode_operator peaks at 24 (its three complex diagonals and the
 # pencil's arrays they are built from).
@@ -648,12 +719,12 @@ def check_radial_solve(params: ProfileParams, grid: int, count: int) -> None:
     of _check_size, with the memory of the assembly (_ASSEMBLY_FLOATS an
     element and _W_BLOCK_FLOATS) and of the Lanczos solve (its ncv =
     _ncv(count) basis vectors, the locked constants, _LANCZOS_FIXED vectors
-    and the eigenpair check's five count-wide arrays, and 5 ncv^2 entries of
+    and the eigenpair check's two count-wide arrays, and 5 ncv^2 entries of
     H and its dense eigensolve), and a pole vertex mass that does not
     underflow."""
     ncv = _ncv(count, grid + 1)
     _check_size(grid, count, 8 * (
-        (grid + 1) * (ncv + 1 + _LANCZOS_FIXED + 5 * count) + 5 * ncv * ncv
+        (grid + 1) * (ncv + 1 + _LANCZOS_FIXED + 2 * count) + 5 * ncv * ncv
         + _ASSEMBLY_FLOATS * grid + _W_BLOCK_FLOATS))
     if _pole_mass(params, grid) == 0.0:
         raise ValueError(f"n = {params.n} is too large for grid {grid}:"
@@ -687,9 +758,9 @@ MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
                     # operator has its constant mode
 _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
                     # nearest to the shift need not be the lowest by real part
-_MODE_FACTOR = 6    # complex vectors of the shifted operator's gttrf
-                    # factors (dl, d, du, du2, the pivots) and of the copy
-                    # gttrs solves in
+_MODE_FACTOR = 6    # complex vectors of the shifted operator's zgttrf
+                    # factors (dl, d, du, du2, the pivots) and of the
+                    # shifted diagonal they are factored from
 # The computed constant mode of the k = 0 mode operator is zero only up to
 # roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
 # (grids up to 160000).
@@ -754,14 +825,15 @@ def build_mode_operator(k: int, n_points: int,
 
 def check_mode_solve(k: int, grid: int, count: int) -> None:
     """ValueError unless mode_spectrum can solve this: the sizes of
-    _check_size, with the memory of ARPACK on ncv = _ncv(count + 1 +
-    _MODE_EXTRA) complex basis vectors, _ARPACK_FIXED and the LU's
-    _MODE_FACTOR complex vectors more and 3 ncv^2 complex work entries, and
-    _MODE_BUILD_FLOATS an element; k >= 0 and 3 k^2 <= grid (past it the
-    error of a solve grows from 8.2e-3 to 5.8e-2 relative, README)."""
-    ncv = _ncv(count + 1 + _MODE_EXTRA, grid + 1)
+    _check_size, with the memory of Krylov-Schur on ncv = _mode_ncv(count +
+    1 + _MODE_EXTRA) complex basis vectors, _KRYLOV_FIXED and the LU's
+    _MODE_FACTOR complex vectors more and 3 ncv^2 complex entries of H,
+    zgeev's copy of it and its eigenvectors, and _MODE_BUILD_FLOATS an
+    element; k >= 0 and 3 k^2 <= grid (past it the error of a solve grows
+    from 8.2e-3 to 5.8e-2 relative, README)."""
+    ncv = _mode_ncv(count + 1 + _MODE_EXTRA, grid + 1)
     _check_size(grid, count, 16 * (
-        (grid + 1) * (ncv + _ARPACK_FIXED + _MODE_FACTOR) + 3 * ncv * ncv)
+        (grid + 1) * (ncv + _KRYLOV_FIXED + _MODE_FACTOR) + 3 * ncv * ncv)
         + 8 * _MODE_BUILD_FLOATS * grid)
     if k < 0:
         raise ValueError("need one or more Fourier indices k >= 0")
@@ -774,51 +846,45 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
                   matching: str = "continuity",
                   return_vectors: bool = False):
     """Lowest `count` eigenvalues of the mode-k problem (complex, by real
-    part); with return_vectors, (values, vertex values of their vectors).
+    part); with return_vectors, (values, vertex values of their vectors),
+    the vectors formed in place in the solve's basis, whose memory the
+    returned columns keep.
 
-    Shift-invert Arnoldi (ARPACK on 2 nev + 1 vectors for nev Ritz values)
-    about MODE_SHIFT from a fixed start vector, so repeated solves of one
-    matrix agree bit for bit.  The shifted diagonals are factored once by
-    LAPACK's gttrf (RuntimeError if that fails); ARPACK sees the operator
-    only through gttrs solves.  For k = 0 the spectrum coincides with the
-    radial pencil; the constant mode of the continuity class is checked to
-    sit at zero and dropped there.
+    Shift-invert Krylov-Schur (_krylov_schur on _mode_ncv(nev) vectors for
+    nev Ritz values) about MODE_SHIFT from a start vector of ones, so
+    repeated solves of one matrix agree bit for bit.  The shifted diagonals
+    are factored once by LAPACK's zgttrf (RuntimeError if that fails); the
+    solver sees the operator only through zgttrs solves.  For k = 0 the
+    spectrum coincides with the radial pencil; the constant mode of the
+    continuity class is checked to sit at zero and dropped there.
     """
     check_mode_solve(k, n_points, count)
     op = build_mode_operator(k, n_points, matching)
-    # loaded here: only the mode study needs ARPACK (+2 MB, ~35 ms to import)
-    from scipy.linalg.lapack import get_lapack_funcs
-    from scipy.sparse.linalg import LinearOperator, eigs
     m = len(op.diag)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
-    *lu, info = gttrf(op.lower, op.diag - MODE_SHIFT, op.upper)
+    *lu, info = zgttrf(op.lower, op.diag - MODE_SHIFT, op.upper)
     if info != 0:
         raise RuntimeError(f"LU factorization of the shifted mode-{k} "
                            f"operator failed (LAPACK gttrf info = {info})")
-    # in shift-invert mode eigs reads only the shape and dtype of its A
-    shift_inverse = LinearOperator((m, m), dtype=complex,
-                                   matvec=lambda x: gttrs(*lu, x)[0])
     drop = 1 if k == 0 and matching == "continuity" else 0
     nev = count + drop + _MODE_EXTRA
-    # ARPACK's default stop, machine precision: the operators are not
-    # normal, so a Ritz value is only as accurate as its residual
-    out = eigs(shift_inverse, k=nev, sigma=MODE_SHIFT, OPinv=shift_inverse,
-               ncv=_ncv(nev, m), v0=np.ones(m),
-               return_eigenvectors=return_vectors)
-    vals, vecs = out if return_vectors else (out, None)
+    basis = np.empty((_mode_ncv(nev, m), m), dtype=complex)
+    basis[0] = 1.0
+    theta, y = _krylov_schur(lambda x: zgttrs(*lu, x)[0], basis, nev)
+    vals = MODE_SHIFT + 1.0 / theta
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     if drop:    # ||A||_inf is the largest row sum of absolute values
         norm = np.max(np.abs(op.diag) + np.r_[np.abs(op.upper), 0.0]
                       + np.r_[0.0, np.abs(op.lower)])
-        tol = CONSTANT_MODE_EPS * np.finfo(float).eps * norm
+        tol = CONSTANT_MODE_EPS * _EPS * norm
         if abs(vals[0]) > tol:
             raise RuntimeError("mode operator lost its constant mode: "
                                f"{vals[0]} (tolerance {tol:.3g})")
     vals = vals[drop:drop + count]
     if return_vectors:
-        vecs = vecs[:, order[drop:drop + count]] / np.sqrt(op.mass)[:, None]
-        return vals, vecs
+        _rotate(basis, y[:, order[drop:drop + count]])
+        basis[:count] /= np.sqrt(op.mass)
+        return vals, basis[:count].T
     return vals
 
 

@@ -528,16 +528,21 @@ def test_modes_k_at_the_grid_limit_is_accepted(tmp_path, argv):
 
 # Eigensolves on both sides of the 1 GiB workspace limit (validated only;
 # the accepted ones take seconds to minutes to run).  modes adds the radial
-# solve only when k = 0 is asked for; poincare solves on its one grid.
+# solve only when k = 0 is asked for, whose estimate is below the mode
+# solve's at the same count and grid near the limit; poincare solves on its
+# one grid.  eig at count 1500, grid 6000 (895 MiB on its second grid) was
+# refused while the eigenpair check was counted at five count-wide arrays
+# (1307 MiB).
 _WORKSPACE_ACCEPTED = [
     ["eig", "--parity", "odd", "--count", "500", "--grid", "2000"],
-    ["modes", "--k", "1", "--count", "1500", "--grid", "12000"],
+    ["eig", "--parity", "odd", "--count", "1500", "--grid", "6000"],
+    ["modes", "--k", "0,1", "--count", "1500", "--grid", "12000"],
     ["poincare", "--grid", "4000000"],
 ]
 _WORKSPACE_REFUSED = [
     ["eig", "--parity", "odd", "--count", "5000", "--grid", "20000"],
     ["spectrum", "--k-max", "9999", "--grid", "20000"],
-    ["modes", "--k", "0,1", "--count", "1500", "--grid", "12000"],
+    ["modes", "--k", "1", "--count", "1600", "--grid", "12000"],
     ["poincare", "--grid", "100000000"],
 ]
 

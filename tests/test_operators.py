@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hprofile.operators as O
+from hprofile.cli import RunConfig, run
 from hprofile.geometry import (ProfileParams, _random_interior_points,
                                horizontal_normal, omega_bar, perp)
 from hprofile.operators import (FullJet, PolarJet, RadialJet, apply_full,
@@ -352,6 +353,21 @@ def test_identity_suites_on_custom_trials_match_the_per_point_loop(kind, n):
                "non-radial": [False, True, True, False],
                "radial": [True, True, True, True]}[kind]
     assert [d > 0.0 for d in dev] == nonzero
+
+
+def test_identity_suites_report_a_nan_deviation(monkeypatch, tmp_path):
+    # NaN where z_1 <= 0, without a numpy warning: a report that kept the
+    # older value on a NaN read 0.0 for hessian_contraction_split, and the
+    # CLI gate passed it
+    trial = O.AmbientTrial(
+        lambda z: np.where(z[..., 0] > 0, z[..., 0] ** 2, np.nan))
+    report = verify_identities(ProfileParams(1), [trial], sample_count=20)
+    dev = {item["lemma"]: item["max_deviation"] for item in report}
+    assert math.isnan(dev["hessian_contraction_split"])
+    monkeypatch.setattr(O, "default_ambient_trials", lambda: [trial])
+    cfg = RunConfig(command="verify", n=1, suite="identities",
+                    out_dir=str(tmp_path))
+    assert run(cfg) == 1
 
 
 def test_identity_suites_need_a_sample():
