@@ -313,8 +313,8 @@ _MASS_SCALE = 1.0 / math.sqrt(_RESIST_SCALE)
 # included); one resistance 1% off in mid-mesh reads 1e-5 at grid 2000 and
 # 2.5e-7 at grid 80000.
 EIGENPAIR_TOL = 1e-12
-# The radial Lanczos solve stops once each wanted Ritz residual is below
-# this times its Ritz value theta.  The Green's operator is symmetric, so
+# The radial solve stops once each wanted Ritz residual is below this
+# times its Ritz value theta.  The Green's operator is symmetric, so
 # theta is then off by about LANCZOS_TOL^2 theta^2 / gap, but the Ritz
 # vector by about LANCZOS_TOL theta / gap, which its edge-form quotient
 # weighs by the pencil's top eigenvalues.  Of 16 solves at grids 2000 to
@@ -326,18 +326,19 @@ LANCZOS_TOL = 1e-10
 # so that the few Ritz vectors of a small solve rotate in one product rather
 # than several, and are checked in one block.
 _BLOCK_FLOATS = 2 ** 16
-# Restarts after which a radial or mode solve gives up (RuntimeError); the
-# radial sweep above restarted at most 20 times.
-_LANCZOS_RESTARTS = 1000
+# Restarts after which _krylov_schur gives up (RuntimeError); the radial
+# sweep above restarted at most 20 times.
+_KRYLOV_RESTARTS = 1000
 _EPS = np.finfo(float).eps
 
 
 def _ncv(values: int, dim: int) -> int:
-    """Krylov basis size of the radial Lanczos for `values` eigenvalues of a
-    dim x dim operator: 2 values + 1 (thick restarts keep about half the
-    basis, so it holds the wanted values and as many more), capped at dim.
-    A default of max(2 values + 1, 20) would build and re-orthogonalize 20
-    vectors for one value."""
+    """Krylov basis size of a radial solve for `values` eigenvalues of a
+    dim x dim operator: 2 values + 1 (a restart keeps about half the basis,
+    so it holds the wanted values and as many more), capped at dim.  A
+    default of max(2 values + 1, 20) would build and re-orthogonalize 20
+    vectors for one value; _mode_ncv's rule would make check_radial_solve
+    refuse `poincare --grid 4000000` (1099 MiB)."""
     return min(2 * values + 1, dim)
 
 
@@ -424,116 +425,83 @@ def _rotate(v: np.ndarray, y: np.ndarray) -> None:
         v[:p, lo:lo + step] = y.T @ v[:, lo:lo + step]
 
 
-def _thick_restart_lanczos(apply: Callable, basis: np.ndarray, locked: int,
-                           count: int) -> np.ndarray:
-    """Eigenvectors of the top `count` eigenvalues of the symmetric operator
-    `apply` on the orthogonal complement of basis[:locked] (orthonormal
-    rows), by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
-    22 (2000) 602) on the ncv = len(basis) - locked rows past them, started
-    from basis[locked].
+def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
+                  count: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` eigenvalues of largest modulus of the operator `apply` on
+    the orthogonal complement of basis[:locked] (orthonormal rows), by
+    Krylov-Schur (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001) 601) on the
+    ncv = len(basis) - locked rows past them, started from basis[locked]:
+    (values by descending modulus, the coefficients of their Ritz vectors in
+    those ncv rows, one column each).
 
     Each new vector A v_j is orthogonalized twice against every row, the
-    locked ones included (full reorthogonalization), and H = V^T A V is
-    read off the coefficients of both passes.  A restart rotates the top
-    `keep` Ritz vectors into the first rows, in place, and appends the
-    residual, which H couples to them.  Returns once each of the top `count`
-    Ritz residuals is below LANCZOS_TOL times its Ritz value: their Ritz
-    vectors, by descending value, as rows of basis.
+    locked ones included, in the complex inner product ((prior @ w.conj())
+    .conj() copies nothing on real arrays), and H = V^* A V is read off the
+    coefficients of both passes.  A restart keeps an orthonormal basis Q of
+    the count + (ncv - count) / 2 Ritz vectors of largest modulus, which
+    spans an invariant subspace of H: the rows are rotated to V Q in place,
+    H becomes its Schur form Q^* H Q with the residual's coupling beta Q[-1]
+    below it, and the residual is appended.  The dtype of basis picks how
+    H's eigenpairs and Schur form are taken.  A real operator must be
+    symmetric positive semidefinite (this is then thick-restart Lanczos, Wu
+    & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602): eigh on H's upper
+    triangle, its values reversed, whose eigenvectors are Q and whose Schur
+    form is the diagonal of their values.  A complex one: LAPACK's zgeev,
+    its values sorted by modulus, Q the QR factor of the wanted
+    eigenvectors.  Returns once each of the top `count` Ritz residuals is at
+    most tol times the modulus of its value (RuntimeError after
+    _KRYLOV_RESTARTS restarts).
     """
     ncv = len(basis) - locked
     v = basis[locked:]
     keep = min(count + (ncv - count) // 2, ncv - 1)
-    h = np.zeros((ncv, ncv))
+    h = np.zeros((ncv, ncv), dtype=basis.dtype)
     w = v[0]
-    if locked:
-        for _ in range(2):
-            w -= (basis[:locked] @ w) @ basis[:locked]
-    w /= math.sqrt(w @ w)
+    for _ in range(2 if locked else 0):
+        w -= (basis[:locked] @ w.conj()).conj() @ basis[:locked]
+    w /= math.sqrt(np.vdot(w, w).real)
     kept = 0
-    for _ in range(_LANCZOS_RESTARTS):
+    for _ in range(_KRYLOV_RESTARTS):
         for j in range(kept, ncv):
             w = apply(v[j])
             prior = basis[:locked + j + 1]
-            c = prior @ w
-            w -= c @ prior
-            again = prior @ w
-            w -= again @ prior
-            h[:j + 1, j] = (c + again)[locked:]
-            beta = math.sqrt(w @ w)
-            if j + 1 < ncv:
-                np.divide(w, beta, out=v[j + 1])
-        theta, y = np.linalg.eigh(h, UPLO="U")
-        theta, y = theta[::-1], y[:, ::-1]
-        if np.all(beta * np.abs(y[-1, :count]) <= LANCZOS_TOL * theta[:count]):
-            _rotate(v, y[:, :count])
-            return v[:count]
-        _rotate(v, y[:, :keep])
-        np.divide(w, beta, out=v[keep])
-        h[:keep, :keep] = 0.0
-        h[range(keep), range(keep)] = theta[:keep]
-        kept = keep
-    raise RuntimeError(f"radial Lanczos solve not converged after "
-                       f"{_LANCZOS_RESTARTS} restarts")
-
-
-def _krylov_schur(apply: Callable, basis: np.ndarray,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` eigenvalues of largest modulus of the complex operator
-    `apply`, by Krylov-Schur (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001)
-    601) on the ncv = len(basis) rows of basis, started from basis[0]:
-    (values by descending modulus, the coefficients of their Ritz vectors in
-    the rows of basis, one column each).
-
-    Each new vector A v_j is orthogonalized twice against every row, in the
-    complex inner product, and H = V^* A V is read off the coefficients of
-    both passes; its eigenpairs come from LAPACK's zgeev.  A restart keeps
-    the QR factor Q of the coefficients of the count + (ncv - count) / 2
-    Ritz vectors of largest modulus, which spans an invariant subspace of
-    H: the rows are rotated to V Q in place, H becomes Q^* H Q with the
-    residual's coupling beta Q[-1] below it, and the residual is appended.
-    Returns once each of the top `count` Ritz residuals is at most eps times
-    the modulus of its value, ARPACK's default stop.
-    """
-    ncv = len(basis)
-    v = basis
-    keep = min(count + (ncv - count) // 2, ncv - 1)
-    h = np.zeros((ncv, ncv), dtype=complex)
-    v[0] /= math.sqrt(np.vdot(v[0], v[0]).real)
-    kept = 0
-    for _ in range(_LANCZOS_RESTARTS):
-        for j in range(kept, ncv):
-            w = apply(v[j])
-            prior = v[:j + 1]
             c = (prior @ w.conj()).conj()
             w -= c @ prior
             again = (prior @ w.conj()).conj()
             w -= again @ prior
-            h[:j + 1, j] = c + again
+            h[:j + 1, j] = (c + again)[locked:]
             beta = math.sqrt(np.vdot(w, w).real)
             if j + 1 < ncv:
                 h[j + 1, j] = beta
                 np.divide(w, beta, out=v[j + 1])
-        theta, _, y, info = zgeev(h, compute_vl=0)
-        if info != 0:
-            raise RuntimeError(f"Krylov-Schur: LAPACK zgeev info = {info}")
-        order = np.argsort(-np.abs(theta), kind="stable")
+        if np.iscomplexobj(h):
+            theta, _, y, info = zgeev(h, compute_vl=0)
+            if info != 0:
+                raise RuntimeError(f"Krylov-Schur: LAPACK zgeev info = {info}")
+            order = np.argsort(-np.abs(theta), kind="stable")
+        else:    # H is symmetric positive semidefinite: eigh's values ascend
+            theta, y = np.linalg.eigh(h, UPLO="U")
+            order = np.s_[::-1]
         theta = theta[order]
-        if np.all(beta * np.abs(y[-1, order[:count]])
-                  <= _EPS * np.abs(theta[:count])):
-            return theta[:count], y[:, order[:count]]
-        wanted = y[:, order[:keep]]
+        if np.all(beta * np.abs(y[-1, order][:count])
+                  <= tol * np.abs(theta[:count])):
+            return theta[:count], y[:, order][:, :count]
+        q = y[:, order][:, :keep]
         del y    # H, its eigenvectors and zgeev's copy of H are the peak
-        q = np.linalg.qr(wanted)[0]
-        coupling = beta * q[-1]
-        h[:keep, :keep] = q.conj().T @ h @ q
-        h[keep:] = 0.0
-        h[:keep, keep:] = 0.0
-        h[keep, :keep] = coupling
+        if np.iscomplexobj(q):
+            q = np.linalg.qr(q)[0]
+            h[:keep, :keep] = q.conj().T @ h @ q
+        else:    # eigh's vectors are orthonormal: Q^T H Q = diag(theta)
+            h[:keep, :keep] = np.diag(theta[:keep])
+        # H's other entries past the kept block and the coupling row below
+        # it are zero or rewritten before they are read again
+        h[keep, :keep] = beta * q[-1]
         _rotate(v, q)
+        del q    # and with it H's eigenvectors, before the next eigensolve
         np.divide(w, beta, out=v[keep])
         kept = keep
-    raise RuntimeError(f"mode Krylov-Schur solve not converged after "
-                       f"{_LANCZOS_RESTARTS} restarts")
+    raise RuntimeError(f"Krylov-Schur solve not converged after "
+                       f"{_KRYLOV_RESTARTS} restarts")
 
 
 @dataclass(frozen=True)
@@ -565,16 +533,17 @@ class SLDiscretization:
         """Lowest `count` eigenvalues, ascending; a natural pencil's
         constant mode is not one of them.
 
-        Thick-restart Lanczos (_thick_restart_lanczos on 2 count + 1
-        vectors, a start vector of ones, stopped at residuals of
-        LANCZOS_TOL) for the top of the Green's operator M^{1/2} K^{-1}
-        M^{1/2}, whose entries are all positive.  A pencil with both ends
-        natural is solved grounded at its last vertex, on the complement of
-        the constants: their vector M^{1/2} 1 is locked as the first row of
-        the basis, which removes the constant mode exactly.  The values
-        returned are the edge-form Rayleigh quotients of the Ritz vectors,
-        and each must match its Ritz value x^T A x / x^T x in the energy
-        form of _path_green (RuntimeError if one does not): both sum
+        Krylov-Schur on a real basis, that is thick-restart Lanczos
+        (_krylov_schur on _ncv(count) vectors, a start vector of ones,
+        stopped at residuals of LANCZOS_TOL), for the top of the Green's
+        operator M^{1/2} K^{-1} M^{1/2}, whose entries are all positive; the
+        Ritz vectors are formed in place in the basis by _rotate.  A pencil
+        with both ends natural is solved grounded at its last vertex, on the
+        complement of the constants: their vector M^{1/2} 1 is locked as the
+        first row of the basis, which removes the constant mode exactly.  The
+        values returned are the edge-form Rayleigh quotients of the Ritz
+        vectors, and each must match its Ritz value x^T A x / x^T x in the
+        energy form of _path_green (RuntimeError if one does not): both sum
         positive terms, so both are relatively accurate.  A Dirichlet left
         end needs a Dirichlet right end, and count must not exceed the
         pencil's dimension, less the constants (ValueError).
@@ -594,8 +563,9 @@ class SLDiscretization:
         if natural:
             basis[0] = s / np.linalg.norm(s)
         basis[natural] = 1.0
-        vecs = _thick_restart_lanczos(lambda x: s * green(s * x), basis,
-                                      natural, count)
+        _rotate(basis[natural:], _krylov_schur(
+            lambda x: s * green(s * x), basis, natural, count, LANCZOS_TOL)[1])
+        vecs = basis[natural:natural + count]
         # the Ritz values as x^T A x / x^T x: the dense eigensolve of H
         # leaves them eps theta_1 off, up to 1.1e-12 relative at count
         # 1000, grid 4000, where the energy form reads at most 3.3e-15
@@ -680,7 +650,7 @@ _ASSEMBLY_FLOATS = 8
 # at most 45,339 floats past the 7 an element (n = 1, 2, 3, 12, 40, grids
 # 50 to 1e5), under the 49,152 counted.
 _W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
-# Vectors of the grid's length that the radial Lanczos solve holds besides
+# Vectors of the grid's length that the radial solve holds besides
 # the pencil, its basis and the constants it locks: the resistances, sqrt(M),
 # the two resistance sums of a pencil with both ends Dirichlet, and the
 # operator's input, output and temporaries in one step.  tracemalloc
@@ -717,11 +687,15 @@ def _check_size(grid: int, count: int, need: int) -> None:
 def check_radial_solve(params: ProfileParams, grid: int, count: int) -> None:
     """ValueError unless discrete_radial_spectrum can solve this: the sizes
     of _check_size, with the memory of the assembly (_ASSEMBLY_FLOATS an
-    element and _W_BLOCK_FLOATS) and of the Lanczos solve (its ncv =
+    element and _W_BLOCK_FLOATS) and of the Krylov-Schur solve (its ncv =
     _ncv(count) basis vectors, the locked constants, _LANCZOS_FIXED vectors
-    and the eigenpair check's two count-wide arrays, and 5 ncv^2 entries of
-    H and its dense eigensolve), and a pole vertex mass that does not
-    underflow."""
+    and the eigenpair check's two count-wide arrays, and 5 ncv^2 entries for
+    H's dense eigensolve: H, eigh's copy of it, its workspace of about 2
+    ncv^2 and the eigenvectors), and a pole vertex mass that does not
+    underflow.  tracemalloc, which does not see LAPACK's copy and workspace,
+    measures 2.0 ncv^2 past the vectors (H and its eigenvectors), and 2.6
+    at a restart (and the diagonal Schur form), which frees the
+    eigenvectors before the next eigensolve."""
     ncv = _ncv(count, grid + 1)
     _check_size(grid, count, 8 * (
         (grid + 1) * (ncv + 1 + _LANCZOS_FIXED + 2 * count) + 5 * ncv * ncv
@@ -850,8 +824,9 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     the vectors formed in place in the solve's basis, whose memory the
     returned columns keep.
 
-    Shift-invert Krylov-Schur (_krylov_schur on _mode_ncv(nev) vectors for
-    nev Ritz values) about MODE_SHIFT from a start vector of ones, so
+    Shift-invert Krylov-Schur (_krylov_schur on _mode_ncv(nev) complex
+    vectors for nev Ritz values, stopped at residuals of eps, ARPACK's
+    default) about MODE_SHIFT from a start vector of ones, so
     repeated solves of one matrix agree bit for bit.  The shifted diagonals
     are factored once by LAPACK's zgttrf (RuntimeError if that fails); the
     solver sees the operator only through zgttrs solves.  For k = 0 the
@@ -869,7 +844,8 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     nev = count + drop + _MODE_EXTRA
     basis = np.empty((_mode_ncv(nev, m), m), dtype=complex)
     basis[0] = 1.0
-    theta, y = _krylov_schur(lambda x: zgttrs(*lu, x)[0], basis, nev)
+    theta, y = _krylov_schur(lambda x: zgttrs(*lu, x)[0], basis, 0, nev,
+                             _EPS)
     vals = MODE_SHIFT + 1.0 / theta
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from hprofile.cli import (COMMANDS, RunConfig, _build_parser, _g17_rows, main,
                           run)
 from hprofile.geometry import ProfileParams
+from hprofile.spectrum import discrete_radial_spectrum
 
 
 def _read(path):
@@ -157,6 +158,32 @@ def test_modes_k0_gate_scales_with_the_grid(tmp_path):
     gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
     assert gate["threshold"] == pytest.approx(6.4e-10, rel=1e-15)
     assert 1e-11 < gate["value"] <= gate["threshold"] / 5
+
+
+def test_modes_k0_gate_admits_the_roundoff_of_high_rows(tmp_path):
+    # the top rows (lambda up to 2499) carry about eps lambda of roundoff:
+    # 1.27e-11 against the 1e-11 that holds for the low rows alone
+    assert main(["modes", "--k", "0", "--count", "25", "--grid", "400",
+                 "--matching", "antisymmetry", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
+    assert gate["pass"] and gate["value"] <= gate["threshold"] / 3
+
+
+@pytest.mark.parametrize("row", [-1, 12])
+def test_modes_k0_gate_catches_a_high_row_off_by_1e12(monkeypatch, tmp_path,
+                                                      row):
+    def shifted(*args):
+        vals = discrete_radial_spectrum(*args)
+        vals[row] *= 1.0 + 1e-12
+        return vals
+
+    monkeypatch.setattr("hprofile.cli.discrete_radial_spectrum", shifted)
+    assert main(["modes", "--k", "0", "--count", "25", "--grid", "400",
+                 "--matching", "antisymmetry", "--format", "json",
+                 "--out", str(tmp_path)]) == 1
+    gate = json.loads(_read(tmp_path / "modes_1.json"))["gates"][0]
+    assert not gate["pass"] and gate["threshold"] > 1e-11
 
 
 def test_modes_tol_overrides_the_k0_gate(tmp_path):

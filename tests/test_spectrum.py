@@ -847,19 +847,13 @@ def test_radial_solve_against_a_30_digit_reference(n):
 def test_solves_run_on_the_basis_the_workspace_model_counts(monkeypatch,
                                                             count):
     grid, passed = 400, []
-    lanczos = spectrum._thick_restart_lanczos
     krylov_schur = spectrum._krylov_schur
 
-    def record_lanczos(apply, basis, locked, count):
+    def record_krylov_schur(apply, basis, locked, count, tol):
         # the rows past the locked ones are the Krylov basis
         passed.append(len(basis) - locked)
-        return lanczos(apply, basis, locked, count)
+        return krylov_schur(apply, basis, locked, count, tol)
 
-    def record_krylov_schur(apply, basis, count):
-        passed.append(len(basis))
-        return krylov_schur(apply, basis, count)
-
-    monkeypatch.setattr(spectrum, "_thick_restart_lanczos", record_lanczos)
     monkeypatch.setattr(spectrum, "_krylov_schur", record_krylov_schur)
     for bc in ("natural", "dirichlet"):
         discrete_radial_spectrum(ProfileParams(2), bc, grid, count)
@@ -929,7 +923,10 @@ def test_lanczos_restarts_with_a_large_kept_basis(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     basis = np.empty((120, 600))
     basis[0] = 1.0
-    v = spectrum._thick_restart_lanczos(lambda x: a @ x, basis, 0, 100)
+    _, y = spectrum._krylov_schur(lambda x: a @ x, basis, 0, 100,
+                                  spectrum.LANCZOS_TOL)
+    spectrum._rotate(basis, y)
+    v = basis[:100]
     assert len(calls) >= 5
     assert v.shape == (100, 600)
     assert np.max(np.abs(v @ v.T - np.eye(100))) <= 1e-13
@@ -960,7 +957,8 @@ def test_krylov_schur_restarts_on_a_non_normal_operator(monkeypatch):
     monkeypatch.setattr(spectrum, "zgeev", counted)
     basis = np.empty((20, n), dtype=complex)
     basis[0] = 1.0
-    theta, y = spectrum._krylov_schur(lambda x: a @ x, basis, 10)
+    theta, y = spectrum._krylov_schur(lambda x: a @ x, basis, 0, 10,
+                                      np.finfo(float).eps)
     assert len(calls) >= 10
     want = lam[np.argsort(-np.abs(lam), kind="stable")][:10]
     eps = np.finfo(float).eps
@@ -970,6 +968,53 @@ def test_krylov_schur_restarts_on_a_non_normal_operator(monkeypatch):
     assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 4 * eps
     res = np.linalg.norm(x @ a.T - theta[:, None] * x, axis=1)
     assert np.max(res / np.abs(theta)) <= 64 * eps
+
+
+def _symmetric_operator(dim: int) -> np.ndarray:
+    """A random symmetric dim x dim matrix with eigenvalues 1/sqrt(k)."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(dim, dim)))
+    a = (q / np.sqrt(np.arange(1, dim + 1))) @ q.T
+    return (a + a.T) / 2
+
+
+def test_krylov_schur_gives_one_answer_on_real_and_complex_bases():
+    # the real basis takes H's eigenpairs from eigh and restarts on them,
+    # the complex one from zgeev and the QR of the wanted vectors; both
+    # restart here (8 values on 20 rows)
+    a = _symmetric_operator(300)
+    lam = np.linalg.eigvalsh(a)[::-1][:8]
+    solved = []
+    for dtype in (float, complex):
+        basis = np.empty((20, 300), dtype=dtype)
+        basis[0] = 1.0
+        theta, y = spectrum._krylov_schur(
+            lambda x: a @ x.real + 1j * (a @ x.imag) if dtype is complex
+            else a @ x, basis, 0, 8, spectrum.LANCZOS_TOL)
+        spectrum._rotate(basis, y)
+        solved.append((theta, basis[:8].copy()))
+    (real, x), (cplx, z) = solved
+    # ||A|| = 1: the two read at most 6.3 eps and 13 eps off eigvalsh's
+    # values and 14.5 eps off each other, and the cosines of their subspaces
+    # at least 1 - 2.8e-15 (default and Prescott BLAS kernels)
+    eps = np.finfo(float).eps
+    assert real.dtype == float and cplx.dtype == complex
+    assert np.max(np.abs(real - lam)) <= 32 * eps
+    assert np.max(np.abs(cplx - lam)) <= 32 * eps
+    assert np.max(np.abs(real - cplx)) <= 32 * eps
+    # the same subspace: every singular value of X Z^* is a cosine near 1
+    cos = np.linalg.svd(x @ z.conj().T, compute_uv=False)
+    assert np.max(np.abs(1.0 - cos)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_krylov_schur_raises_at_the_restart_cap(monkeypatch, dtype):
+    a = _symmetric_operator(300)
+    monkeypatch.setattr(spectrum, "_KRYLOV_RESTARTS", 2)
+    basis = np.empty((20, 300), dtype=dtype)
+    basis[0] = 1.0
+    with pytest.raises(RuntimeError, match="not converged after 2 restarts"):
+        spectrum._krylov_schur(lambda x: a @ x, basis, 0, 8,
+                               spectrum.LANCZOS_TOL)
 
 
 @pytest.mark.parametrize("bc", ["natural", "dirichlet"])
@@ -1082,12 +1127,12 @@ def test_eigenpair_check_catches_a_dropped_projection(monkeypatch, n):
     # without the locked constants the grounded operator returns the odd
     # family, whose vectors are not M-orthogonal to the constants (at n = 3
     # and 12 they also miss the Rayleigh check, which runs after this one)
-    lanczos = spectrum._thick_restart_lanczos
+    krylov_schur = spectrum._krylov_schur
 
-    def unlocked(apply, basis, locked, count):
-        return lanczos(apply, basis[locked:], 0, count)
+    def unlocked(apply, basis, locked, count, tol):
+        return krylov_schur(apply, basis[locked:], 0, count, tol)
 
-    monkeypatch.setattr(spectrum, "_thick_restart_lanczos", unlocked)
+    monkeypatch.setattr(spectrum, "_krylov_schur", unlocked)
     with pytest.raises(RuntimeError, match="M-orthogonal to the constants"):
         discrete_radial_spectrum(ProfileParams(n), "natural", 500, 4)
 
