@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .geometry import ProfileParams
 
@@ -67,11 +66,18 @@ def _jacobi_recurrence(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return d, e, mu0
 
 
+def _tridiag_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with diagonal d and off-diagonal e,
+    dense."""
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 @functools.lru_cache(maxsize=128)
 def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
-    """N-point rule for int_0^1 (1-x)^alpha x^beta f(x) dx (Golub-Welsch),
-    built once per (N, alpha, beta); its arrays are read-only, since every
-    caller shares them."""
+    """N-point rule for int_0^1 (1-x)^alpha x^beta f(x) dx (Golub-Welsch:
+    numpy's eigh of the dense N x N Jacobi matrix), built once per (N,
+    alpha, beta); its arrays are read-only, since every caller shares
+    them."""
     if N < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0 or beta <= -1.0:
@@ -82,7 +88,7 @@ def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
         t = d
         w = np.array([mu0])
     else:
-        t, V = eigh_tridiagonal(d, e)
+        t, V = np.linalg.eigh(_tridiag_dense(d, e))
         w = mu0 * V[0, :] ** 2
     x = 0.5 * (t + 1.0)
     w01 = w * 0.5 ** (alpha + beta + 1.0)
@@ -107,15 +113,15 @@ def integrate_profile_radial(f: Callable[[np.ndarray], np.ndarray],
 
 def sym_tridiag_eigen(diagonal: Sequence[float], offdiag: Sequence[float],
                       count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of a symmetric tridiagonal matrix, ascending."""
+    """Lowest `count` eigenvalues of a symmetric tridiagonal matrix,
+    ascending (numpy's eigvalsh of the dense matrix)."""
     d = np.asarray(diagonal, dtype=float)
     e = np.asarray(offdiag, dtype=float)
     if e.shape[0] != d.shape[0] - 1:
         raise ValueError("offdiag must have length len(diagonal) - 1")
     if not 1 <= count <= d.shape[0]:
         raise ValueError("count out of range")
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                            select_range=(0, count - 1))
+    return np.linalg.eigvalsh(_tridiag_dense(d, e))[:count]
 
 
 def hessenberg_qr_eigenvalues(A: np.ndarray) -> np.ndarray:

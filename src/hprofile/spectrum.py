@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgeev, zgttrf, zgttrs
 
 from .geometry import ProfileParams
 # hessenberg_qr_eigenvalues and sym_tridiag_eigen are unused here but stay
@@ -446,11 +445,11 @@ def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
     symmetric positive semidefinite (this is then thick-restart Lanczos, Wu
     & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602): eigh on H's upper
     triangle, its values reversed, whose eigenvectors are Q and whose Schur
-    form is the diagonal of their values.  A complex one: LAPACK's zgeev,
-    its values sorted by modulus, Q the QR factor of the wanted
-    eigenvectors.  Returns once each of the top `count` Ritz residuals is at
-    most tol times the modulus of its value (RuntimeError after
-    _KRYLOV_RESTARTS restarts).
+    form is the diagonal of their values.  A complex one: np.linalg.eig
+    (LAPACK's zgeev; RuntimeError if it fails), its values sorted by
+    modulus, Q the QR factor of the wanted eigenvectors.  Returns once each
+    of the top `count` Ritz residuals is at most tol times the modulus of
+    its value (RuntimeError after _KRYLOV_RESTARTS restarts).
     """
     ncv = len(basis) - locked
     v = basis[locked:]
@@ -475,9 +474,11 @@ def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
                 h[j + 1, j] = beta
                 np.divide(w, beta, out=v[j + 1])
         if np.iscomplexobj(h):
-            theta, _, y, info = zgeev(h, compute_vl=0)
-            if info != 0:
-                raise RuntimeError(f"Krylov-Schur: LAPACK zgeev info = {info}")
+            try:
+                theta, y = np.linalg.eig(h)
+            except np.linalg.LinAlgError as err:
+                raise RuntimeError(f"Krylov-Schur: eig of H failed ({err})") \
+                    from None
             order = np.argsort(-np.abs(theta), kind="stable")
         else:    # H is symmetric positive semidefinite: eigh's values ascend
             theta, y = np.linalg.eigh(h, UPLO="U")
@@ -487,7 +488,7 @@ def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
                   <= tol * np.abs(theta[:count])):
             return theta[:count], y[:, order][:, :count]
         q = y[:, order][:, :keep]
-        del y    # H, its eigenvectors and zgeev's copy of H are the peak
+        del y    # H, its eigenvectors and eig's copies of both are the peak
         if np.iscomplexobj(q):
             q = np.linalg.qr(q)[0]
             h[:keep, :keep] = q.conj().T @ h @ q
@@ -661,10 +662,10 @@ _W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
 # grid 20000 and count 100, grid 4000), which the two counted cover.
 _LANCZOS_FIXED = 10
 # Complex vectors of the grid's length that a mode solve's Krylov-Schur
-# holds besides its basis, the operator and the factors: the zgttrs output,
-# its conjugate and the product each Gram-Schmidt pass subtracts.
-# tracemalloc measures 3.01 to 3.31 (grid 1e5, counts 1, 4, 20 and 50), set
-# with 1 to spare.
+# holds besides its basis, the operator and the factor: the output of one
+# tridiagonal solve, its conjugate and the product each Gram-Schmidt pass
+# subtracts.  tracemalloc measures 2.0 to 3.2 (grid 1e5, k = 0, 1, 4,
+# counts 1, 4, 20 and 50), set with 1 to spare.
 _KRYLOV_FIXED = 4
 # Floats an element of a mode solve's assembly and of the operator it keeps:
 # build_mode_operator peaks at 24 (its three complex diagonals and the
@@ -732,9 +733,12 @@ MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
                     # operator has its constant mode
 _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
                     # nearest to the shift need not be the lowest by real part
-_MODE_FACTOR = 6    # complex vectors of the shifted operator's zgttrf
-                    # factors (dl, d, du, du2, the pivots) and of the
-                    # shifted diagonal they are factored from
+# Complex vectors of the grid's length that the shifted operator's LU
+# takes: the pivot pass peaks at 11 (tracemalloc, grid 1e5, k = 1, 4; 8.5
+# at k = 0, whose operator is real), the shifted diagonal and the Python
+# lists of the three diagonals and the pivots, 40 bytes an entry each.  The
+# factor keeps 3 (1/P, the middle scale and Q).  Set with 1 to spare.
+_MODE_FACTOR = 12
 # The computed constant mode of the k = 0 mode operator is zero only up to
 # roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
 # (grids up to 160000).
@@ -797,17 +801,77 @@ def build_mode_operator(k: int, n_points: int,
     return ModeOperator(lower=lower, diag=diag, upper=upper, mass=mass)
 
 
+def _tridiag_solver(lower: np.ndarray, diag: np.ndarray,
+                    upper: np.ndarray) -> Callable:
+    """x -> T^{-1} x for the tridiagonal T with these diagonals, by LU
+    without pivoting: T = L U, L unit lower bidiagonal with the multipliers
+    lower / pivot, U upper bidiagonal with the pivots and `upper`.
+
+    The pivots p_i = d_i - (l_{i-1} / p_{i-1}) u_{i-1} are taken in one
+    Python pass, rounded as LAPACK's gttrf rounds them where it does not
+    pivot.  Each solve then runs both bidiagonal solves as first-order
+    recurrences by numpy scans: L z = b is z = P cumsum(b / P), with P the
+    prefix products of the negated multipliers, and U x = z is x = Q
+    reverse-cumsum(z / (p Q)), with Q those of -upper / pivot from the last
+    row back, so that a solve is x = Q revcumsum(P / (p Q) cumsum(b / P)).
+    RuntimeError, before any solve, at a zero or non-finite pivot, or where
+    1 / P, Q or the middle scale P / (p Q) leaves float range or reaches 0.
+    """
+    pivot = diag[0].item()
+    pivots = [pivot]
+    try:
+        for d, l, u in zip(diag[1:].tolist(), lower.tolist(), upper.tolist()):
+            pivot = d - l / pivot * u
+            pivots.append(pivot)
+    except ZeroDivisionError:    # the last pivot is 0; refused below
+        pass
+    pivots = np.array(pivots)
+    bad = np.flatnonzero(~np.isfinite(pivots) | (pivots == 0))
+    if bad.size:
+        raise RuntimeError("tridiagonal LU without pivoting: zero or "
+                           f"non-finite pivot {pivots[bad[0]]} at row "
+                           f"{bad[0]}")
+    m = len(diag)
+    prefix = np.ones(m, dtype=pivots.dtype)
+    back = np.ones(m, dtype=pivots.dtype)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.multiply.accumulate(-lower / pivots[:-1], out=prefix[1:])
+        np.multiply.accumulate((-upper / pivots[:-1])[::-1],
+                               out=back[-2::-1])
+        middle = prefix / (pivots * back)
+        inv_prefix = np.divide(1.0, prefix, out=prefix)
+    for scale in (inv_prefix, middle, back):
+        if not (np.isfinite(scale).all() and scale.all()):
+            raise RuntimeError("tridiagonal LU without pivoting: a prefix "
+                               "product of the multipliers leaves float "
+                               "range")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = b * inv_prefix
+        np.add.accumulate(x, out=x)
+        x *= middle
+        _suffix_sums(x)
+        x *= back
+        return x
+    return solve
+
+
 def check_mode_solve(k: int, grid: int, count: int) -> None:
     """ValueError unless mode_spectrum can solve this: the sizes of
     _check_size, with the memory of Krylov-Schur on ncv = _mode_ncv(count +
     1 + _MODE_EXTRA) complex basis vectors, _KRYLOV_FIXED and the LU's
-    _MODE_FACTOR complex vectors more and 3 ncv^2 complex entries of H,
-    zgeev's copy of it and its eigenvectors, and _MODE_BUILD_FLOATS an
-    element; k >= 0 and 3 k^2 <= grid (past it the error of a solve grows
-    from 8.2e-3 to 5.8e-2 relative, README)."""
+    _MODE_FACTOR complex vectors more and 7 ncv^2 complex entries for H's
+    dense step, and _MODE_BUILD_FLOATS an element; k >= 0 and 3 k^2 <= grid
+    (past it the error of a solve grows from 8.2e-3 to 5.8e-2 relative,
+    README).  The dense step is H, np.linalg.eig's copy of it, LAPACK's
+    eigenvector buffer, the eigenvectors returned and zgeev's workspace, and
+    at a restart the QR of the kept vectors with its copies: the peak RSS
+    of a restarting complex solve rose by up to 6.5 ncv^2 (ncv 400, four
+    restarts; 5.4 at ncv 800), of which tracemalloc, blind to eig's copy
+    and buffer, sees 4.2."""
     ncv = _mode_ncv(count + 1 + _MODE_EXTRA, grid + 1)
     _check_size(grid, count, 16 * (
-        (grid + 1) * (ncv + _KRYLOV_FIXED + _MODE_FACTOR) + 3 * ncv * ncv)
+        (grid + 1) * (ncv + _KRYLOV_FIXED + _MODE_FACTOR) + 7 * ncv * ncv)
         + 8 * _MODE_BUILD_FLOATS * grid)
     if k < 0:
         raise ValueError("need one or more Fourier indices k >= 0")
@@ -828,24 +892,25 @@ def mode_spectrum(k: int, n_points: int = 400, count: int = 6,
     vectors for nev Ritz values, stopped at residuals of eps, ARPACK's
     default) about MODE_SHIFT from a start vector of ones, so
     repeated solves of one matrix agree bit for bit.  The shifted diagonals
-    are factored once by LAPACK's zgttrf (RuntimeError if that fails); the
-    solver sees the operator only through zgttrs solves.  For k = 0 the
-    spectrum coincides with the radial pencil; the constant mode of the
-    continuity class is checked to sit at zero and dropped there.
+    are factored once by _tridiag_solver, LU without pivoting (RuntimeError
+    if a pivot or a prefix product fails), and the solver sees the operator
+    only through its solves.  No pivoting is needed: the Hermitian part of
+    A - MODE_SHIFT I is positive definite (its least eigenvalue measured 1
+    to 1.068 under continuity and 3.9986 to 4.080 under antisymmetry, grids
+    50 to 250000, 3 k^2 <= grid), so every leading block is nonsingular.
+    For k = 0 the spectrum coincides with the radial pencil; the constant
+    mode of the continuity class is checked to sit at zero and dropped
+    there.
     """
     check_mode_solve(k, n_points, count)
     op = build_mode_operator(k, n_points, matching)
     m = len(op.diag)
-    *lu, info = zgttrf(op.lower, op.diag - MODE_SHIFT, op.upper)
-    if info != 0:
-        raise RuntimeError(f"LU factorization of the shifted mode-{k} "
-                           f"operator failed (LAPACK gttrf info = {info})")
+    solve = _tridiag_solver(op.lower, op.diag - MODE_SHIFT, op.upper)
     drop = 1 if k == 0 and matching == "continuity" else 0
     nev = count + drop + _MODE_EXTRA
     basis = np.empty((_mode_ncv(nev, m), m), dtype=complex)
     basis[0] = 1.0
-    theta, y = _krylov_schur(lambda x: zgttrs(*lu, x)[0], basis, 0, nev,
-                             _EPS)
+    theta, y = _krylov_schur(solve, basis, 0, nev, _EPS)
     vals = MODE_SHIFT + 1.0 / theta
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
