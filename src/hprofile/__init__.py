@@ -12,7 +12,7 @@ from .numerics import (QuadratureRule, bisect_root, gauss_jacobi_rule,
 from .operators import (FullJet, PolarJet, RadialJet, SLCoefficients,
                         apply_full, apply_polar_h1, apply_radial,
                         sl_coefficients, verify_identities)
-from .specfun import (Hyp2F1Params, gauss_value_at_one, hyp2f1_auto, ln_gamma,
+from .specfun import (Hyp2F1Params, gauss_value_at_one, hyp2f1_auto,
                       recip_gamma)
 from .spectrum import (ModeOperator, RadialEigenmode, SLDiscretization,
                        build_mode_operator, build_radial_discretization,

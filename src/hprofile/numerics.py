@@ -38,9 +38,7 @@ class QuadratureRule:
     """Gauss-Jacobi rule for int_0^1 (1-x)^alpha x^beta f(x) dx."""
 
     nodes: np.ndarray     # strictly inside (0, 1), increasing
-    weights: np.ndarray   # strictly positive
-    alpha: float          # exponent at x = 1
-    beta: float           # exponent at x = 0
+    weights: np.ndarray   # >= 0; below eps times their sum, rounding
 
 
 def ln_beta(p: float, q: float) -> float:
@@ -75,28 +73,21 @@ def _tridiag_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def gauss_jacobi_rule(N: int, alpha: float, beta: float) -> QuadratureRule:
     """N-point rule for int_0^1 (1-x)^alpha x^beta f(x) dx (Golub-Welsch:
-    numpy's eigh of the dense N x N Jacobi matrix), built once per (N,
-    alpha, beta); its arrays are read-only, since every caller shares
-    them."""
+    numpy's eigh of the dense N x N Jacobi matrix, whose eigenvalues, and so
+    the nodes, ascend), built once per (N, alpha, beta); its arrays are
+    read-only, since every caller shares them."""
     if N < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError("Jacobi exponents must exceed -1")
     # on [-1,1] the roles swap: (1-t)^alpha at t=1 maps to x=1, (1+t)^beta to x=0
     d, e, mu0 = _jacobi_recurrence(N, alpha, beta)
-    if N == 1:
-        t = d
-        w = np.array([mu0])
-    else:
-        t, V = np.linalg.eigh(_tridiag_dense(d, e))
-        w = mu0 * V[0, :] ** 2
-    x = 0.5 * (t + 1.0)
-    w01 = w * 0.5 ** (alpha + beta + 1.0)
-    order = np.argsort(x)
-    nodes, weights = x[order], w01[order]
+    t, V = np.linalg.eigh(_tridiag_dense(d, e))
+    nodes = 0.5 * (t + 1.0)
+    weights = mu0 * V[0, :] ** 2 * 0.5 ** (alpha + beta + 1.0)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def profile_rule(params: ProfileParams, N: int = 64) -> QuadratureRule:

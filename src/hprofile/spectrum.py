@@ -447,13 +447,15 @@ def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
     triangle, its values reversed, whose eigenvectors are Q and whose Schur
     form is the diagonal of their values.  A complex one: np.linalg.eig
     (LAPACK's zgeev; RuntimeError if it fails), its values sorted by
-    modulus, Q the QR factor of the wanted eigenvectors.  Returns once each
-    of the top `count` Ritz residuals is at most tol times the modulus of
-    its value (RuntimeError after _KRYLOV_RESTARTS restarts).
+    modulus, Q the QR factor of the wanted eigenvectors; only the top
+    max(count, keep) columns, all that is read, are copied out of eig's.
+    Returns once each of the top `count` Ritz residuals is at most tol times
+    the modulus of its value (RuntimeError after _KRYLOV_RESTARTS restarts).
     """
     ncv = len(basis) - locked
     v = basis[locked:]
     keep = min(count + (ncv - count) // 2, ncv - 1)
+    top = max(keep, count)
     h = np.zeros((ncv, ncv), dtype=basis.dtype)
     w = v[0]
     for _ in range(2 if locked else 0):
@@ -479,16 +481,15 @@ def _krylov_schur(apply: Callable, basis: np.ndarray, locked: int,
             except np.linalg.LinAlgError as err:
                 raise RuntimeError(f"Krylov-Schur: eig of H failed ({err})") \
                     from None
-            order = np.argsort(-np.abs(theta), kind="stable")
+            order = np.argsort(-np.abs(theta), kind="stable")[:top]
         else:    # H is symmetric positive semidefinite: eigh's values ascend
             theta, y = np.linalg.eigh(h, UPLO="U")
-            order = np.s_[::-1]
-        theta = theta[order]
-        if np.all(beta * np.abs(y[-1, order][:count])
-                  <= tol * np.abs(theta[:count])):
-            return theta[:count], y[:, order][:, :count]
-        q = y[:, order][:, :keep]
-        del y    # H, its eigenvectors and eig's copies of both are the peak
+            order = np.s_[:-top - 1:-1]
+        theta, y = theta[order], y[:, order]
+        if np.all(beta * np.abs(y[-1, :count]) <= tol * np.abs(theta[:count])):
+            return theta[:count], y[:, :count]
+        q = y[:, :keep]
+        del y    # so that eig's kept columns go once their QR is taken
         if np.iscomplexobj(q):
             q = np.linalg.qr(q)[0]
             h[:keep, :keep] = q.conj().T @ h @ q
@@ -865,10 +866,12 @@ def check_mode_solve(k: int, grid: int, count: int) -> None:
     (past it the error of a solve grows from 8.2e-3 to 5.8e-2 relative,
     README).  The dense step is H, np.linalg.eig's copy of it, LAPACK's
     eigenvector buffer, the eigenvectors returned and zgeev's workspace, and
-    at a restart the QR of the kept vectors with its copies: the peak RSS
-    of a restarting complex solve rose by up to 6.5 ncv^2 (ncv 400, four
-    restarts; 5.4 at ncv 800), of which tracemalloc, blind to eig's copy
-    and buffer, sees 4.2."""
+    at a restart the kept columns of those and their QR with its copies:
+    the peak RSS of a restarting complex solve, above its basis in a fresh
+    process, rose by up to 6.2 ncv^2 (ncv 400, four restarts; 5.3 at ncv
+    800), of which tracemalloc, blind to eig's copy and buffer, sees 3.9.
+    The term keeps 7, the smallest whole count with the 0.5 ncv^2 margin
+    it had over 6.5 when restarts copied all of H's eigenvectors."""
     ncv = _mode_ncv(count + 1 + _MODE_EXTRA, grid + 1)
     _check_size(grid, count, 16 * (
         (grid + 1) * (ncv + _KRYLOV_FIXED + _MODE_FACTOR) + 7 * ncv * ncv)

@@ -18,45 +18,46 @@ from hprofile import specfun
 from hprofile.geometry import ProfileParams
 from hprofile.specfun import (_LANCZOS, _LANCZOS_G, _LN_SQRT_2PI,
                               Hyp2F1Params, gamma_fn, gauss_value_at_one,
-                              hyp2f1_auto, ln_gamma, recip_gamma)
+                              hyp2f1_auto, recip_gamma)
 from hprofile.spectrum import radial_eigenfunction
 
 mpmath.mp.dps = 50
 
 
-# --- ln_gamma ---------------------------------------------------------------
+# --- gamma_fn ---------------------------------------------------------------
 
-def test_ln_gamma_at_one_is_zero():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_ln_gamma_half_is_log_sqrt_pi():
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+def test_gamma_fn_at_one_and_two_is_one():
+    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert gamma_fn(2.0) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_ln_gamma_six_is_log_120():
-    assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
+def test_gamma_fn_half_is_sqrt_pi():
+    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
-def test_ln_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ln_gamma(0.0)
-    with pytest.raises(ValueError):
-        ln_gamma(-2.5)
+def test_gamma_fn_six_is_120():
+    assert gamma_fn(6.0) == pytest.approx(120.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("x", [0.5, 0.73, 1.0, 2.31, 5.5, 10.0, 41.7, 100.0])
-def test_ln_gamma_against_extended_precision(x):
-    exact = float(mpmath.loggamma(x))
-    assert ln_gamma(x) == pytest.approx(exact, rel=1e-13, abs=1e-14)
+@pytest.mark.parametrize("x", [0, -1, -3, -50])
+def test_gamma_fn_refuses_a_pole(x):
+    with pytest.raises(ValueError, match="pole"):
+        gamma_fn(float(x))
 
 
-@given(st.floats(min_value=0.5, max_value=20.0))
+@pytest.mark.parametrize("x", [-49.5, -20.25, -7.9, -0.5, 0.25, 0.5, 0.73, 1.0,
+                               2.31, 5.5, 10.0, 41.7, 100.0])
+def test_gamma_fn_against_extended_precision(x):
+    exact = float(mpmath.gamma(x))
+    assert gamma_fn(x) == pytest.approx(exact, rel=1e-12)
+
+
+@given(st.floats(min_value=-20.0, max_value=20.0)
+       .filter(lambda x: abs(x - round(x)) > 1e-3))
 @settings(max_examples=60, deadline=None)
-def test_ln_gamma_recurrence(x):
-    lhs = math.exp(ln_gamma(x + 1.0))
-    rhs = x * math.exp(ln_gamma(x))
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+def test_gamma_fn_recurrence(x):
+    # Gamma(x + 1) = x Gamma(x) on both sides of the reflection at 1/2
+    assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
 
 # --- recip_gamma ------------------------------------------------------------
@@ -183,6 +184,26 @@ def test_singular_degree_recurrence_is_refused():
     # F(-3, 1; 3/2; x): m + kappa = 1 makes a leading coefficient vanish
     with pytest.raises(ValueError, match="singular"):
         hyp2f1_auto(Hyp2F1Params(-3.0, 1.0, 1.5), 0.3)
+
+
+def test_near_singular_degree_recurrence_is_refused():
+    # F(-3, 1e-8; 3/2; x): 2j + kappa - 1 = 1e-8 at degree 2, where the
+    # recurrence read 2.3e-7 of max|F| off
+    with pytest.raises(ValueError, match="near-singular at degree 2"):
+        hyp2f1_auto(Hyp2F1Params(-3.0, 1e-8, 1.5), 0.3)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.5, 5.5])
+def test_accepted_near_singular_triples_within_1e_12_of_max_f(c):
+    # F(-3, delta; c; x) for |delta| from the refusal threshold to 1/2: the
+    # error grows like 1 / |delta|, to 6.3e-13 of max|F| at delta = 0.0101
+    x = np.linspace(0.0, 1.0, 101)
+    deltas = np.logspace(np.log10(1.01 * specfun._NEAR_SINGULAR), -0.3, 25)
+    for delta in np.r_[deltas, -deltas]:
+        p = Hyp2F1Params(-3.0, float(delta), c)
+        exact = _exact(p, x)
+        err = np.max(np.abs(hyp2f1_auto(p, x) - exact))
+        assert err <= 1e-12 * np.max(np.abs(exact)), delta
 
 
 # --- Euler's transformation -------------------------------------------------
@@ -505,10 +526,9 @@ def _ref_recip_gamma(x):
 _GAMMA_X = np.concatenate([
     np.random.default_rng(2011).uniform(-50.0, 60.0, 4000),
     [0.5, 0.5 + 1e-16, 0.5 - 1e-16, 1.0, 2.0, -3.0 + 1e-7, -3.0 - 1e-7, 1e-300]])
-_GAMMA_FAMILY = [(ln_gamma, _ref_ln_gamma, _GAMMA_X[_GAMMA_X > 0.0]),
-                 (gamma_fn, _ref_gamma_fn, _GAMMA_X),
+_GAMMA_FAMILY = [(gamma_fn, _ref_gamma_fn, _GAMMA_X),
                  (recip_gamma, _ref_recip_gamma, _GAMMA_X)]
-_GAMMA_IDS = ["ln_gamma", "gamma_fn", "recip_gamma"]
+_GAMMA_IDS = ["gamma_fn", "recip_gamma"]
 
 
 @pytest.mark.parametrize("f,ref,xs", _GAMMA_FAMILY, ids=_GAMMA_IDS)
@@ -525,15 +545,11 @@ def test_gamma_family_array_matches_the_float_path(f, ref, xs):
     want = np.array([f(float(x)) for x in xs])
     # numpy's exp and log differ from math's by an ulp on some inputs, which
     # exp turns into an ulp of ln|Gamma| (up to 2.8e-14 relative measured
-    # over x in [-50, 60]); log Gamma itself differs by an ulp of its size.
-    if f is ln_gamma:
-        bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
-    else:
-        bound = 1e-13 * np.abs(want)
-    assert np.all(np.abs(got - want) <= bound)
+    # over x in [-50, 60])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-@pytest.mark.parametrize("f", [ln_gamma, gamma_fn, recip_gamma], ids=_GAMMA_IDS)
+@pytest.mark.parametrize("f", [gamma_fn, recip_gamma], ids=_GAMMA_IDS)
 @pytest.mark.parametrize("x", [0.3, 0.5, 2.5, 41.7])
 def test_gamma_family_shape_contract(f, x):
     scalar = f(x)
@@ -554,8 +570,7 @@ def test_recip_gamma_array_is_exactly_zero_at_the_poles():
     assert np.all(got[51:] != 0.0)
 
 
-@pytest.mark.parametrize("f,bad", [(ln_gamma, 0.0), (ln_gamma, -2.5),
-                                   (gamma_fn, 0.0), (gamma_fn, -7.0)])
+@pytest.mark.parametrize("f,bad", [(gamma_fn, 0.0), (gamma_fn, -7.0)])
 def test_gamma_family_array_with_one_bad_point_is_refused(f, bad):
     with pytest.raises(ValueError, match=str(bad)):
         f(np.array([1.5, 0.25, bad, 3.0]))

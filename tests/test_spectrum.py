@@ -971,6 +971,33 @@ def test_krylov_schur_restarts_on_a_non_normal_operator(monkeypatch):
     assert np.max(res / np.abs(theta)) <= 64 * eps
 
 
+def test_complex_restart_keeps_only_the_wanted_ritz_columns(monkeypatch):
+    # 200 values of a 2000 x 2000 non-normal operator on 400 complex basis
+    # rows, capped at three eigensolves: past the basis the solve peaks at
+    # 3.92 ncv^2 complex entries (tracemalloc), at the QR of the 300 kept
+    # columns beside H and their copy; when a restart first copied all of
+    # H's sorted eigenvectors it peaked at 4.17
+    n, ncv = 2000, 400
+    lam = (1.0 + 0.5j * np.cos(np.arange(n))) / np.arange(1, n + 1)
+
+    def apply(x):
+        y = lam * x
+        y[:-1] += 0.01 * x[1:]
+        return y
+
+    monkeypatch.setattr(spectrum, "_KRYLOV_RESTARTS", 3)
+    basis = np.empty((ncv, n), dtype=complex)
+    basis[0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="not converged"):
+            spectrum._krylov_schur(apply, basis, 0, 200, np.finfo(float).eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 16 * ncv * ncv
+
+
 def _symmetric_operator(dim: int) -> np.ndarray:
     """A random symmetric dim x dim matrix with eigenvalues 1/sqrt(k)."""
     q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(dim, dim)))
