@@ -34,7 +34,7 @@ from .spectrum import (check_mode_solve, check_radial_solve,
                        default_green_polar_trials,
                        default_green_radial_trials, discrete_radial_spectrum,
                        gram_matrix, green_check, green_symmetry_residual,
-                       mode_spectrum, poincare_constant_estimate,
+                       matching_bc, mode_spectrum, poincare_constant_estimate,
                        radial_eigenfunction, radial_eigenvalue, richardson)
 
 __all__ = ["RunConfig", "run", "main"]
@@ -485,8 +485,8 @@ def _run_modes(cfg: RunConfig):
     for k in cfg.k_range:
         vals = mode_spectrum(k, cfg.grid, cfg.count, cfg.matching)
         if k == 0:
-            bc = "natural" if cfg.matching == "continuity" else "dirichlet"
-            radial = discrete_radial_spectrum(params, bc, cfg.grid, cfg.count)
+            radial = discrete_radial_spectrum(params, matching_bc(cfg.matching),
+                                              cfg.grid, cfg.count)
             dev = np.abs(vals.real - radial)
             tol = (np.full(len(dev), cfg.tol) if cfg.tol is not None else
                    np.maximum(base, _MODE0_EPS * np.finfo(float).eps * radial))
@@ -555,9 +555,9 @@ def _run_poincare(cfg: RunConfig):
                          [PoincareEntry(cfg.n, mu, cp, not cfg.full)])
     if cfg.full:
         return table, []    # exploratory: no closed form to gate against
-    # the radial mu is the first odd eigenvalue, Q - 1 = 2n + 1
+    # the radial mu is lambda_1 = 2n + 1, of the first (odd) mode
     tol = cfg.tol if cfg.tol is not None else 0.01
-    first = params.Q - 1.0
+    first = radial_eigenvalue(1, params)
     return table, [_gate("poincare_radial", abs(mu - first) / first, tol)]
 
 

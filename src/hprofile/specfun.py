@@ -131,15 +131,6 @@ class Hyp2F1Params:
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        if _is_nonpositive_integer(self.c):
-            m = self.terminating_index()
-            if m is None or m > -self.c:
-                raise ValueError(
-                    f"c={self.c} is a non-positive integer and the series does "
-                    f"not terminate before the pole"
-                )
-
     def terminating_index(self) -> int | None:
         """Degree of the terminating polynomial, or None if infinite."""
         cands = [int(-v) for v in (self.a, self.b) if _is_nonpositive_integer(v)]
@@ -202,13 +193,6 @@ def gauss_value_at_one(p: Hyp2F1Params):
     return _gamma_ratio(p.c, s, p.c - p.a, p.c - p.b)
 
 
-# A step whose j + kappa or 2j + kappa - 1 lies within this of zero divides
-# by it and loses digits: F(-3, delta; 3/2; x) reads about 2e-15 / delta of
-# max|F| off (1.75e-13 at delta = 1e-2, 2.3e-7 at 1e-8).  j + c near zero
-# loses none (within 1.3e-14 of max|F| down to 1e-4): F carries 1 / (c)_j.
-_NEAR_SINGULAR = 1e-2
-
-
 def _jacobi(m: int, kappa: float, c: float, x: np.ndarray) -> np.ndarray:
     """F(-m, m + kappa; c; x) on a 1-D array by the recurrence in the degree.
 
@@ -217,9 +201,8 @@ def _jacobi(m: int, kappa: float, c: float, x: np.ndarray) -> np.ndarray:
       2 (j + kappa)(j + c)(g - 1) F_{j+1}
         = g [(g + 1)(g - 1)(1 - 2x) + (2c - 1 - kappa)(kappa - 1)] F_j
           - 2j (j + kappa - c)(g + 1) F_{j-1},
-    from F_0 = 1 and F_1 = 1 - (kappa + 1) x / c.  ValueError at a step
-    whose leading coefficient is 0, or has a factor j + kappa or g - 1
-    within _NEAR_SINGULAR of 0.
+    from F_0 = 1 and F_1 = 1 - (kappa + 1) x / c.  The caller ensures
+    kappa > 0 and c > 0, so every leading coefficient is positive.
     """
     if m == 0:
         return np.ones_like(x)
@@ -227,10 +210,6 @@ def _jacobi(m: int, kappa: float, c: float, x: np.ndarray) -> np.ndarray:
     for j in range(1, m):
         g = 2.0 * j + kappa
         lead = 2.0 * (j + kappa) * (j + c) * (g - 1.0)
-        if (lead == 0.0 or abs(j + kappa) < _NEAR_SINGULAR
-                or abs(g - 1.0) < _NEAR_SINGULAR):
-            raise ValueError(f"the degree recurrence of F(-{m}, {m + kappa}; {c}; x) "
-                             f"is singular or near-singular at degree {j}")
         slope = -2.0 * g * (g + 1.0) * (g - 1.0) / lead
         const = g * ((g + 1.0) * (g - 1.0)
                      + (2.0 * c - 1.0 - kappa) * (kappa - 1.0)) / lead
@@ -246,17 +225,12 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     (1 - x)^(c-a-b) F(c - a, c - b; c; x), where c - a or c - b is.
 
     Either way F = (1 - x)^s F(-m, m + kappa; c; x), with s = 0 or c - a - b,
-    and the polynomial is summed by _jacobi on the whole array at once.
-    Any other triple, NaN, x outside [0, 1] and x = 1 with s < 0 (where F
-    is unbounded) raise ValueError.
+    and the polynomial is summed by _jacobi on the whole array at once.  For
+    m >= 1 that needs kappa > 0 and c > 0, where every leading coefficient
+    of the recurrence is positive; every radial triple has kappa >= 1 and
+    c > 1.  Any other triple, NaN, x outside [0, 1] and x = 1 with s < 0
+    (where F is unbounded) raise ValueError.
     """
-    flat = np.asarray(x, dtype=float).ravel()
-    # min and max carry a NaN, so these two comparisons refuse it too; an
-    # empty array passes with the initial 0
-    top = flat.max(initial=0.0)
-    if not (flat.min(initial=0.0) >= 0.0 and top <= 1.0):
-        outside = ~((0.0 <= flat) & (flat <= 1.0))
-        raise ValueError(f"need 0 <= x <= 1, got {flat[outside][0]}")
     s = 0.0
     q = p
     m = p.terminating_index()
@@ -267,9 +241,21 @@ def hyp2f1_auto(p: Hyp2F1Params, x):
     if m is None:
         raise ValueError(f"F{p} terminates neither directly nor after "
                          "Euler's transformation")
+    kappa = q.a + q.b
+    if m > 0 and not (kappa > 0.0 and q.c > 0.0):
+        raise ValueError(f"F{p} is F(-{m}, {m} + kappa; c; x) with kappa = "
+                         f"{kappa}, c = {q.c}: the degree recurrence needs "
+                         "kappa > 0 and c > 0")
+    flat = np.asarray(x, dtype=float).ravel()
+    # min and max carry a NaN, so these two comparisons refuse it too; an
+    # empty array passes with the initial 0
+    top = flat.max(initial=0.0)
+    if not (flat.min(initial=0.0) >= 0.0 and top <= 1.0):
+        outside = ~((0.0 <= flat) & (flat <= 1.0))
+        raise ValueError(f"need 0 <= x <= 1, got {flat[outside][0]}")
     if s < 0.0 and top == 1.0:
         raise ValueError(f"F{p} is unbounded at x = 1 (c-a-b = {s} < 0)")
-    out = _jacobi(m, q.a + q.b, q.c, flat)
+    out = _jacobi(m, kappa, q.c, flat)
     if s != 0.0:
         out *= (1.0 - flat) ** s
     return _like(x, out)

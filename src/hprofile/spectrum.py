@@ -44,6 +44,7 @@ __all__ = [
     "check_radial_solve",
     "discrete_radial_spectrum",
     "richardson",
+    "matching_bc",
     "build_mode_operator",
     "check_mode_solve",
     "mode_spectrum",
@@ -773,12 +774,17 @@ def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return np.column_stack((real, imag)).view(complex)[:, 0]
 
 
+def matching_bc(matching: str) -> str:
+    """The radial pencil's equator condition for a mode matching class."""
+    if matching not in ("continuity", "antisymmetry"):
+        raise ValueError("matching must be 'continuity' or 'antisymmetry'")
+    return "natural" if matching == "continuity" else "dirichlet"
+
+
 def build_mode_operator(k: int, n_points: int,
                         matching: str = "continuity") -> ModeOperator:
     """Assemble the H^1 mode-k operator for -L_k f = lambda f."""
-    if matching not in ("continuity", "antisymmetry"):
-        raise ValueError("matching must be 'continuity' or 'antisymmetry'")
-    bc = "natural" if matching == "continuity" else "dirichlet"
+    bc = matching_bc(matching)
     disc = build_radial_discretization(ProfileParams(1), n_points, bc_right=bc)
     d, e = disc.symmetrized()
     if k == 0:

@@ -260,6 +260,21 @@ def test_poincare_radial_csv(tmp_path):
     assert flag == "true"
 
 
+def test_poincare_full_is_ungated_and_below_the_radial_mu(tmp_path):
+    # the Fourier minima join the candidates; with no closed form to gate
+    # against, the run has no gates and exits 0
+    argv = ["poincare", "--format", "json", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    radial = json.loads(_read(tmp_path / "poincare_1.json"))
+    assert main(argv + ["--full"]) == 0
+    doc = json.loads(_read(tmp_path / "poincare_1.json"))
+    assert doc["gates"] == []
+    (result,) = doc["results"]
+    assert result["radial_only"] is False
+    assert 0.0 < result["mu"] < radial["results"][0]["mu"]
+    assert result["poincare_constant"] == 1.0 / result["mu"]
+
+
 # Every table command writes the same rows as CSV and as JSON results: the
 # CSV header is the JSON keys in order, and each cell is its JSON value.
 @pytest.mark.parametrize("argv", [
@@ -541,6 +556,8 @@ _REFUSED = [
      "needs n <= 171, got n = 172"),
     (["verify", "--suite", "green", "--n", "172"],
      "needs n <= 171, got n = 172"),
+    # an empty range of Fourier indices
+    (["modes", "--k", "3..1"], "need one or more Fourier indices"),
 ]
 
 

@@ -124,6 +124,14 @@ def test_normal_rejects_pole_and_outside():
         horizontal_normal(np.array([1.0, 0.5]), +1)
 
 
+@pytest.mark.parametrize("hemisphere", [0, 2, -2, 0.5])
+def test_hemisphere_is_plus_or_minus_one(hemisphere):
+    with pytest.raises(ValueError, match="hemisphere must be"):
+        horizontal_normal(np.array([0.3, 0.4]), hemisphere)
+    with pytest.raises(ValueError, match="hemisphere must be"):
+        omega_bar(0.5, hemisphere)
+
+
 def test_perp_is_rotation():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(perp(v), np.array([-2.0, 1.0, -4.0, 3.0]))
@@ -159,6 +167,13 @@ def test_omega_bar_values():
 def test_omega_bar_rejects_pole():
     with pytest.raises(ValueError):
         omega_bar(0.0, +1)
+
+
+@pytest.mark.parametrize("check", [mean_curvature_check,
+                                   omega_bar_normal_deriv_check])
+def test_fd_checks_need_a_sample(check):
+    with pytest.raises(ValueError, match="sample_count must be >= 1"):
+        check(ProfileParams(1), 0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -607,6 +622,19 @@ def test_meridian_residual_matches_per_state_loop():
 def test_meridian_oracle_requires_h1():
     with pytest.raises(ValueError):
         profile_geodesic_residual(ProfileParams(2), 100)
+
+
+@pytest.mark.parametrize("z, p_h", [(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+                                    (np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0])),
+                                    (np.zeros((1, 2)), np.array([[1.0, 0.0]]))])
+def test_state_needs_flat_even_equal_arrays(z, p_h):
+    with pytest.raises(ValueError, match="even equal length"):
+        GeodesicState(z=z, t=0.0, p_h=p_h, p_last=1.0)
+
+
+def test_trace_needs_a_step():
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        geodesic_trace(1.0, 1.0, 0, _south_start())
 
 
 def test_trace_rejects_non_unit_momentum():

@@ -244,6 +244,18 @@ def test_bisect_even_condition_bracket():
     assert root == pytest.approx(8.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (0.0, 2.0)])
+def test_bisect_returns_an_exact_zero_at_an_end(lo, hi):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 2.0
+
+    assert bisect_root(f, lo, hi, 1e-12) == 2.0
+    assert calls == [lo, hi]
+
+
 def test_bisect_requires_sign_change():
     with pytest.raises(ValueError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)

@@ -155,6 +155,14 @@ def test_lower_hemisphere_flips_odd_terms():
     assert north + south == pytest.approx(2.0 * even_part, rel=1e-13)
 
 
+@pytest.mark.parametrize("hemisphere", [0, 2, -2])
+def test_polar_form_needs_a_hemisphere(hemisphere):
+    pj = PolarJet(rho=0.6, f_rho=0.3, f_theta=0.7, f_rhorho=-0.2,
+                  f_thetarho=0.9, f_thetatheta=0.1)
+    with pytest.raises(ValueError, match="hemisphere must be"):
+        apply_polar_h1(pj, hemisphere)
+
+
 def test_second_order_symbol_is_degenerate():
     # determinant of the 2nd-order coefficient matrix vanishes identically
     for rho in np.linspace(0.05, 0.95, 50):

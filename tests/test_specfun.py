@@ -91,8 +91,14 @@ def test_recip_gamma_smooth_through_zeros():
 # --- parameter validation ---------------------------------------------------
 
 def test_params_reject_pole_before_termination():
-    with pytest.raises(ValueError):
-        Hyp2F1Params(0.5, 1.5, -2.0)
+    # c = -2 is a pole of the series, which terminates neither directly
+    # nor after Euler's transformation; c - a - b = -4 leaves no F(1).
+    # The triple itself is built: each evaluator refuses it.
+    p = Hyp2F1Params(0.5, 1.5, -2.0)
+    with pytest.raises(ValueError, match="terminates neither"):
+        hyp2f1_auto(p, 0.3)
+    with pytest.raises(ValueError, match="c-a-b > 0"):
+        gauss_value_at_one(p)
 
 
 def test_params_allow_terminating_before_pole():
@@ -149,12 +155,12 @@ def test_terminating_sum_matches_extended_precision_brute_force():
        st.sampled_from([0.1, 0.3, 0.45, 0.8, 1.0]))
 @settings(max_examples=50, deadline=None)
 def test_series_symmetric_in_a_b(m, b, c, x):
-    # both orders are summed alike, or both refused where the degree
-    # recurrence is singular (m + kappa = b - m rounds to such a value)
+    # both orders are summed alike, or both refused where kappa = b - m
+    # is not positive
     try:
         lhs = hyp2f1_auto(Hyp2F1Params(-m, b, c), x)
     except ValueError:
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="kappa > 0 and c > 0"):
             hyp2f1_auto(Hyp2F1Params(b, -m, c), x)
         return
     rhs = hyp2f1_auto(Hyp2F1Params(b, -m, c), x)
@@ -182,28 +188,37 @@ def test_non_terminating_triples_are_refused(p):
 
 def test_singular_degree_recurrence_is_refused():
     # F(-3, 1; 3/2; x): m + kappa = 1 makes a leading coefficient vanish
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="kappa > 0 and c > 0"):
         hyp2f1_auto(Hyp2F1Params(-3.0, 1.0, 1.5), 0.3)
 
 
 def test_near_singular_degree_recurrence_is_refused():
     # F(-3, 1e-8; 3/2; x): 2j + kappa - 1 = 1e-8 at degree 2, where the
-    # recurrence read 2.3e-7 of max|F| off
-    with pytest.raises(ValueError, match="near-singular at degree 2"):
+    # recurrence read 2.3e-7 of max|F| off; kappa < 0 refuses it first
+    with pytest.raises(ValueError, match="kappa = -2.99999999"):
         hyp2f1_auto(Hyp2F1Params(-3.0, 1e-8, 1.5), 0.3)
 
 
-@pytest.mark.parametrize("c", [0.5, 1.5, 5.5])
-def test_accepted_near_singular_triples_within_1e_12_of_max_f(c):
-    # F(-3, delta; c; x) for |delta| from the refusal threshold to 1/2: the
-    # error grows like 1 / |delta|, to 6.3e-13 of max|F| at delta = 0.0101
+@pytest.mark.parametrize("m, b", [(10, 4.5), (20, 9.5), (40, 19.5)])
+def test_negative_kappa_is_refused(m, b):
+    # kappa = b - m < 0 with every leading coefficient at least 1/2 from 0:
+    # the recurrence read 3.4e-10, 2.7e-4 and 2.7e8 of max|F| off here
+    with pytest.raises(ValueError, match="kappa > 0 and c > 0"):
+        hyp2f1_auto(Hyp2F1Params(-float(m), b, 1.5), np.linspace(0.0, 1.0, 41))
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 1.0, 5.5, 41.0])
+def test_accepted_domain_within_1e_12_of_max_f(kappa):
+    # F(-m, m + kappa; c; x) over the corners of kappa > 0, c > 0, against
+    # a sum at 80 digits (at 40 the sum itself is 5.9e-12 off at m = 40);
+    # the worst case read 3.4e-14
     x = np.linspace(0.0, 1.0, 101)
-    deltas = np.logspace(np.log10(1.01 * specfun._NEAR_SINGULAR), -0.3, 25)
-    for delta in np.r_[deltas, -deltas]:
-        p = Hyp2F1Params(-3.0, float(delta), c)
-        exact = _exact(p, x)
-        err = np.max(np.abs(hyp2f1_auto(p, x) - exact))
-        assert err <= 1e-12 * np.max(np.abs(exact)), delta
+    for c in (0.05, 0.5, 7.5, 60.5):
+        for m in (1, 10, 40):
+            p = Hyp2F1Params(-float(m), m + kappa, c)
+            exact = _exact(p, x, dps=80)
+            err = np.max(np.abs(hyp2f1_auto(p, x) - exact))
+            assert err <= 1e-12 * np.max(np.abs(exact)), (c, m)
 
 
 # --- Euler's transformation -------------------------------------------------
@@ -406,19 +421,19 @@ def test_gauss_value_domain_error():
 
 # --- every radial triple on [0, 1] -------------------------------------------
 
-def _exact(p, x):
-    """F(a, b; c; x) at 40 digits: the terminating sum by Horner, times
+def _exact(p, x, dps=40):
+    """F(a, b; c; x) at dps digits: the terminating sum by Horner, times
     Euler's prefactor where c - a or c - b makes it terminate."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         s = mpmath.mpf(0)
         q = p
         if p.terminating_index() is None:
             s = mpmath.mpf(p.c) - p.a - p.b
             q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
+        a, b, c = map(mpmath.mpf, (q.a, q.b, q.c))
         coef = [mpmath.mpf(1)]
         for j in range(q.terminating_index()):
-            coef.append(coef[-1] * (q.a + j) * (q.b + j)
-                        / ((j + 1) * (mpmath.mpf(q.c) + j)))
+            coef.append(coef[-1] * (a + j) * (b + j) / ((j + 1) * (c + j)))
         out = []
         for v in map(mpmath.mpf, x):
             acc = mpmath.mpf(0)

@@ -365,6 +365,19 @@ def test_array_scan_matches_the_per_point_scan(family, n, lmax):
 
 # --- discrete pencil ----------------------------------------------------------
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(interval=(0.9, 0.2)), "0 <= a < b <= 1"),
+    (dict(interval=(0.3, 0.3)), "0 <= a < b <= 1"),
+    (dict(interval=(0.0, 1.2)), "0 <= a < b <= 1"),
+    (dict(bc_left="dirichlet"), "pole end"),
+    (dict(n_points=1), "n_points must be >= 2"),
+])
+def test_pencil_assembly_validation(kwargs, message):
+    args = dict(params=ProfileParams(1), n_points=40) | kwargs
+    with pytest.raises(ValueError, match=message):
+        build_radial_discretization(**args)
+
+
 def test_pencil_validation():
     params = ProfileParams(1)
     with pytest.raises(ValueError):
@@ -1623,3 +1636,8 @@ def test_green_symmetry_radial_pair():
 def test_green_rejects_polar_for_higher_n():
     with pytest.raises(ValueError):
         green_check(default_green_polar_trials()[0], ProfileParams(2))
+
+
+def test_green_rejects_an_unknown_trial():
+    with pytest.raises(TypeError, match="RadialTrial or PolarTrial"):
+        green_check(lambda r: r, ProfileParams(1))
