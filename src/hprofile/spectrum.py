@@ -308,38 +308,64 @@ _MASS_SCALE = 1.0 / math.sqrt(_RESIST_SCALE)
 # Largest relative deviation of a Ritz value from the edge-form Rayleigh
 # quotient of its own vector, and largest cosine, in the mass inner product,
 # between a natural-family vector and the constants.  Measured at most
-# 4.3e-14 and 5.7e-16 under the LANCZOS_TOL stop (n <= 50, grids up to
-# 320000, counts 1, 4, 10 and grid / 4 up to grid 2000, subintervals
-# included); one resistance 1% off in mid-mesh reads 1e-5 at grid 2000 and
-# 2.5e-7 at grid 80000.
+# 4.3e-14 and 5.7e-16 under the LANCZOS_TOL stop, on _ncv's basis with and
+# without its spare rows (n <= 50, grids up to 320000, counts 1, 4, 10 and
+# grid / 4 up to grid 2000, subintervals included); one resistance 1% off
+# in mid-mesh reads 1e-5 at grid 2000 and 2.5e-7 at grid 80000.
 EIGENPAIR_TOL = 1e-12
 # The radial solve stops once each wanted Ritz residual is below this
 # times its Ritz value theta.  The Green's operator is symmetric, so
 # theta is then off by about LANCZOS_TOL^2 theta^2 / gap, but the Ritz
 # vector by about LANCZOS_TOL theta / gap, which its edge-form quotient
-# weighs by the pencil's top eigenvalues.  Of 16 solves at grids 2000 to
-# 320000 (count 1 or 4, n = 1, 3, 12, 50), 10 missed EIGENPAIR_TOL at a
-# stop of 1e-8 (by up to 8e-11) and 3 at 1e-9; none at 1e-10, which costs
-# 19.0 operator applications a count-4 solve against 17.6.
+# weighs by the pencil's top eigenvalues.  Of 16 solves (counts 1 and 4,
+# both families; n = 1, 3, 12, 50 at grids 320000, 80000, 20000, 2000), 5
+# missed EIGENPAIR_TOL at a stop of 1e-8 (by up to 8.0e-11) and 2 at 1e-9;
+# none at 1e-10, where a count-4 solve took 21.6 operator applications
+# against 19.6 at 1e-8.  At grid 4000 (n = 1, 3, 12; n = 50 at 2000), on
+# _ncv's spare rows, none of the 16 missed at any of the three stops (2 at
+# 1e-8 without the spare rows).
 LANCZOS_TOL = 1e-10
 # Floats a block of _rotate, or of _map_rows, may hold whatever the grid,
 # so that the few Ritz vectors of a small solve rotate in one product rather
 # than several, and are checked in one block.
 _BLOCK_FLOATS = 2 ** 16
-# Restarts after which _krylov_schur gives up (RuntimeError); the radial
-# sweep above restarted at most 20 times.
+# Restarts after which _krylov_schur gives up (RuntimeError); radial solves
+# restarted at most 12 times (n = 1, 2, 3, 12, 50, grids 500 to 320000,
+# counts 1, 4 and 10).
 _KRYLOV_RESTARTS = 1000
 _EPS = np.finfo(float).eps
+
+
+# Rows a radial solve's Krylov basis holds past 2 values + 1 on an
+# operator of at most _SPARE_DIM rows, so that the solve converges in its
+# first sweep.  Unrestarted, a sweep converges (n = 1, 2, 3, 12, grids 400
+# to 16000) on 6 to 11 rows for one value and 2 values + 7 to 2 values + 12
+# for 2 to 12; restarted on 2 values + 1 rows it needs about as many
+# operator applications, and one dense eigensolve of H and one rotation of
+# the basis for every 1 to 3 of them.
+_SPARE_ROWS = 9
+# Above this many rows an application and its Gram-Schmidt against the
+# spare rows cost more than the restarts they save: count 1 to 8 solves on
+# 2 values + 10 rows took 0.94 of the restarted basis's time summed at grid
+# 4000, 0.96 at 6000 and 1.02 at 8000 (n = 1, 3, both families).
+_SPARE_DIM = 4096
 
 
 def _ncv(values: int, dim: int) -> int:
     """Krylov basis size of a radial solve for `values` eigenvalues of a
     dim x dim operator: 2 values + 1 (a restart keeps about half the basis,
-    so it holds the wanted values and as many more), capped at dim.  A
-    default of max(2 values + 1, 20) would build and re-orthogonalize 20
-    vectors for one value; _mode_ncv's rule would make check_radial_solve
-    refuse `poincare --grid 4000000` (1099 MiB)."""
-    return min(2 * values + 1, dim)
+    so it holds the wanted values and as many more), plus _SPARE_ROWS where
+    dim <= _SPARE_DIM, capped at dim.  With the spare rows a count-4 solve
+    at n = 1, 2, 3 on grids up to 4096 converges in its first sweep, on 18
+    applications and one dense eigensolve of H (without them it took 18 to
+    21 and 4 or 5), and so does a count-1 solve at grid 1000 (12 and one,
+    against 8 to 13 and 6 to 11).  The spare rows take at most 9 x 4096
+    floats, so the memory of a large solve, and with it what
+    check_radial_solve admits, is as it was without them; _mode_ncv's rule
+    would make check_radial_solve refuse `poincare --grid 4000000` (1099
+    MiB)."""
+    spare = _SPARE_ROWS if dim <= _SPARE_DIM else 0
+    return min(2 * values + 1 + spare, dim)
 
 
 def _mode_ncv(values: int, dim: int) -> int:
@@ -540,8 +566,13 @@ class SLDiscretization:
         (_krylov_schur on _ncv(count) vectors, a start vector of ones,
         stopped at residuals of LANCZOS_TOL), for the top of the Green's
         operator M^{1/2} K^{-1} M^{1/2}, whose entries are all positive; the
-        Ritz vectors are formed in place in the basis by _rotate.  A pencil
-        with both ends natural is solved grounded at its last vertex, on the
+        Ritz vectors are formed in place in the basis by _rotate.  On
+        pencils of up to _SPARE_DIM rows the basis has the spare rows of
+        _ncv, and a solve for up to 5 values at n <= 3 converges in its
+        first sweep, without a restart; on larger pencils, where an
+        application costs more than a restart, it restarts every 1 to 3
+        applications (4 or 5 times for count 4, up to 12 for count 1).  A
+        pencil with both ends natural is solved grounded at its last vertex, on the
         complement of the constants: their vector M^{1/2} 1 is locked as the
         first row of the basis, which removes the constant mode exactly.  The
         values returned are the edge-form Rayleigh quotients of the Ritz
@@ -626,9 +657,11 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
         raise ValueError("the pole end rho = 0 only supports the natural condition")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    edges = np.linspace(math.asin(a), math.asin(b), n_points + 1)
-    h = (edges[-1] - edges[0]) / n_points
-    half = _half_masses(params.n, edges[:-1], h)
+    # the elements' left ends as np.linspace(asin a, asin b, n_points + 1)
+    # rounds them, without its overhead: j h + asin a
+    lo = math.asin(a)
+    h = (math.asin(b) - lo) / n_points
+    half = _half_masses(params.n, np.arange(n_points) * h + lo, h)
     cond = half.sum(axis=0) / (h * h)
     mass = _vertex_sums(half[0], half[1])
     diag = _vertex_sums(cond, cond)
@@ -695,11 +728,15 @@ def check_radial_solve(params: ProfileParams, grid: int, count: int) -> None:
     and the eigenpair check's two count-wide arrays, and 5 ncv^2 entries for
     H's dense eigensolve: H, eigh's copy of it, its workspace of about 2
     ncv^2 and the eigenvectors), and a pole vertex mass that does not
-    underflow.  tracemalloc, which does not see LAPACK's copy and workspace,
-    measures 2.0 ncv^2 past the vectors (H and its eigenvectors), and 2.6
-    at a restart (and the diagonal Schur form), which frees the
-    eigenvectors before the next eigensolve."""
-    ncv = _ncv(count, grid + 1)
+    underflow.  The basis is the one lowest builds for the grid's pencil of
+    dimension grid: its spare rows, where it has them, hold at most
+    _SPARE_ROWS x _SPARE_DIM floats, so that above _SPARE_DIM rows, where
+    the workspace limit can bite, the estimate is that of 2 count + 1 rows.
+    tracemalloc, which does not see LAPACK's copy and workspace, measures
+    2.0 ncv^2 past the vectors (H and its eigenvectors), and 2.6 at a
+    restart (and the diagonal Schur form), which frees the eigenvectors
+    before the next eigensolve."""
+    ncv = _ncv(count, grid)
     _check_size(grid, count, 8 * (
         (grid + 1) * (ncv + 1 + _LANCZOS_FIXED + 2 * count) + 5 * ncv * ncv
         + _ASSEMBLY_FLOATS * grid + _W_BLOCK_FLOATS))
@@ -736,11 +773,17 @@ MODE_SHIFT = -1.0   # shift-invert target; not 0, where the k = 0 continuity
 _MODE_EXTRA = 2     # Ritz values solved for beyond those reported: the
                     # nearest to the shift need not be the lowest by real part
 # Complex vectors of the grid's length that the shifted operator's LU
-# takes: the pivot pass peaks at 11 (tracemalloc, grid 1e5, k = 1, 4; 8.5
-# at k = 0, whose operator is real), the shifted diagonal and the Python
-# lists of the three diagonals and the pivots, 40 bytes an entry each.  The
-# factor keeps 3 (1/P, the middle scale and Q).  Set with 1 to spare.
-_MODE_FACTOR = 12
+# takes: it peaks at 6 (tracemalloc, grids 1e5 and 250000, k = 1, 4; 3 at
+# k = 0, whose operator is real), the shifted diagonal, the pivots, two of
+# the prefix products and two temporaries; the pivot pass's Python lists
+# hold one block of _PIVOT_BLOCK rows (6.46 at grid 20000, where a block
+# is a fifth of the rows; below 4 _PIVOT_BLOCK rows the basis, allocated
+# after the pass, covers them).  The factor keeps 3 (1/P, the middle scale
+# and Q).  Set with 1 to spare.
+_MODE_FACTOR = 7
+# Rows of the diagonals that _tridiag_solver's pivot pass turns into Python
+# lists at a time.
+_PIVOT_BLOCK = 4096
 # The computed constant mode of the k = 0 mode operator is zero only up to
 # roundoff, which grows like eps ||A||: measured at most 0.5 eps ||A||_inf
 # (grids up to 160000).
@@ -816,29 +859,36 @@ def _tridiag_solver(lower: np.ndarray, diag: np.ndarray,
 
     The pivots p_i = d_i - (l_{i-1} / p_{i-1}) u_{i-1} are taken in one
     Python pass, rounded as LAPACK's gttrf rounds them where it does not
-    pivot.  Each solve then runs both bidiagonal solves as first-order
-    recurrences by numpy scans: L z = b is z = P cumsum(b / P), with P the
-    prefix products of the negated multipliers, and U x = z is x = Q
-    reverse-cumsum(z / (p Q)), with Q those of -upper / pivot from the last
-    row back, so that a solve is x = Q revcumsum(P / (p Q) cumsum(b / P)).
+    pivot, over Python lists of _PIVOT_BLOCK rows of the diagonals at a
+    time, so that the lists hold a block, not the grid.  Each solve then
+    runs both bidiagonal solves as first-order recurrences by numpy scans:
+    L z = b is z = P cumsum(b / P), with P the prefix products of the
+    negated multipliers, and U x = z is x = Q reverse-cumsum(z / (p Q)),
+    with Q those of -upper / pivot from the last row back, so that a solve
+    is x = Q revcumsum(P / (p Q) cumsum(b / P)).
     RuntimeError, before any solve, at a zero or non-finite pivot, or where
     1 / P, Q or the middle scale P / (p Q) leaves float range or reaches 0.
     """
-    pivot = diag[0].item()
-    pivots = [pivot]
+    m = len(diag)
+    pivots = np.empty(m, dtype=np.result_type(diag, lower, upper))
+    pivots[0] = pivot = diag[0].item()
     try:
-        for d, l, u in zip(diag[1:].tolist(), lower.tolist(), upper.tolist()):
-            pivot = d - l / pivot * u
-            pivots.append(pivot)
+        for lo in range(1, m, _PIVOT_BLOCK):
+            block = []
+            rows = slice(lo - 1, lo - 1 + _PIVOT_BLOCK)
+            for d, l, u in zip(diag[lo:lo + _PIVOT_BLOCK].tolist(),
+                               lower[rows].tolist(), upper[rows].tolist()):
+                pivot = d - l / pivot * u
+                block.append(pivot)
+            pivots[lo:lo + len(block)] = block
     except ZeroDivisionError:    # the last pivot is 0; refused below
-        pass
-    pivots = np.array(pivots)
+        pivots = pivots[:lo + len(block)]
+        pivots[lo:] = block
     bad = np.flatnonzero(~np.isfinite(pivots) | (pivots == 0))
     if bad.size:
         raise RuntimeError("tridiagonal LU without pivoting: zero or "
                            f"non-finite pivot {pivots[bad[0]]} at row "
                            f"{bad[0]}")
-    m = len(diag)
     prefix = np.ones(m, dtype=pivots.dtype)
     back = np.ones(m, dtype=pivots.dtype)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

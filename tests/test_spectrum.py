@@ -7,6 +7,7 @@ a natural problem with polynomial eigenfunctions and eigenvalues shifted by
 2n + 1.
 """
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -495,6 +496,44 @@ def test_pencil_conductances_carry_the_weight_integral(n_points):
                                       abs=0.0)
 
 
+def _linspace_pencil_digest(params, n_points, bc_right, interval, bc_left):
+    """SHA-256 of the pencil's arrays as build_radial_discretization
+    assembled them from np.linspace edges."""
+    a, b = interval
+    edges = np.linspace(math.asin(a), math.asin(b), n_points + 1)
+    h = (edges[-1] - edges[0]) / n_points
+    half = spectrum._half_masses(params.n, edges[:-1], h)
+    cond = half.sum(axis=0) / (h * h)
+    mass = spectrum._vertex_sums(half[0], half[1])
+    diag = spectrum._vertex_sums(cond, cond)
+    first = bc_left == "dirichlet"
+    last = n_points - (bc_right == "dirichlet")
+    arrays = (np.float64(h), diag[first:last + 1], -cond[first:last],
+              mass[first:last + 1], half, cond)
+    return hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+@pytest.mark.parametrize("n_points", [2, 3, 50, 999, 1000, 4097, 100_000])
+@pytest.mark.parametrize("interval,bcs", [
+    ((0.0, 1.0), ("natural", "natural")),
+    ((0.0, 1.0), ("dirichlet", "natural")),
+    ((0.05, 0.95), ("dirichlet", "dirichlet")),
+    ((0.3, 0.99), ("dirichlet", "dirichlet")),
+    ((0.5, 1.0), ("dirichlet", "dirichlet"))])
+def test_pencil_is_the_one_assembled_on_linspace_edges(n, n_points, interval,
+                                                       bcs):
+    # the elements' left ends j h + asin a round as np.linspace rounds them
+    bc_right, bc_left = bcs
+    disc = build_radial_discretization(ProfileParams(n), n_points, bc_right,
+                                       interval, bc_left)
+    arrays = (np.float64(disc.h), disc.stiff_diag, disc.stiff_off, disc.mass,
+              disc.half, disc.cond)
+    got = hashlib.sha256(b"".join(x.tobytes() for x in arrays)).hexdigest()
+    assert got == _linspace_pencil_digest(ProfileParams(n), n_points,
+                                          bc_right, interval, bc_left)
+
+
 @pytest.mark.parametrize("n", [1, 2, 12, 40, 60])
 @pytest.mark.parametrize("n_points", [50, 1000, 2000])
 def test_pole_mass_is_the_assembled_one(n, n_points):
@@ -871,8 +910,82 @@ def test_solves_run_on_the_basis_the_workspace_model_counts(monkeypatch,
     for bc in ("natural", "dirichlet"):
         discrete_radial_spectrum(ProfileParams(2), bc, grid, count)
     mode_spectrum(0, grid, count, "continuity")
-    assert passed == [spectrum._ncv(count, grid + 1)] * 2 + [
+    assert passed == [spectrum._ncv(count, grid)] * 2 + [
         spectrum._mode_ncv(count + 1 + spectrum._MODE_EXTRA, grid + 1)]
+
+
+def _counting_solver(monkeypatch):
+    """A radial solve (n, bc, grid, count) -> (dense eigensolves of H,
+    operator applications) that it took."""
+    eighs, applications = [], []
+    eigh, krylov_schur = np.linalg.eigh, spectrum._krylov_schur
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    def counted_krylov_schur(apply, basis, locked, count, tol):
+        def counted_apply(x):
+            applications.append(1)
+            return apply(x)
+        return krylov_schur(counted_apply, basis, locked, count, tol)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(spectrum, "_krylov_schur", counted_krylov_schur)
+
+    def solve(n, bc, grid, count):
+        eighs.clear()
+        applications.clear()
+        discrete_radial_spectrum(ProfileParams(n), bc, grid, count)
+        return len(eighs), len(applications)
+    return solve
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_count_4_radial_solves_converge_in_one_sweep(monkeypatch, n, bc):
+    # the benchmark ladder's grids up to the spare rows' limit: on 2 counts
+    # + 10 rows one sweep of 18 applications converges, where 2 counts + 1
+    # rows took 4 or 5 eigensolves of H and 18 to 21 applications
+    solve = _counting_solver(monkeypatch)
+    for grid in (500, 1000, 2000, 4000, 4096):
+        assert solve(n, bc, grid, 4) == (1, 18)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_count_1_radial_solve_at_grid_1000_converges_in_one_sweep(
+        monkeypatch, n, bc):
+    # poincare's default grid: 6 to 11 eigensolves on 3 rows
+    assert _counting_solver(monkeypatch)(n, bc, 1000, 1)[0] == 1
+
+
+def test_radial_basis_gets_its_spare_rows_only_on_small_operators():
+    for values in (1, 4, 13, 500):
+        for dim in (2 * values + 1, 4 * values + 20, 4096):
+            assert spectrum._ncv(values, dim) == min(2 * values + 10, dim)
+        # grids past the limit keep 2 values + 1 rows, and with them the
+        # admission of large solves (poincare --grid 4000000 among them)
+        for dim in (4097, 8000, 2 ** 17 + 1, 4_000_000):
+            assert spectrum._ncv(values, dim) == 2 * values + 1
+
+
+@pytest.mark.parametrize("grid", [4096, 4097])    # _SPARE_DIM and past it
+@pytest.mark.parametrize("bc", ["natural", "dirichlet"])
+def test_radial_solve_counts_its_basis_at_the_spare_rows_limit(monkeypatch,
+                                                               grid, bc):
+    # lowest sizes the basis for the pencil's dimension, which is the grid
+    # for both families, and check_radial_solve counts that basis
+    passed, krylov_schur = [], spectrum._krylov_schur
+
+    def record_krylov_schur(apply, basis, locked, count, tol):
+        passed.append(len(basis) - locked)
+        return krylov_schur(apply, basis, locked, count, tol)
+
+    monkeypatch.setattr(spectrum, "_krylov_schur", record_krylov_schur)
+    discrete_radial_spectrum(ProfileParams(1), bc, grid, 1)
+    assert passed == [spectrum._ncv(1, grid)]
+    assert passed == [12 if grid == 4096 else 3]
 
 
 @pytest.mark.parametrize("interval", [(0.05, 0.95), (0.3, 0.99), (0.5, 1.0)])
@@ -1287,6 +1400,50 @@ def test_tridiagonal_lu_refuses_a_zero_or_non_finite_pivot(lower, diag,
     with pytest.raises(RuntimeError, match=f"non-finite pivot .* row {row}"):
         spectrum._tridiag_solver(*(np.array(v, dtype=complex)
                                    for v in (lower, diag, upper)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocked_pivot_pass_gives_the_one_pass_solves(monkeypatch, k, block):
+    # a block of 4096 rows holds all 201 here, so that pass is the one
+    # Python pass over lists of the whole diagonals; the solves of a factor
+    # depend on its pivots alone
+    lower, diag, upper = _shifted_mode_operator(k, 200, "continuity")
+    b = np.cos(np.arange(len(diag))) + 1j * np.sin(np.arange(len(diag)))
+    whole = spectrum._tridiag_solver(lower, diag, upper)(b)
+    monkeypatch.setattr(spectrum, "_PIVOT_BLOCK", block)
+    assert np.array_equal(spectrum._tridiag_solver(lower, diag, upper)(b),
+                          whole)
+
+
+@pytest.mark.parametrize("row", [1, 2, 3, 4, 5, 7])
+def test_blocked_pivot_pass_refuses_a_zero_pivot_at_any_row(monkeypatch,
+                                                            row):
+    # blocks of 3 rows: the zero pivot at the end of a block, at its start
+    # and inside it; the pivot after a zero one divides by it
+    m = 9
+    diag = np.full(m, 2.0 + 0j)
+    diag[row] = 0.5            # 0.5 - 1 / 2 * 1 = 0 after a pivot of 2
+    lower, upper = np.ones(m - 1, dtype=complex), np.ones(m - 1, dtype=complex)
+    lower[:row - 1] = upper[:row - 1] = 0.0
+    monkeypatch.setattr(spectrum, "_PIVOT_BLOCK", 3)
+    with pytest.raises(RuntimeError, match=f"non-finite pivot .* row {row}$"):
+        spectrum._tridiag_solver(lower, diag, upper)
+
+
+def test_pivot_pass_holds_one_block_of_python_lists():
+    # the LU with its shifted diagonal peaks at 6.0 complex vectors at grid
+    # 1e5 (k = 1), where the lists of the whole diagonals took it to 11.0
+    op = build_mode_operator(1, 100_000)
+    m = len(op.diag)
+    tracemalloc.start()
+    try:
+        spectrum._tridiag_solver(op.lower, op.diag - spectrum.MODE_SHIFT,
+                                 op.upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * m * 6.5
 
 
 @pytest.mark.parametrize("lower,upper", [(1e3, 1e-6), (1e-6, 1e3)])
