@@ -3,11 +3,13 @@
 
 Writes, under --out (default ./out):
   * spectrum tables for n = 1, 2, 3 (closed form vs two-grid extrapolation),
-  * the Gamma-condition roots next to the closed forms,
   * Fourier-mode tables on H^1 for both equatorial matching classes,
-  * Poincare estimates (radial, and the exploratory full H^1 variant),
   * all four verification suites,
   * the pole-to-pole geodesic trace.
+
+Prints, and does not write:
+  * the Gamma-condition roots next to the closed forms,
+  * Poincare estimates (radial, and the exploratory full H^1 variant).
 
 Every underlying command is also reachable through the `hprofile` CLI; this
 script just sequences them and prints a short summary.

@@ -111,6 +111,11 @@ def profile_height(rho):
     return float(val) if val.ndim == 0 else val
 
 
+def _check_hemisphere(hemisphere: int) -> None:
+    if hemisphere not in (1, -1):
+        raise ValueError("hemisphere must be +1 or -1")
+
+
 def horizontal_normal(z: Sequence[float], hemisphere: int) -> np.ndarray:
     """Unit horizontal normal z + sign * kappa(|z|) z^perp on the +/-
     hemisphere, of one point or of each row of an (m, 2n) array."""
@@ -118,8 +123,7 @@ def horizontal_normal(z: Sequence[float], hemisphere: int) -> np.ndarray:
     rho = np.linalg.norm(z, axis=-1, keepdims=True)
     if np.any(rho == 0.0) or np.any(rho > 1.0):
         raise ValueError("need 0 < |z| <= 1 (characteristic pole or outside ball)")
-    if hemisphere not in (1, -1):
-        raise ValueError("hemisphere must be +1 or -1")
+    _check_hemisphere(hemisphere)
     return z + hemisphere * kappa(rho) * perp(z)
 
 
@@ -128,8 +132,7 @@ def omega_bar(rho, hemisphere: int):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0) or np.any(rho > 1.0):
         raise ValueError("rho must lie in (0, 1]")
-    if hemisphere not in (1, -1):
-        raise ValueError("hemisphere must be +1 or -1")
+    _check_hemisphere(hemisphere)
     val = hemisphere * 2.0 * np.sqrt(1.0 - rho * rho) / rho
     return float(val) if val.ndim == 0 else val
 
@@ -140,6 +143,8 @@ def _random_interior_points(n: int, count: int, seed: int,
     """count points of R^{2n} with radii uniform in the interval radii and
     uniform directions.  The radii are drawn first, so a seed gives the same
     radii at every n."""
+    if count < 1:
+        raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     rho = rng.uniform(*radii, size=(count, 1))
     pts = rng.normal(size=(count, 2 * n))
@@ -289,8 +294,6 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
     along coordinate c // 2, and each block of values keeps only that
     component as it comes, so the (2n)^2 entries per point are never all held.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     pts = _random_interior_points(params.n, sample_count, seed)
     h = 1e-5
     own, c = [], 0
@@ -307,8 +310,6 @@ def mean_curvature_check(params: ProfileParams, sample_count: int,
 def omega_bar_normal_deriv_check(params: ProfileParams, sample_count: int,
                                  seed: int = 1) -> float:
     """Max |d(omega_bar)/d(nu_H^perp) - 2/rho^2| over random interior points."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     pts = _random_interior_points(params.n, sample_count, seed)
     rho = np.linalg.norm(pts, axis=-1)
     u = perp(horizontal_normal(pts, +1))

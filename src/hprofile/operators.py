@@ -19,9 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (_STACK_FLOATS, ProfileParams, _fd_dir, _fd_grad,
-                       _fd_hess_quadform, _fd_laplacian, _random_interior_points,
-                       horizontal_normal, omega_bar, perp)
+from .geometry import (_STACK_FLOATS, ProfileParams, _check_hemisphere,
+                       _fd_dir, _fd_grad, _fd_hess_quadform, _fd_laplacian,
+                       _random_interior_points, horizontal_normal, omega_bar,
+                       perp)
 
 __all__ = [
     "RadialJet",
@@ -116,8 +117,7 @@ def apply_polar_h1(jet: PolarJet, hemisphere: int = 1):
     (1-r^2) f_rr -+ 2 sqrt(1-r^2) f_tr + f_tt + ((2-3r^2)/r) f_r
     -+ 3 (sqrt(1-r^2)/r) f_t; the lower hemisphere flips the two signs.
     """
-    if hemisphere not in (1, -1):
-        raise ValueError("hemisphere must be +1 or -1")
+    _check_hemisphere(hemisphere)
     rho = jet.rho
     root = np.sqrt(1.0 - rho * rho)
     return ((1.0 - rho * rho) * jet.f_rhorho
@@ -249,8 +249,6 @@ def verify_identities(params: ProfileParams,
     _STACK_FLOATS floats (one block of 100 points up to n = 12 with the
     six default trials).
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     if trials is None:
         trials = default_ambient_trials()
     pts = _random_interior_points(params.n, sample_count, seed)

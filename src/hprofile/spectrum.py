@@ -293,9 +293,10 @@ def _pole_mass(params: ProfileParams, n_points: int) -> float:
     """Lumped mass of the pole vertex on the whole-hemisphere mesh of
     `n_points` elements, about h^{2n+1} / ((2n+1)(2n+2)); it underflows to 0
     once n is too large for the grid.  Integrated on the first element as
-    build_radial_discretization does."""
+    build_radial_discretization does, whose node sines are sin(h t_j)."""
     h = (math.pi / 2) / n_points
-    return float(_half_masses(params.n, np.zeros(1), h)[0, 0])
+    w = _power(np.sin(h * _SEG_SMOOTH.nodes), 2 * params.n)
+    return float((h * _HAT_WEIGHTS[0]) @ w)
 
 
 # The Green's operator is applied with the resistances 1/cond scaled by
@@ -362,8 +363,7 @@ def _ncv(values: int, dim: int) -> int:
     against 8 to 13 and 6 to 11).  The spare rows take at most 9 x 4096
     floats, so the memory of a large solve, and with it what
     check_radial_solve admits, is as it was without them; _mode_ncv's rule
-    would make check_radial_solve refuse `poincare --grid 4000000` (1099
-    MiB)."""
+    would take `poincare --grid 4000000` from 641 to 1007 MiB."""
     spare = _SPARE_ROWS if dim <= _SPARE_DIM else 0
     return min(2 * values + 1 + spare, dim)
 
@@ -547,16 +547,17 @@ class SLDiscretization:
     """
 
     h: float
-    stiff_diag: np.ndarray
-    stiff_off: np.ndarray
     mass: np.ndarray
     half: np.ndarray           # (2, elements), from _half_masses
     cond: np.ndarray           # one per element, dropped ends included
     bc: tuple[str, str]        # (left, right) end conditions
 
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonals of M^{-1/2} K M^{-1/2}, K's formed from `cond`."""
+        first, m = self.bc[0] == "dirichlet", len(self.mass)
         s = 1.0 / np.sqrt(self.mass)
-        return self.stiff_diag * s * s, self.stiff_off * s[:-1] * s[1:]
+        diag = _vertex_sums(self.cond, self.cond)[first:first + m]
+        return diag * s * s, -self.cond[first:first + m - 1] * s[:-1] * s[1:]
 
     def lowest(self, count: int) -> np.ndarray:
         """Lowest `count` eigenvalues, ascending; a natural pencil's
@@ -664,28 +665,25 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
     half = _half_masses(params.n, np.arange(n_points) * h + lo, h)
     cond = half.sum(axis=0) / (h * h)
     mass = _vertex_sums(half[0], half[1])
-    diag = _vertex_sums(cond, cond)
     first, last = bc_left == "dirichlet", n_points - (bc_right == "dirichlet")
-    return SLDiscretization(h=h, stiff_diag=diag[first:last + 1],
-                            stiff_off=-cond[first:last],
-                            mass=mass[first:last + 1], half=half, cond=cond,
-                            bc=(bc_left, bc_right))
+    return SLDiscretization(h=h, mass=mass[first:last + 1], half=half,
+                            cond=cond, bc=(bc_left, bc_right))
 
 
 # --- solve admission --------------------------------------------------------
 
 _WORKSPACE_LIMIT = 2 ** 30   # bytes of memory one solve may take
 # Floats an element that build_radial_discretization holds at its peak past
-# one block of W, an upper bound: tracemalloc measures 7 (the pencil's six
-# and one temporary; n = 1, 3, 12, grid 1e5), set with 1 to spare.  The
-# solve keeps the pencil, so the same term covers it.  Lowering it admits
-# larger solves, so it moves with the admission tests.
-_ASSEMBLY_FLOATS = 8
-# Floats of W that _half_masses holds for its longest block, 2 _HALF_BLOCK
-# - 1 elements of 12 nodes, twice where 2n is not a power of two: measured
-# at most 45,339 floats past the 7 an element (n = 1, 2, 3, 12, 40, grids
-# 50 to 1e5), under the 49,152 counted.
-_W_BLOCK_FLOATS = 24 * 2 * _HALF_BLOCK
+# one block of W, an upper bound: tracemalloc measures 4 (the pencil's mass,
+# half masses and conductances; n = 1, 3, 12, grid 1e5), set with 1 to
+# spare.  The solve keeps the pencil, so the same term covers it.  Lowering
+# it admits larger solves, so it moves with the admission tests.
+_ASSEMBLY_FLOATS = 5
+# Floats that _half_masses holds for its longest block, 2 _HALF_BLOCK - 1
+# elements: W at 12 nodes, twice where 2n is not a power of two, and its
+# product with the hat weights.  Measured at most 51,477 past the 4 floats
+# an element (n = 1, 2, 3, 12, 40, grids 50 to 1e5), under the 53,248.
+_W_BLOCK_FLOATS = 26 * 2 * _HALF_BLOCK
 # Vectors of the grid's length that the radial solve holds besides
 # the pencil, its basis and the constants it locks: the resistances, sqrt(M),
 # the two resistance sums of a pencil with both ends Dirichlet, and the
@@ -702,10 +700,10 @@ _LANCZOS_FIXED = 10
 # subtracts.  tracemalloc measures 2.0 to 3.2 (grid 1e5, k = 0, 1, 4,
 # counts 1, 4, 20 and 50), set with 1 to spare.
 _KRYLOV_FIXED = 4
-# Floats an element of a mode solve's assembly and of the operator it keeps:
-# build_mode_operator peaks at 24 (its three complex diagonals and the
-# pencil's arrays they are built from).
-_MODE_BUILD_FLOATS = 28
+# Floats an element of a mode solve's assembly, past one block of W, and of
+# the operator it keeps: build_mode_operator peaks at 13 (tracemalloc, grids
+# 1e5 and 250000, k = 1, 4; 8 at k = 0), set with 1 to spare.
+_MODE_BUILD_FLOATS = 14
 
 
 def _check_size(grid: int, count: int, need: int) -> None:
@@ -918,20 +916,21 @@ def check_mode_solve(k: int, grid: int, count: int) -> None:
     _check_size, with the memory of Krylov-Schur on ncv = _mode_ncv(count +
     1 + _MODE_EXTRA) complex basis vectors, _KRYLOV_FIXED and the LU's
     _MODE_FACTOR complex vectors more and 7 ncv^2 complex entries for H's
-    dense step, and _MODE_BUILD_FLOATS an element; k >= 0 and 3 k^2 <= grid
-    (past it the error of a solve grows from 8.2e-3 to 5.8e-2 relative,
-    README).  The dense step is H, np.linalg.eig's copy of it, LAPACK's
-    eigenvector buffer, the eigenvectors returned and zgeev's workspace, and
-    at a restart the kept columns of those and their QR with its copies:
-    the peak RSS of a restarting complex solve, above its basis in a fresh
-    process, rose by up to 6.2 ncv^2 (ncv 400, four restarts; 5.3 at ncv
-    800), of which tracemalloc, blind to eig's copy and buffer, sees 3.9.
-    The term keeps 7, the smallest whole count with the 0.5 ncv^2 margin
-    it had over 6.5 when restarts copied all of H's eigenvectors."""
+    dense step, and the assembly's _MODE_BUILD_FLOATS an element and
+    _W_BLOCK_FLOATS; k >= 0 and 3 k^2 <= grid (past it the error of a solve
+    grows from 8.2e-3 to 5.8e-2 relative, README).  The dense step is H,
+    np.linalg.eig's copy of it, LAPACK's eigenvector buffer, the
+    eigenvectors returned and zgeev's workspace, and at a restart the kept
+    columns of those and their QR with its copies: the peak RSS of a
+    restarting complex solve, above its basis in a fresh process, rose by up
+    to 6.2 ncv^2 (ncv 400, four restarts; 5.3 at ncv 800), of which
+    tracemalloc, blind to eig's copy and buffer, sees 3.9.  The term keeps
+    7, the smallest whole count with the 0.5 ncv^2 margin it had over 6.5
+    when restarts copied all of H's eigenvectors."""
     ncv = _mode_ncv(count + 1 + _MODE_EXTRA, grid + 1)
     _check_size(grid, count, 16 * (
         (grid + 1) * (ncv + _KRYLOV_FIXED + _MODE_FACTOR) + 7 * ncv * ncv)
-        + 8 * _MODE_BUILD_FLOATS * grid)
+        + 8 * (_MODE_BUILD_FLOATS * grid + _W_BLOCK_FLOATS))
     if k < 0:
         raise ValueError("need one or more Fourier indices k >= 0")
     if 3 * k * k > grid:

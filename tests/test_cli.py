@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hprofile.cli import (COMMANDS, RunConfig, _build_parser, _g17_rows, main,
-                          run)
+from hprofile.cli import (COMMANDS, RunConfig, _build_parser, _g17_rows,
+                          _trace_floats, main, run)
 from hprofile.geometry import ProfileParams
 from hprofile.spectrum import discrete_radial_spectrum
 
@@ -558,6 +558,10 @@ _REFUSED = [
      "needs n <= 171, got n = 172"),
     # an empty range of Fourier indices
     (["modes", "--k", "3..1"], "need one or more Fourier indices"),
+    # the trace's sample points alone would take 745 GiB
+    (["geodesic", "--steps", "100000000000"],
+     "MiB of trace memory (limit 1024 MiB)"),
+    (["geodesic", "--n", "10000000000"], "MiB of trace memory"),
 ]
 
 
@@ -574,11 +578,11 @@ def test_modes_k_at_the_grid_limit_is_accepted(tmp_path, argv):
 # the accepted ones take seconds to minutes to run).  modes adds the radial
 # solve only when k = 0 is asked for, whose estimate is below the mode
 # solve's at the same count and grid near the limit; poincare solves on its
-# one grid.  eig at count 1500, grid 6000 (895 MiB on its second grid) was
+# one grid.  eig at count 1500, grid 6000 (894 MiB on its second grid) was
 # refused while the eigenpair check was counted at five count-wide arrays
 # (1307 MiB).  modes at count 1500, grid 12000 (968 MiB) was accepted while
 # H's dense step was counted at 3 ncv^2; at the 7 ncv^2 that numpy's eig and
-# a restart's QR measure it is 1521 MiB, and count 1100 is 929 MiB.
+# a restart's QR measure it is 1520 MiB, and count 1100 is 928 MiB.
 _WORKSPACE_ACCEPTED = [
     ["eig", "--parity", "odd", "--count", "500", "--grid", "2000"],
     ["eig", "--parity", "odd", "--count", "1500", "--grid", "6000"],
@@ -766,6 +770,22 @@ def test_mode_k_range_parsing():
     from hprofile.cli import _parse_k_range
     assert tuple(_parse_k_range("0..4")) == (0, 1, 2, 3, 4)
     assert _parse_k_range("0,2,5") == (0, 2, 5)
+
+
+@pytest.mark.parametrize("n,steps", [(1, 100_000), (40, 2000), (1000, 10)])
+def test_geodesic_memory_is_within_its_estimate(tmp_path, n, steps):
+    # validate refuses a trace past _WORKSPACE_LIMIT by this estimate; at
+    # n = 1000 a start momentum taken from a 2n x 2n identity is 4e6 floats
+    import tracemalloc
+    run(RunConfig("geodesic", n=1, steps=10, out_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        assert run(RunConfig("geodesic", n=n, steps=steps,
+                             out_dir=str(tmp_path))) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _trace_floats(n, steps)
 
 
 def test_wide_k_range_is_refused_from_its_bounds(tmp_path):
