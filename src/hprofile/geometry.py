@@ -386,17 +386,26 @@ def geodesic_trace(p_last: float, s_max: float, steps: int,
 
 
 def profile_geodesic_residual(params: ProfileParams, steps: int = 10_000) -> float:
-    """Max deviation between the pole-to-pole geodesic and the meridian u0.
+    """Max distance between the pole-to-pole geodesic and the meridian u0.
 
     Runs in H^1: the geodesic with p_last = 2 from the south pole
-    (0, 0, -pi/8) sweeps out the profile's meridian; the residual compares
-    |t(s)| with u0(|z(s)|) along the whole arc (lower hemisphere carries
-    t < 0, upper t > 0).
+    (0, 0, -pi/8) sweeps out the profile's meridian (lower hemisphere
+    carries t < 0, upper t > 0).  Each sample's distance to the curve |t| =
+    u0(rho) in the (rho, t) plane is taken to first order, |F| / |grad F|
+    with F = |t| - u0(rho) and |grad F| = sqrt(4 (1 - rho^2) + rho^4) /
+    (2 sqrt(1 - rho^2)), at rho = min(|z|, 1), plus max(|z| - 1, 0).  The
+    vertical gap |F| alone grows with the sample count near the equator,
+    where u0 has a vertical tangent and the rounding of |z| is magnified.
     """
     if params.n != 1:
         raise ValueError("the meridian oracle runs in H^1")
     start = GeodesicState(z=np.zeros(2), t=-math.pi / 8.0,
                           p_h=np.array([1.0, 0.0]), p_last=2.0)
     path = geodesic_trace(2.0, math.pi, steps, start)
-    rho = np.minimum(np.linalg.norm(path.z, axis=1), 1.0)
-    return float(np.max(np.abs(np.abs(path.t) - profile_height(rho))))
+    radius = np.linalg.norm(path.z, axis=1)
+    rho = np.minimum(radius, 1.0)
+    w = 1.0 - rho * rho
+    gap = np.abs(np.abs(path.t) - profile_height(rho))
+    dist = (gap * (2.0 * np.sqrt(w) / np.sqrt(4.0 * w + rho ** 4))
+            + np.maximum(radius - 1.0, 0.0))
+    return float(np.max(dist))

@@ -73,13 +73,6 @@ def radial_eigenvalue(k: int, params: ProfileParams) -> float:
     return float(k * (k + 2 * params.n))
 
 
-def _mode_params(k: int, n: int) -> Hyp2F1Params:
-    m = k // 2
-    if k % 2 == 0:
-        return Hyp2F1Params(-float(m), float(n + m), n + 0.5)
-    return Hyp2F1Params(-(m + 0.5), n + m + 0.5, n + 0.5)
-
-
 @dataclass(frozen=True)
 class RadialEigenmode:
     """Closed-form radial eigenmode of index k.
@@ -136,12 +129,13 @@ def radial_eigenfunction(k: int, params: ProfileParams,
     """Normalized closed-form eigenmode for index k >= 1 (`rule` is unread:
     perfbench/workloads.py passes it by position).
 
-    With rho = sin sigma, F(rho^2) = C_k^(n)(cos sigma) / binom(k + 2n - 1,
-    k), whose norm (DLMF 18.3) gives N_k^2 = (k + n) binom(k + 2n - 1, k) /
-    (n A I_n), A = sphere_area, I_n = int_0^{pi/2} sin^{2n} = (pi/2)
-    binom(2n, n) / 4^n, each ratio of exact integers rounded once.  Where
-    the first leaves float range ValueError is raised; elsewhere N_k is
-    finite, since A I_n >= 1e-223 for n <= 171.
+    Its profile is F(-k/2, n + k/2; n + 1/2; rho^2) for every k: a + b = n
+    and ab = -lambda_k / 4.  With rho = sin sigma, F(rho^2) = C_k^(n)(cos
+    sigma) / binom(k + 2n - 1, k), whose norm (DLMF 18.3) gives N_k^2 =
+    (k + n) binom(k + 2n - 1, k) / (n A I_n), A = sphere_area, I_n =
+    int_0^{pi/2} sin^{2n} = (pi/2) binom(2n, n) / 4^n, each ratio of exact
+    integers rounded once.  Where the first leaves float range ValueError is
+    raised; elsewhere N_k is finite, since A I_n >= 1e-223 for n <= 171.
     """
     if k < 1:
         raise ValueError("mode index k must be >= 1")
@@ -154,38 +148,35 @@ def radial_eigenfunction(k: int, params: ProfileParams,
     half_moment = math.pi / 2.0 * (math.comb(2 * n, n) / 4 ** n)
     norm = math.sqrt(ratio) / math.sqrt(params.sphere_area * half_moment)
     return RadialEigenmode(k=k, n=n, lam=radial_eigenvalue(k, params),
-                           hyp=_mode_params(k, n), normalization=norm)
+                           hyp=Hyp2F1Params(-k / 2, n + k / 2, n + 0.5),
+                           normalization=norm)
 
 
 # --- Gamma-condition root finders -------------------------------------------
 
-def _condition_s(lam, n: int):
-    """s = sqrt(n^2 + lam), for a float or elementwise for an array."""
+def _condition_value(lam, n: int, delta: int):
+    """F((n - delta - s)/2, (n - delta + s)/2; n + 1/2; 1), s = sqrt(n^2 +
+    lam), for a float or elementwise for an array: the regular solution's
+    equator value (delta = 0) or weighted mean (delta = 1)."""
     if np.isscalar(lam):
-        return math.sqrt(n * n + lam)
-    return np.sqrt(n * n + np.asarray(lam, dtype=float))
+        s = math.sqrt(n * n + lam)
+    else:
+        s = np.sqrt(n * n + np.asarray(lam, dtype=float))
+    return gauss_value_at_one(Hyp2F1Params((n - delta - s) / 2.0,
+                                           (n - delta + s) / 2.0, n + 0.5))
 
 
 def even_condition_value(lam, params: ProfileParams):
-    """Weighted mean of the regular solution: zero exactly at even eigenvalues.
-
-    sqrt(pi) Gamma(n+1/2) / (2 Gamma((2+n-s)/2) Gamma((2+n+s)/2)),
-    s = sqrt(n^2 + lam), which is F((n-1+s)/2, (n-1-s)/2; n+1/2; 1); for a
-    float or elementwise for an array.
-    """
-    n = params.n
-    s = _condition_s(lam, n)
-    return gauss_value_at_one(Hyp2F1Params((n - 1.0 + s) / 2.0,
-                                           (n - 1.0 - s) / 2.0, n + 0.5))
+    """Weighted mean of the regular solution, sqrt(pi) Gamma(n+1/2) /
+    (2 Gamma((2+n-s)/2) Gamma((2+n+s)/2)) with s = sqrt(n^2 + lam): zero
+    exactly at even eigenvalues; for a float or elementwise for an array."""
+    return _condition_value(lam, params.n, 1)
 
 
 def odd_condition_value(lam, params: ProfileParams):
     """Equator value of the regular solution: zero exactly at odd eigenvalues;
     for a float or elementwise for an array."""
-    n = params.n
-    s = _condition_s(lam, n)
-    p = Hyp2F1Params((n - s) / 2.0, (n + s) / 2.0, n + 0.5)
-    return gauss_value_at_one(p)
+    return _condition_value(lam, params.n, 0)
 
 
 def _scan_roots(f: Callable, lam_max: float) -> list[float]:
@@ -650,10 +641,13 @@ def build_radial_discretization(params: ProfileParams, n_points: int,
                                 interval: tuple[float, float] = (0.0, 1.0),
                                 bc_left: str = "natural") -> SLDiscretization:
     """Assemble the P1 pencil on `n_points` elements of `interval` (in rho,
-    default the whole radius range), uniform in sigma = asin(rho)."""
+    default the whole radius range), uniform in sigma = asin(rho).  Each
+    end condition is 'natural' or 'dirichlet'."""
     a, b = interval
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("interval must satisfy 0 <= a < b <= 1")
+    if any(bc not in ("natural", "dirichlet") for bc in (bc_left, bc_right)):
+        raise ValueError("bc must be 'natural' or 'dirichlet'")
     if bc_left == "dirichlet" and a == 0.0:
         raise ValueError("the pole end rho = 0 only supports the natural condition")
     if n_points < 2:
@@ -752,8 +746,6 @@ def discrete_radial_spectrum(params: ProfileParams, bc: str, n_points: int,
     realizes the odd family.  Sizes are refused as check_radial_solve does.
     """
     check_radial_solve(params, n_points, count)
-    if bc not in ("natural", "dirichlet"):
-        raise ValueError("bc must be 'natural' or 'dirichlet'")
     return build_radial_discretization(params, n_points,
                                        bc_right=bc).lowest(count)
 

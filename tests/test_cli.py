@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from hprofile.cli import (COMMANDS, RunConfig, _build_parser, _g17_rows,
                           _trace_floats, main, run)
-from hprofile.geometry import ProfileParams
+from hprofile.geometry import GeodesicPath, GeodesicState, ProfileParams
 from hprofile.spectrum import discrete_radial_spectrum
 
 
@@ -50,6 +50,14 @@ def test_spectrum_plot_emits_gnuplot(tmp_path):
     assert run(cfg) == 0
     script = _read(tmp_path / "spectrum_1.gp").decode()
     assert "plot 'spectrum_1.csv'" in script
+
+
+def test_spectrum_k_max_1_writes_the_one_odd_row(tmp_path):
+    # the even family has no row below k = 2
+    assert main(["spectrum", "--k-max", "1", "--grid", "200",
+                 "--out", str(tmp_path)]) == 0
+    [row] = _read(tmp_path / "spectrum_1.csv").decode().splitlines()[1:]
+    assert row.split(",")[:3] == ["1", "1", "odd"]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -231,6 +239,30 @@ def test_algebraic_geometry_gates_reach_the_equator(monkeypatch, n):
     radii = np.linalg.norm(z, axis=1)
     assert len(radii) == 100 and radii.max() > 0.99
     assert 0.05 <= radii.min() and radii.max() <= 0.999
+
+
+@pytest.mark.parametrize("p_scale, z_scale, dt0", [
+    (1.0 + 1e-12, 1.0, 0.0), (1.0, 1.0 + 1e-12, 0.0),
+    (1.0, 1.0 - 1e-12, 0.0), (1.0, 1.0, 1e-13)])
+def test_meridian_gate_fails_a_trace_error_of_1e_12(monkeypatch, p_scale,
+                                                     z_scale, dt0):
+    # each passed the old gate, the vertical gap under tol_fd (the p_last
+    # error read 7.1e-7, the start height's 5.2e-13); the normal distance
+    # reads 1e-13 to 2e-12
+    import hprofile.cli as cli
+    import hprofile.geometry as geometry
+    trace = geometry.geodesic_trace
+
+    def perturbed(p_last, s_max, steps, start):
+        start = GeodesicState(start.z, start.t + dt0, start.p_h, start.p_last)
+        path = trace(p_last * p_scale, s_max, steps, start)
+        return GeodesicPath(path.s, path.z * z_scale, path.t, path.p_h,
+                            path.p_last)
+    monkeypatch.setattr(geometry, "geodesic_trace", perturbed)
+    gates = {g["name"]: g for g in cli._geometry_gates(ProfileParams(1), 1e-6)}
+    assert gates["geodesic_meridian"]["value"] >= 5e-14
+    assert gates["geodesic_meridian"]["threshold"] == 1e-14
+    assert not gates["geodesic_meridian"]["pass"]
 
 
 def test_verify_json_records_the_format_it_writes(tmp_path):

@@ -230,6 +230,11 @@ def test_dense_dimension_cap():
         hessenberg_qr_eigenvalues(np.eye(1001))
 
 
+def test_dense_eigensolver_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        hessenberg_qr_eigenvalues(np.zeros((2, 3)))
+
+
 # --- bisection -------------------------------------------------------------------
 
 def test_bisect_linear():

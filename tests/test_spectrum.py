@@ -372,6 +372,9 @@ def test_array_scan_matches_the_per_point_scan(family, n, lmax):
     (dict(interval=(0.0, 1.2)), "0 <= a < b <= 1"),
     (dict(bc_left="dirichlet"), "pole end"),
     (dict(n_points=1), "n_points must be >= 2"),
+    (dict(bc_right="dirichet"), "bc must be 'natural' or 'dirichlet'"),
+    (dict(interval=(0.2, 0.9), bc_left="Dirichlet"),
+     "bc must be 'natural' or 'dirichlet'"),
 ])
 def test_pencil_assembly_validation(kwargs, message):
     args = dict(params=ProfileParams(1), n_points=40) | kwargs
@@ -387,6 +390,9 @@ def test_pencil_validation():
         discrete_radial_spectrum(params, "natural", 100, 80)
     with pytest.raises(ValueError):
         discrete_radial_spectrum(params, "mixed", 100, 2)
+    for bc in ("Natural", "dirichet"):
+        with pytest.raises(ValueError, match="bc must be"):
+            discrete_radial_spectrum(params, bc, 100, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])
